@@ -8,8 +8,7 @@ decoder.
 
 from .vocab import BLANK_ID, Vocabulary
 from .ngram_lm import NgramLM, build_lm, load_arpa, perplexity, save_arpa
-from .ctc import (check_posteriors, collapse, ctc_loss, ctc_loss_bruteforce,
-                  greedy_decode, min_frames)
+from .ctc import check_posteriors, collapse, ctc_loss, greedy_decode, min_frames
 from .decoder import (DecoderConfig, estimate_priors, floor_and_renorm,
                       lm_beam_decode, uniform_priors)
 from .recognizer import (RecognizerConfig, Recognizer, backward, forward,

@@ -207,8 +207,6 @@ def cmd_hybrid(args) -> int:
     model = load_checkpoint(args.init_checkpoint)
     lm_path = args.lm or cfg.get("lm")
     lm = load_arpa(lm_path) if lm_path else None
-    if lm is not None and lm.vocab != model.vocab:
-        raise ValueError("the LM and the checkpoint use different vocabularies")
     source = load_manifest(_require(args, "source_data", cfg))
     target = load_manifest(_require(args, "target_data", cfg))
     val_path = args.val_data or cfg.get("val_data")

@@ -10,8 +10,6 @@ the alignment posterior, row by row.
 
 from __future__ import annotations
 
-import itertools
-import math
 from typing import Sequence
 
 import numpy as np
@@ -149,23 +147,3 @@ def ctc_loss(posteriors, labels: Sequence[int]) -> tuple[float, np.ndarray]:
     # the true loss is >= 0; guard against float jitter at the boundary
     return max(0.0, -float(log_p)), grad
 
-
-def ctc_loss_bruteforce(posteriors, labels: Sequence[int]) -> float:
-    """Reference loss by explicit path enumeration.
-
-    Returns +inf when no path collapses to the labels.  Requires
-    L ** T <= 1e6.
-    """
-    post = check_posteriors(posteriors).astype(np.float64)
-    T, L = post.shape
-    y = _check_labels(labels, L)
-    if L ** T > 1e6:
-        raise ValueError(f"{L}^{T} paths is past the enumeration limit")
-    total = _NEG_INF
-    for path in itertools.product(range(L), repeat=T):
-        if collapse(path) == y:
-            lp = sum(post[t, k] for t, k in enumerate(path))
-            total = np.logaddexp(total, lp)
-    if total == _NEG_INF:
-        return math.inf
-    return max(0.0, -float(total))

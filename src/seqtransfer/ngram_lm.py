@@ -11,12 +11,15 @@ where h' drops the oldest token, count(h.) is the total count of
 continuations of h, and gamma(h) = d * distinct_continuations(h) / count(h.).
 The recursion bottoms out in a unigram distribution interpolated against a
 uniform base over the usable symbols (the characters plus EOS; BOS and the
-CTC blank carry no probability mass).  A context that was never observed
-backs off with weight one.
+CTC blank carry no probability mass).
 
-Models are immutable once built.  Queries walk precomputed probability and
-backoff tables, so a model loaded from its ARPA serialization answers
-queries identically to the model that wrote it.
+Models are immutable once built.  Queries follow the standard ARPA
+backoff rule: a stored n-gram hc answers with its own probability;
+otherwise the answer is log gamma(h) plus the answer for h'.  A missing
+backoff weight means log 1, and a stored weight applies even when h has no
+stored continuations.  One walk implements the rule for every query, and a
+model loaded from its ARPA serialization answers queries identically to
+the model that wrote it.
 """
 
 from __future__ import annotations
@@ -42,22 +45,18 @@ class NgramLM:
 
     probs maps an id tuple (context + next id) to the natural-log
     conditional probability of its last id.  backoffs maps an observed
-    context to log gamma(context).  counts holds the raw n-gram counts from
-    build_lm and is empty for models loaded from ARPA text.
+    context to log gamma(context).
     """
 
-    def __init__(self, vocab: Vocabulary, order: int, discount: float | None,
+    def __init__(self, vocab: Vocabulary, order: int,
                  probs: dict[tuple[int, ...], float],
-                 backoffs: dict[tuple[int, ...], float],
-                 counts: dict[tuple[int, ...], int] | None = None):
+                 backoffs: dict[tuple[int, ...], float]):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
         self.vocab = vocab
         self.order = order
-        self.discount = discount
         self.probs = probs
         self.backoffs = backoffs
-        self.counts = counts if counts is not None else {}
         self._finalize()
 
     def _finalize(self):
@@ -84,17 +83,7 @@ class NgramLM:
     def _cond(self, next_id: int, context_ids: Sequence[int]) -> float:
         """Natural-log p(next_id | context_ids), context truncated to order-1."""
         self._check_next(next_id)
-        h = tuple(context_ids)[-(self.order - 1):] if self.order > 1 else ()
-        acc = 0.0
-        for start in range(len(h) + 1):
-            sub = h[start:]
-            lp = self.probs.get(sub + (next_id,))
-            if lp is not None:
-                return acc + lp
-            bo = self.backoffs.get(sub)
-            if bo is not None:
-                acc += bo
-        raise AssertionError("unigram table is complete for usable ids")
+        return float(self.next_log_probs(context_ids)[next_id])
 
     def log_prob(self, context: str, next_char: str) -> float:
         """Natural-log p(next_char | context).
@@ -119,13 +108,12 @@ class NgramLM:
         return self._dense(h)
 
     def _dense(self, h: tuple[int, ...]) -> np.ndarray:
+        """The backoff walk: back off to h' at weight gamma(h) (log 1 when
+        h stores none), then let h's own continuations override."""
         if not h:
             return self._base
-        stored = self._cont.get(h)
-        if stored is None:
-            return self._dense(h[1:])
-        v = self._dense(h[1:]) + self.backoffs[h]
-        for c, lp in stored:
+        v = self._dense(h[1:]) + self.backoffs.get(h, 0.0)
+        for c, lp in self._cont.get(h, ()):
             v[c] = lp
         return v
 
@@ -204,7 +192,7 @@ def build_lm(corpus: Iterable[str], order: int = 10, discount: float = 0.1,
     probs = {gram: math.log(v) for gram, v in p.items()}
     backoffs = {h: math.log(discount * distinct[h] / ctot[h])
                 for h in ctot if len(h) >= 1}
-    return NgramLM(vocab, order, discount, probs, backoffs, dict(counts))
+    return NgramLM(vocab, order, probs, backoffs)
 
 
 def perplexity(lm: NgramLM, corpus: Iterable[str]) -> float:
@@ -269,10 +257,8 @@ def save_arpa(lm: NgramLM, path) -> None:
 
 
 def load_arpa(path) -> NgramLM:
-    """Parse ARPA text back into a queryable model.
-
-    The rebuilt model has no raw counts and no discount; its probability
-    and backoff tables answer every query the writing model could."""
+    """Parse ARPA text back into a queryable model whose probability and
+    backoff tables answer every query the writing model could."""
     ln10 = math.log(10.0)
     with open(path, encoding="utf-8") as f:
         raw = [line.rstrip("\n") for line in f]
@@ -323,10 +309,13 @@ def load_arpa(path) -> NgramLM:
         if len(fields) not in (2, 3):
             raise FormatError(f"{path}: {k}-gram entry needs 2 or 3 fields: {s!r}")
         try:
-            lp = float(fields[0])
-            bo = float(fields[2]) if len(fields) == 3 else None
+            lp = float(fields[0]) * ln10
+            bo = float(fields[2]) * ln10 if len(fields) == 3 else None
         except ValueError:
             raise FormatError(f"{path}: non-numeric field in {k}-gram entry {s!r}") from None
+        # -inf is a zero probability or backoff weight; NaN and +inf mean nothing
+        if not all(x < math.inf for x in (lp, bo) if x is not None):
+            raise FormatError(f"{path}: NaN or +inf field in {k}-gram entry {s!r}")
         toks = tuple(fields[1].split(" "))
         if len(toks) != k:
             raise FormatError(f"{path}: {k}-gram entry has {len(toks)} tokens: {s!r}")
@@ -368,11 +357,11 @@ def load_arpa(path) -> NgramLM:
         for lp, toks, bo in entries:
             gram = tuple(id_of_token(t, k) for t in toks)
             if not (gram == (vocab.bos_id,) and k == 1):
-                probs[gram] = lp * ln10
+                probs[gram] = lp
             if bo is not None:
-                backoffs[gram] = bo * ln10
+                backoffs[gram] = bo
 
     for c in tuple(range(1, vocab.emit_size)) + (vocab.eos_id,):
         if (c,) not in probs:
             raise FormatError(f"{path}: unigram section is missing a usable symbol")
-    return NgramLM(vocab, order, None, probs, backoffs)
+    return NgramLM(vocab, order, probs, backoffs)

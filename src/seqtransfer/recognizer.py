@@ -78,9 +78,6 @@ class Recognizer:
         self.params = params
         self.dtype = dtype
 
-    def param_count(self) -> int:
-        return sum(a.size for a in self.params.values())
-
 
 def init_recognizer(cfg: RecognizerConfig, vocab: Vocabulary,
                     dtype=np.float32) -> Recognizer:
@@ -113,6 +110,33 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def _scan(drive: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """States of the tanh recurrence s_i = tanh(drive_i + u s_{i-1}) from a
+    zero initial state, one row per step of the drive matrix."""
+    states = np.empty_like(drive)
+    state = np.zeros(drive.shape[1], dtype=drive.dtype)
+    for i in range(drive.shape[0]):
+        state = np.tanh(drive[i] + state @ u.T)
+        states[i] = state
+    return states
+
+
+def _scan_grad(d_states: np.ndarray, states: np.ndarray, h: np.ndarray,
+               w: np.ndarray, u: np.ndarray):
+    """Backpropagate through _scan driven by h @ w.T + b.  d_states is the
+    loss gradient reaching each state from outside the recurrence.  Returns
+    the gradients for w, u and b and the gradient reaching h."""
+    keep = 1.0 - states.astype(np.float64) ** 2
+    deltas = np.empty(keep.shape)
+    carry = np.zeros(keep.shape[1])  # d loss / d state[i] from step i+1
+    for i in range(len(deltas) - 1, -1, -1):
+        deltas[i] = (d_states[i] + carry) * keep[i]
+        carry = deltas[i] @ u
+    prev = np.zeros_like(states)
+    prev[1:] = states[:-1]
+    return deltas.T @ h, deltas.T @ prev, deltas.sum(axis=0), deltas @ w
+
+
 def forward(model: Recognizer, frames, return_cache: bool = False):
     """Run the model over a T x D frame matrix.
 
@@ -127,25 +151,14 @@ def forward(model: Recognizer, frames, return_cache: bool = False):
         raise ValueError("need at least one frame")
     if not np.all(np.isfinite(x)):
         raise ValueError("frames contain non-finite values")
-    t = x.shape[0]
-    rd = cfg.recurrent_dim
 
     win = _windows(x, cfg.context_radius)
     h = np.tanh(win @ p["feat_w"].T + p["feat_b"])
     aux = _log_softmax(h @ p["aux_w"].T + p["aux_b"])
 
-    fwd = np.zeros((t, rd), dtype=model.dtype)
-    drive_f = h @ p["fwd_w"].T + p["fwd_b"]
-    state = np.zeros(rd, dtype=model.dtype)
-    for i in range(t):
-        state = np.tanh(drive_f[i] + state @ p["fwd_u"].T)
-        fwd[i] = state
-    bwd = np.zeros((t, rd), dtype=model.dtype)
-    drive_b = h @ p["bwd_w"].T + p["bwd_b"]
-    state = np.zeros(rd, dtype=model.dtype)
-    for i in range(t - 1, -1, -1):
-        state = np.tanh(drive_b[i] + state @ p["bwd_u"].T)
-        bwd[i] = state
+    fwd = _scan(h @ p["fwd_w"].T + p["fwd_b"], p["fwd_u"])
+    # the backward recurrence is the same scan over time-flipped views
+    bwd = _scan((h @ p["bwd_w"].T + p["bwd_b"])[::-1], p["bwd_u"])[::-1]
     g = np.concatenate([fwd, bwd], axis=1)
     main = _log_softmax(g @ p["main_w"].T + p["main_b"])
 
@@ -181,36 +194,12 @@ def backward(model: Recognizer, frames, aux_grad, main_grad,
     dg = gm @ p["main_w"]
     dh = ga @ p["aux_w"]
 
-    # forward recurrence, reverse order; carry holds d loss / d state[i]
-    # arriving from step i+1
-    d_fw = np.zeros_like(p["fwd_w"], dtype=np.float64)
-    d_fu = np.zeros_like(p["fwd_u"], dtype=np.float64)
-    d_fb = np.zeros(rd)
-    carry = np.zeros(rd)
-    for i in range(t - 1, -1, -1):
-        delta = (dg[i, :rd] + carry) * (1.0 - fwd[i].astype(np.float64) ** 2)
-        d_fw += np.outer(delta, h[i])
-        prev = fwd[i - 1] if i > 0 else np.zeros(rd)
-        d_fu += np.outer(delta, prev)
-        d_fb += delta
-        dh[i] += delta @ p["fwd_w"]
-        carry = delta @ p["fwd_u"]
-
-    d_bw = np.zeros_like(p["bwd_w"], dtype=np.float64)
-    d_bu = np.zeros_like(p["bwd_u"], dtype=np.float64)
-    d_bb = np.zeros(rd)
-    carry = np.zeros(rd)
-    for i in range(t):
-        delta = (dg[i, rd:] + carry) * (1.0 - bwd[i].astype(np.float64) ** 2)
-        d_bw += np.outer(delta, h[i])
-        nxt = bwd[i + 1] if i < t - 1 else np.zeros(rd)
-        d_bu += np.outer(delta, nxt)
-        d_bb += delta
-        dh[i] += delta @ p["bwd_w"]
-        carry = delta @ p["bwd_u"]
-
-    grads["fwd_w"], grads["fwd_u"], grads["fwd_b"] = d_fw, d_fu, d_fb
-    grads["bwd_w"], grads["bwd_u"], grads["bwd_b"] = d_bw, d_bu, d_bb
+    grads["fwd_w"], grads["fwd_u"], grads["fwd_b"], dh_fwd = _scan_grad(
+        dg[:, :rd], fwd, h, p["fwd_w"], p["fwd_u"])
+    grads["bwd_w"], grads["bwd_u"], grads["bwd_b"], dh_bwd = _scan_grad(
+        dg[::-1, rd:], bwd[::-1], h[::-1], p["bwd_w"], p["bwd_u"])
+    dh += dh_fwd
+    dh += dh_bwd[::-1]
 
     delta1 = dh * (1.0 - h.astype(np.float64) ** 2)
     grads["feat_w"] = delta1.T @ win

@@ -21,7 +21,7 @@ import numpy as np
 
 from .ctc import ctc_loss, greedy_decode, min_frames
 from .data import Dataset, Sample
-from .decoder import DecoderConfig, check_priors, estimate_priors, lm_beam_decode, uniform_priors
+from .decoder import DecoderConfig, estimate_priors, lm_beam_decode
 from .errors import NumericError
 from .metrics import cer
 from .ngram_lm import NgramLM
@@ -246,12 +246,12 @@ def hybrid_train(model: Recognizer, source_set: Dataset, target_set: Dataset,
     """Adapt a source-trained model to unlabeled target data.
 
     Each outer iteration first re-estimates label priors from the model's
-    current posteriors on the target data (uniform before the first pass),
-    then runs mixed minibatch updates: round(source_fraction * batch_size)
-    ground-truth source samples, placed first, and the rest target samples
-    carrying beam decodes as pseudo-labels.  Target samples whose decode
-    comes back empty are dropped; a step whose target slots all dropped
-    proceeds source-only and is counted."""
+    current posteriors on the target data, then runs mixed minibatch
+    updates: round(source_fraction * batch_size) ground-truth source
+    samples, placed first, and the rest target samples carrying beam
+    decodes as pseudo-labels.  Target samples whose decode comes back empty
+    are dropped; a step whose target slots all dropped proceeds source-only
+    and is counted."""
     src = _encode_labeled(source_set.labeled(), model.vocab)
     tgt = list(target_set.samples)
     if not tgt:
@@ -274,11 +274,9 @@ def hybrid_train(model: Recognizer, source_set: Dataset, target_set: Dataset,
     prior_history: list[np.ndarray] = []
     source_only_steps = 0
     skipped_decodes = 0
-    priors = uniform_priors(model.cfg.label_count)
 
     for it in range(cfg.outer_iters):
         priors = prior_pass(model, tgt, cfg, rng_prior, dcfg.prior_floor)
-        check_priors(priors, model.cfg.label_count)
         prior_history.append(priors)
 
         iter_losses = []

@@ -15,6 +15,26 @@ def random_log_posteriors(rng: np.random.Generator, T: int, L: int) -> np.ndarra
     return logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
 
 
+def ctc_loss_bruteforce(post, labels) -> float:
+    """Reference CTC loss by explicit path enumeration.
+
+    Returns +inf when no path collapses to the labels.  Requires
+    L ** T <= 1e6.
+    """
+    post = np.asarray(post, dtype=np.float64)
+    T, L = post.shape
+    if L ** T > 1e6:
+        raise ValueError(f"{L}^{T} paths is past the enumeration limit")
+    want = tuple(labels)
+    total = -math.inf
+    for path in itertools.product(range(L), repeat=T):
+        if collapse(path) == want:
+            total = np.logaddexp(total, sum(post[t, c] for t, c in enumerate(path)))
+    if total == -math.inf:
+        return math.inf
+    return max(0.0, -float(total))
+
+
 def oracle_best(post, lm, priors, w, alpha):
     """Exhaustive decoder objective: path enumeration grouped by collapse,
     plus per-character and terminal LM factors."""

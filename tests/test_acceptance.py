@@ -6,7 +6,6 @@ suite.  The synthetic-transfer experiment behind criteria 5 and 6 runs
 once (module-scoped fixture) and takes about two minutes.
 """
 
-import itertools
 import math
 import time
 
@@ -14,12 +13,12 @@ import numpy as np
 import pytest
 
 from seqtransfer import (AdamConfig, Dataset, DecoderConfig, RecognizerConfig, Sample,
-                         TrainConfig, Vocabulary, backward, build_lm, cer, cli, collapse,
-                         ctc_loss, default_language_pair, edit_distance, forward,
+                         TrainConfig, Vocabulary, backward, build_lm, cer, cli, ctc_loss,
+                         default_language_pair, edit_distance, forward,
                          greedy_decode, greedy_eval, hybrid_train, init_recognizer,
                          lm_beam_decode, load_arpa, min_frames, prior_pass, render,
                          sample_text, save_arpa, train_source, uniform_priors)
-from conftest import oracle_best, random_log_posteriors
+from conftest import ctc_loss_bruteforce, oracle_best, random_log_posteriors
 
 
 def report(tag, ok: bool, detail: str) -> None:
@@ -28,16 +27,6 @@ def report(tag, ok: bool, detail: str) -> None:
 
 
 # -- 1: CTC loss against exhaustive path enumeration ---------------------------
-
-def brute_ctc(post: np.ndarray, labels) -> float:
-    T, L = post.shape
-    want = tuple(labels)
-    total = -math.inf
-    for path in itertools.product(range(L), repeat=T):
-        if collapse(path) == want:
-            total = np.logaddexp(total, sum(post[t, c] for t, c in enumerate(path)))
-    return -float(total)
-
 
 def test_criterion_1_ctc_oracle_equivalence():
     rng = np.random.default_rng(101)
@@ -52,7 +41,7 @@ def test_criterion_1_ctc_oracle_equivalence():
             continue
         post = random_log_posteriors(rng, T, L)
         loss, _ = ctc_loss(post, labels)
-        ref = brute_ctc(post, labels)
+        ref = ctc_loss_bruteforce(post, labels)
         worst = max(worst, abs(loss - ref) / max(abs(ref), 1e-12))
         checked += 1
     dt = time.perf_counter() - t0

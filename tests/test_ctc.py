@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtransfer import (BLANK_ID, collapse, ctc_loss, ctc_loss_bruteforce, greedy_decode,
-                         min_frames)
-from conftest import random_log_posteriors
+from seqtransfer import BLANK_ID, collapse, ctc_loss, greedy_decode, min_frames
+from conftest import ctc_loss_bruteforce, random_log_posteriors
 
 
 def log_rows(*rows):

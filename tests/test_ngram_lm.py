@@ -1,10 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqtransfer import FormatError, NgramLM, Vocabulary, build_lm, load_arpa, perplexity, \
-    save_arpa
+from seqtransfer import (Dataset, FormatError, RecognizerConfig, Sample, Vocabulary, build_lm,
+                         cli, init_recognizer, load_arpa, perplexity, save_arpa,
+                         save_checkpoint, write_manifest)
 from seqtransfer.ngram_lm import BOS_TOKEN
 
 
@@ -251,6 +255,17 @@ def test_arpa_non_numeric_field(tmp_path):
         load_arpa(tmp_path / "bad.arpa")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
+def test_arpa_nan_or_positive_infinite_field(tmp_path, value):
+    lm = build_lm(["ab"], order=2, discount=0.1)
+    path = tmp_path / "model.arpa"
+    save_arpa(lm, path)
+    text = path.read_text(encoding="utf-8").replace("-99", value, 1)
+    (tmp_path / "bad.arpa").write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError, match="NaN or"):
+        load_arpa(tmp_path / "bad.arpa")
+
+
 def test_arpa_count_mismatch(tmp_path):
     lm = build_lm(["abc"] * 3, order=2, discount=0.1)
     path = tmp_path / "model.arpa"
@@ -285,4 +300,162 @@ def test_identical_builds_are_identical():
     b = build_lm(corpus, order=3, discount=0.1)
     assert a.probs == b.probs
     assert a.backoffs == b.backoffs
-    assert a.counts == b.counts
+
+
+# -- the ARPA backoff rule on hand-written files -------------------------------
+#
+# Each case is an ARPA file plus queries (context tokens, next token, the
+# log10 answer of the standard backoff rule worked out by hand).
+
+ARPA_CASES = {
+    # unigram "a" and bigram "a b" are contexts with stored continuations
+    # but no backoff field
+    "context_without_backoff": ("""\\data\\
+ngram 1=4
+ngram 2=1
+ngram 3=1
+
+\\1-grams:
+-0.5\ta
+-0.6\tb
+-0.7\t</s>
+-99\t<s>\t-0.3
+
+\\2-grams:
+-0.2\ta b
+
+\\3-grams:
+-0.05\ta b a
+
+\\end\\
+""", [
+        (("a", "b"), "a", -0.05),
+        (("a", "b"), "b", -0.6),
+        (("a", "b"), "</s>", -0.7),
+        (("a",), "b", -0.2),
+        (("a",), "a", -0.5),
+        (("<s>",), "a", -0.3 - 0.5),
+        (("<s>", "a"), "b", -0.2),
+    ]),
+    # unigram "c" has a backoff weight but no bigram continuation
+    "backoff_without_continuation": ("""\\data\\
+ngram 1=5
+ngram 2=1
+
+\\1-grams:
+-0.6\ta\t-0.2
+-0.6\tb
+-0.5\tc\t-0.4
+-0.7\t</s>
+-99\t<s>\t-0.3
+
+\\2-grams:
+-0.1\ta b
+
+\\end\\
+""", [
+        (("c",), "a", -0.4 - 0.6),
+        (("c",), "</s>", -0.4 - 0.7),
+        (("a",), "b", -0.1),
+        (("a",), "c", -0.2 - 0.5),
+        (("<s>",), "c", -0.3 - 0.5),
+    ]),
+    # "<s>" stores a continuation but carries no backoff field
+    "bos_without_backoff": ("""\\data\\
+ngram 1=4
+ngram 2=1
+
+\\1-grams:
+-0.5\ta
+-0.6\tb
+-0.7\t</s>
+-99\t<s>
+
+\\2-grams:
+-0.1\t<s> a
+
+\\end\\
+""", [
+        (("<s>",), "a", -0.1),
+        (("<s>",), "b", -0.6),
+        (("<s>",), "</s>", -0.7),
+        (("a",), "b", -0.6),
+    ]),
+}
+
+
+def _token_id(vocab, tok):
+    if tok == BOS_TOKEN:
+        return vocab.bos_id
+    if tok == "</s>":
+        return vocab.eos_id
+    return vocab.id_of(tok)
+
+
+def _decode_inputs(root, vocab):
+    """A tiny checkpoint over vocab and a two-sample manifest to decode."""
+    cfg = RecognizerConfig(label_count=vocab.emit_size, input_dim=3, context_radius=1,
+                           feature_dim=5, recurrent_dim=4)
+    ckpt = root / "model.ckpt"
+    save_checkpoint(init_recognizer(cfg, vocab), ckpt)
+    rng = np.random.default_rng(0)
+    data = Dataset([Sample(f"s{i}", rng.normal(size=(t, 3)).astype(np.float32))
+                    for i, t in enumerate((5, 8))])
+    return ckpt, write_manifest(data, root / "manifest.tsv")
+
+
+@pytest.mark.parametrize("case", sorted(ARPA_CASES))
+def test_hand_written_arpa_follows_backoff_rule(tmp_path, case):
+    text, queries = ARPA_CASES[case]
+    path = tmp_path / f"{case}.arpa"
+    path.write_text(text, encoding="utf-8")
+    lm = load_arpa(path)
+    for context, nxt, want_log10 in queries:
+        h = tuple(_token_id(lm.vocab, t) for t in context)
+        c = _token_id(lm.vocab, nxt)
+        want = want_log10 * math.log(10.0)
+        assert lm.next_log_probs(h)[c] == pytest.approx(want, abs=1e-12), (context, nxt)
+        assert lm._cond(c, h) == pytest.approx(want, abs=1e-12), (context, nxt)
+
+    ckpt, manifest = _decode_inputs(tmp_path, lm.vocab)
+    rc = cli.main(["decode", "--checkpoint", str(ckpt), "--data", str(manifest),
+                   "--lm", str(path), "--out", str(tmp_path / "hyp.tsv")])
+    assert rc == 0
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("arpa_fuzz")
+    lm = build_lm(["abca", "bcab", "cc a"], order=3, discount=0.1)
+    save_arpa(lm, root / "valid.arpa")
+    ckpt, manifest = _decode_inputs(root, lm.vocab)
+    return root, (root / "valid.arpa").read_text(encoding="utf-8"), ckpt, manifest
+
+
+_NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["drop_backoff", "drop_line", "edit_number"]),
+       pick=st.integers(min_value=0, max_value=10 ** 6),
+       number=st.one_of(st.floats(), st.integers(min_value=-5, max_value=40)))
+def test_mutated_arpa_never_raises_through_decode(fuzz_inputs, kind, pick, number):
+    root, text, ckpt, manifest = fuzz_inputs
+    lines = text.split("\n")
+    if kind == "drop_backoff":
+        with_bo = [i for i, line in enumerate(lines) if line.count("\t") == 2]
+        i = with_bo[pick % len(with_bo)]
+        lines[i] = lines[i].rsplit("\t", 1)[0]
+        mutated = "\n".join(lines)
+    elif kind == "drop_line":
+        del lines[pick % len(lines)]
+        mutated = "\n".join(lines)
+    else:
+        spans = [m.span() for m in _NUMBER.finditer(text)]
+        lo, hi = spans[pick % len(spans)]
+        mutated = text[:lo] + repr(number) + text[hi:]
+    path = root / "mutated.arpa"
+    path.write_text(mutated, encoding="utf-8")
+    rc = cli.main(["decode", "--checkpoint", str(ckpt), "--data", str(manifest),
+                   "--lm", str(path), "--beam", "8", "--out", str(root / "hyp.tsv")])
+    assert rc in (0, 1, 2, 3)

@@ -142,6 +142,40 @@ def test_gradients_match_finite_differences(rng):
             assert gflat[i] == pytest.approx(fd, rel=1e-4, abs=1e-8), name
 
 
+def per_step_recurrence_grads(m, cache, main_grad):
+    """Reference for the recurrence gradients: walk each direction against
+    its time order and add one outer product per frame."""
+    p, rd = m.params, m.cfg.recurrent_dim
+    h, t = cache["h"], cache["h"].shape[0]
+    dg = main_grad @ p["main_w"]
+    out = {}
+    for tag, cols, steps, back in (("fwd", slice(0, rd), range(t - 1, -1, -1), -1),
+                                   ("bwd", slice(rd, None), range(t), 1)):
+        states, u = cache[tag], p[tag + "_u"]
+        dw, du, db = np.zeros(p[tag + "_w"].shape), np.zeros(u.shape), np.zeros(rd)
+        carry = np.zeros(rd)
+        for i in steps:
+            delta = (dg[i, cols] + carry) * (1.0 - states[i] ** 2)
+            dw += np.outer(delta, h[i])
+            if 0 <= i + back < t:
+                du += np.outer(delta, states[i + back])
+            db += delta
+            carry = delta @ u
+        out[tag + "_w"], out[tag + "_u"], out[tag + "_b"] = dw, du, db
+    return out
+
+
+def test_recurrence_grads_match_per_step_reference(rng):
+    m = tiny_model(seed=4)
+    frames = rng.normal(0, 1, (20, 3))
+    aux, main, cache = forward(m, frames, return_cache=True)
+    gm = rng.normal(0, 1, main.shape)
+    grads = backward(m, frames, np.zeros_like(aux), gm, cache)
+    # float64 sums of 20 terms reordered by the matmul
+    for name, want in per_step_recurrence_grads(m, cache, gm).items():
+        np.testing.assert_allclose(grads[name], want, rtol=1e-12, atol=1e-14, err_msg=name)
+
+
 def test_zero_grads_in_give_zero_grads_out(rng):
     m = tiny_model()
     frames = rng.normal(0, 1, (4, 3))
