@@ -247,7 +247,8 @@ def save_arpa(lm: NgramLM, path) -> None:
                 if gram == (lm.vocab.bos_id,):
                     lp = "-99"  # BOS is never predicted
                 else:
-                    lp = fmt(lm.probs[gram])
+                    # rounding in build_lm can leave log p a hair above 0
+                    lp = fmt(min(lm.probs[gram], 0.0))
                 bo = lm.backoffs.get(gram)
                 if bo is not None and k < lm.order:
                     f.write(f"{lp}\t{toks}\t{fmt(bo)}\n")
@@ -316,6 +317,9 @@ def load_arpa(path) -> NgramLM:
         # -inf is a zero probability or backoff weight; NaN and +inf mean nothing
         if not all(x < math.inf for x in (lp, bo) if x is not None):
             raise FormatError(f"{path}: NaN or +inf field in {k}-gram entry {s!r}")
+        # a backoff weight may exceed 1, a probability may not
+        if lp > 0.0:
+            raise FormatError(f"{path}: positive log10 probability in {k}-gram entry {s!r}")
         toks = tuple(fields[1].split(" "))
         if len(toks) != k:
             raise FormatError(f"{path}: {k}-gram entry has {len(toks)} tokens: {s!r}")
@@ -353,9 +357,13 @@ def load_arpa(path) -> NgramLM:
 
     probs: dict[tuple[int, ...], float] = {}
     backoffs: dict[tuple[int, ...], float] = {}
+    seen: set[tuple[int, ...]] = set()
     for k, entries in sections.items():
         for lp, toks, bo in entries:
             gram = tuple(id_of_token(t, k) for t in toks)
+            if gram in seen:
+                raise FormatError(f"{path}: {k}-gram {' '.join(toks)!r} appears twice")
+            seen.add(gram)
             if not (gram == (vocab.bos_id,) and k == 1):
                 probs[gram] = lp
             if bo is not None:

@@ -35,6 +35,23 @@ def ctc_loss_bruteforce(post, labels) -> float:
     return max(0.0, -float(total))
 
 
+def arpa_cond_reference(lm, next_id, context_ids) -> float:
+    """Natural-log p(next_id | context_ids) by the ARPA backoff rule, one
+    scalar lookup at a time and independent of NgramLM's own walk: the
+    longest stored n-gram h[i:] + (next_id,) answers, plus the backoff
+    weights of the longer contexts h[j:], j < i, that were passed on the way
+    (a missing weight counts as log 1)."""
+    h = tuple(context_ids)[-(lm.order - 1):] if lm.order > 1 else ()
+    acc = 0.0
+    for start in range(len(h) + 1):
+        sub = h[start:]
+        lp = lm.probs.get(sub + (next_id,))
+        if lp is not None:
+            return acc + lp
+        acc += lm.backoffs.get(sub, 0.0)
+    raise AssertionError("unigram table is complete for usable ids")
+
+
 def oracle_best(post, lm, priors, w, alpha):
     """Exhaustive decoder objective: path enumeration grouped by collapse,
     plus per-character and terminal LM factors."""
@@ -49,8 +66,9 @@ def oracle_best(post, lm, priors, w, alpha):
         bos = lm.vocab.bos_id
         for seq in scores:
             ctx = (bos,) + seq
-            lm_score = sum(lm._cond(c, ctx[:i + 1]) for i, c in enumerate(seq))
-            scores[seq] += lm_score + lm._cond(lm.vocab.eos_id, ctx)
+            lm_score = sum(arpa_cond_reference(lm, c, ctx[:i + 1])
+                           for i, c in enumerate(seq))
+            scores[seq] += lm_score + arpa_cond_reference(lm, lm.vocab.eos_id, ctx)
     return min(scores.items(), key=lambda kv: (-kv[1], kv[0]))
 
 

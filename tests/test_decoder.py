@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seqtransfer import (DecoderConfig, build_lm, estimate_priors, floor_and_renorm,
-                         greedy_decode, lm_beam_decode, uniform_priors)
+                         greedy_decode, lm_beam_decode, load_arpa, save_arpa, uniform_priors)
 from conftest import oracle_best, random_log_posteriors
 
 
@@ -156,6 +156,38 @@ def test_exhaustive_beam_matches_oracle_with_lm():
         want_seq, want_score = oracle_best(post, lm, priors, 0.4, 0.5)
         assert ids == want_seq
         assert score == pytest.approx(want_score, rel=1e-9)
+
+
+# Decoder output on a fixed seeded set: (text, score with the built model,
+# score with its ARPA round trip).  A change to the LM walk or the beam
+# search that moves any of these changes what the decoder computes.
+RECORDED_DECODES = [
+    ("cec be", -5.029833362496582, -5.029833362495983),
+    (" e  a", -5.2265983105979705, -5.226598310599791),
+    ("ca ac", -10.24891581520827, -10.248915815206905),
+    ("ca ac", -6.156922028821605, -6.156922028820242),
+    ("eecb", -7.2561600590834265, -7.256160059082971),
+    ("caeabc e", -5.881648671580588, -5.881648671580157),
+    ("ccca", -5.3846765529708245, -5.384676552970338),
+    ("acbdda", -6.541384152344536, -6.541384152345091),
+]
+
+
+def test_decode_matches_recorded_output(tmp_path):
+    rng = np.random.default_rng(2024)
+    corpus = ["".join(rng.choice(list("abcde "), size=rng.integers(3, 10)))
+              for _ in range(40)]
+    lm = build_lm(corpus, order=5, discount=0.1)
+    save_arpa(lm, tmp_path / "m.arpa")
+    back = load_arpa(tmp_path / "m.arpa")
+    cfg = DecoderConfig(emission_weight=0.5, prior_scale=0.3, beam_width=8)
+    for text, built_score, loaded_score in RECORDED_DECODES:
+        post = random_log_posteriors(rng, 12, lm.vocab.emit_size)
+        priors = estimate_priors([post])
+        for model, want in ((lm, built_score), (back, loaded_score)):
+            ids, score = lm_beam_decode(post, model, priors, cfg)
+            assert lm.vocab.decode(ids) == text
+            assert score == pytest.approx(want, rel=1e-12)
 
 
 # -- LM override of a mildly wrong emission -----------------------------------------

@@ -3,13 +3,15 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqtransfer import (Dataset, FormatError, RecognizerConfig, Sample, Vocabulary, build_lm,
                          cli, init_recognizer, load_arpa, perplexity, save_arpa,
                          save_checkpoint, write_manifest)
 from seqtransfer.ngram_lm import BOS_TOKEN
+
+from conftest import arpa_cond_reference
 
 
 def mass_of(lm, context_ids):
@@ -94,16 +96,24 @@ def test_normalization_over_stored_and_random_contexts():
         assert mass_of(lm, h) == pytest.approx(0.0, abs=1e-6)
 
 
+def assert_follows_reference(lm, contexts):
+    """next_log_probs and _cond agree with the scalar reference walk."""
+    usable = list(range(1, lm.vocab.emit_size)) + [lm.vocab.eos_id]
+    for h in contexts:
+        dense = lm.next_log_probs(h)
+        for c in usable:
+            want = arpa_cond_reference(lm, c, h)
+            assert dense[c] == pytest.approx(want, rel=1e-12, abs=1e-12), (h, c)
+            assert lm._cond(c, h) == pytest.approx(want, rel=1e-12, abs=1e-12), (h, c)
+
+
 def test_scalar_and_dense_queries_agree():
     rng = np.random.default_rng(6)
     lm = build_lm(["the cat", "the hat", "a cat"], order=3, discount=0.2)
     usable = list(range(1, lm.vocab.emit_size)) + [lm.vocab.eos_id]
-    for _ in range(50):
-        n = int(rng.integers(0, 4))
-        h = tuple(int(x) for x in rng.choice(usable, size=n))
-        dense = lm.next_log_probs(h)
-        for c in usable:
-            assert dense[c] == pytest.approx(lm._cond(c, h), abs=1e-12)
+    contexts = [tuple(int(x) for x in rng.choice(usable, size=int(rng.integers(0, 4))))
+                for _ in range(50)]
+    assert_follows_reference(lm, contexts + list(lm.backoffs))
 
 
 def test_order1_matches_independent_unigram_oracle():
@@ -204,7 +214,7 @@ def test_arpa_round_trip_on_random_queries(tmp_path):
         n = int(rng.integers(0, 5))
         h = tuple(int(x) for x in rng.choice(usable, size=n))
         c = int(rng.choice(usable))
-        assert back._cond(c, h) == pytest.approx(lm._cond(c, h), abs=1e-6)
+        assert back._cond(c, h) == pytest.approx(arpa_cond_reference(lm, c, h), abs=1e-6)
 
 
 def test_arpa_contains_bigram_entry(tmp_path):
@@ -255,15 +265,47 @@ def test_arpa_non_numeric_field(tmp_path):
         load_arpa(tmp_path / "bad.arpa")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
-def test_arpa_nan_or_positive_infinite_field(tmp_path, value):
+@pytest.mark.parametrize("value, message", [
+    ("nan", "NaN or"), ("inf", "NaN or"), ("1e308", "NaN or"),
+    ("2.5", "positive log10 probability"),
+])
+def test_arpa_impossible_probability_field(tmp_path, value, message):
     lm = build_lm(["ab"], order=2, discount=0.1)
     path = tmp_path / "model.arpa"
     save_arpa(lm, path)
     text = path.read_text(encoding="utf-8").replace("-99", value, 1)
     (tmp_path / "bad.arpa").write_text(text, encoding="utf-8")
-    with pytest.raises(FormatError, match="NaN or"):
+    with pytest.raises(FormatError, match=message):
         load_arpa(tmp_path / "bad.arpa")
+
+
+def test_arpa_positive_backoff_weight_loads(tmp_path):
+    # a backoff weight is not a probability and may exceed 1
+    text = ARPA_CASES["backoff_without_continuation"][0].replace("c\t-0.4", "c\t0.4")
+    (tmp_path / "m.arpa").write_text(text, encoding="utf-8")
+    lm = load_arpa(tmp_path / "m.arpa")
+    assert lm.backoffs[(lm.vocab.id_of("c"),)] == pytest.approx(0.4 * math.log(10.0))
+
+
+def test_arpa_duplicate_ngram(tmp_path):
+    lm = build_lm(["ab"], order=2, discount=0.1)
+    path = tmp_path / "model.arpa"
+    save_arpa(lm, path)
+    text = path.read_text(encoding="utf-8")
+    text = text.replace("ngram 1=4", "ngram 1=5")  # a, b, </s>, <s> and the copy
+    text = text.replace("\\1-grams:\n", "\\1-grams:\n-0.5\tb\n")
+    (tmp_path / "bad.arpa").write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError, match="'b' appears twice"):
+        load_arpa(tmp_path / "bad.arpa")
+
+
+def test_rounding_above_one_still_round_trips(tmp_path):
+    # this corpus leaves one log probability at +2.2e-16 after rounding
+    lm = build_lm(["a"] * 19, order=3, discount=1e-12)
+    assert max(lm.probs.values()) > 0.0
+    save_arpa(lm, tmp_path / "m.arpa")
+    back = load_arpa(tmp_path / "m.arpa")
+    assert max(back.probs.values()) <= 0.0
 
 
 def test_arpa_count_mismatch(tmp_path):
@@ -384,6 +426,12 @@ ngram 2=1
 }
 
 
+def stored_contexts(lm):
+    """Every context the tables name, with all of its suffixes."""
+    named = set(lm.backoffs) | {gram[:-1] for gram in lm.probs}
+    return sorted({h[i:] for h in named for i in range(len(h) + 1)})
+
+
 def _token_id(vocab, tok):
     if tok == BOS_TOKEN:
         return vocab.bos_id
@@ -416,6 +464,8 @@ def test_hand_written_arpa_follows_backoff_rule(tmp_path, case):
         want = want_log10 * math.log(10.0)
         assert lm.next_log_probs(h)[c] == pytest.approx(want, abs=1e-12), (context, nxt)
         assert lm._cond(c, h) == pytest.approx(want, abs=1e-12), (context, nxt)
+        assert arpa_cond_reference(lm, c, h) == pytest.approx(want, abs=1e-12), (context, nxt)
+    assert_follows_reference(lm, stored_contexts(lm))
 
     ckpt, manifest = _decode_inputs(tmp_path, lm.vocab)
     rc = cli.main(["decode", "--checkpoint", str(ckpt), "--data", str(manifest),
@@ -432,6 +482,16 @@ def fuzz_inputs(tmp_path_factory):
     return root, (root / "valid.arpa").read_text(encoding="utf-8"), ckpt, manifest
 
 
+def test_fuzz_base_file_follows_reference(fuzz_inputs):
+    root, _, ckpt, manifest = fuzz_inputs
+    lm = load_arpa(root / "valid.arpa")
+    assert_follows_reference(lm, stored_contexts(lm))
+    rc = cli.main(["decode", "--checkpoint", str(ckpt), "--data", str(manifest),
+                   "--lm", str(root / "valid.arpa"), "--beam", "8",
+                   "--out", str(root / "hyp.tsv")])
+    assert rc == 0
+
+
 _NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
 
@@ -439,6 +499,7 @@ _NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 @given(kind=st.sampled_from(["drop_backoff", "drop_line", "edit_number"]),
        pick=st.integers(min_value=0, max_value=10 ** 6),
        number=st.one_of(st.floats(), st.integers(min_value=-5, max_value=40)))
+@example(kind="edit_number", pick=2251, number=-1865280596.0)  # a backoff of -1.9e9
 def test_mutated_arpa_never_raises_through_decode(fuzz_inputs, kind, pick, number):
     root, text, ckpt, manifest = fuzz_inputs
     lines = text.split("\n")
@@ -459,3 +520,6 @@ def test_mutated_arpa_never_raises_through_decode(fuzz_inputs, kind, pick, numbe
     rc = cli.main(["decode", "--checkpoint", str(ckpt), "--data", str(manifest),
                    "--lm", str(path), "--beam", "8", "--out", str(root / "hyp.tsv")])
     assert rc in (0, 1, 2, 3)
+    if rc == 0:
+        lm = load_arpa(path)
+        assert_follows_reference(lm, stored_contexts(lm))
