@@ -5,13 +5,18 @@ hybrid, decode, eval.  Exit codes: 0 success, 1 usage error, 2 data or
 file-format error, 3 numeric failure.
 
 Hyperparameters resolve in order: explicit flag, then experiment config
-file (line-oriented "key = value"), then the built-in default.
+file (line-oriented "key = value"), then the built-in default.  The
+built-in defaults live in one place, the fields of TrainConfig,
+AdamConfig, DecoderConfig and RecognizerConfig; a knob that no flag or
+config line sets is left for the dataclass to fill, and the help texts
+read the same fields.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +29,8 @@ from .metrics import cer, write_report
 from .ngram_lm import build_lm, load_arpa, perplexity, save_arpa
 from .recognizer import RecognizerConfig, forward, init_recognizer, load_checkpoint, \
     save_checkpoint
-from .synth_data import generate_dataset, make_language_pair, sample_corpus
+from .synth_data import STOCK_SHARED_CHARS, STOCK_TARGET_EXTRA, generate_dataset, \
+    make_language_pair, sample_corpus
 from .trainer import AdamConfig, TrainConfig, hybrid_train, train_source, write_metrics
 from .vocab import Vocabulary
 
@@ -38,17 +44,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# experiment config file: every trainer / decoder / recognizer knob plus data paths
-_CONFIG_TYPES = {
-    "lambda": float, "batch_size": int, "source_fraction": float,
-    "outer_iters": int, "prior_pass_batches": int, "train_pass_batches": int,
-    "epochs": int,
-    "lr": float, "beta1": float, "beta2": float, "eps": float,
-    "w": float, "alpha": float, "beam_width": int, "prior_floor": float,
-    "input_dim": int, "context_radius": int, "feature_dim": int, "recurrent_dim": int,
-    "seed": int,
-    "source_data": str, "target_data": str, "val_data": str, "lm": str,
-}
+# every tunable knob: (config dataclass, field, config-file key, flag dest);
+# the field's default is the built-in default and its type the key's type
+_KNOBS = (
+    (TrainConfig, "aux_loss_weight", "lambda", "lambda_"),
+    (TrainConfig, "batch_size", "batch_size", "batch_size"),
+    (TrainConfig, "source_fraction", "source_fraction", "rho"),
+    (TrainConfig, "outer_iters", "outer_iters", "outer_iters"),
+    (TrainConfig, "prior_pass_batches", "prior_pass_batches", "prior_pass_batches"),
+    (TrainConfig, "train_pass_batches", "train_pass_batches", "train_pass_batches"),
+    (TrainConfig, "epochs", "epochs", "epochs"),
+    (TrainConfig, "seed", "seed", "seed"),
+    (AdamConfig, "lr", "lr", "lr"),
+    (AdamConfig, "beta1", "beta1", None),
+    (AdamConfig, "beta2", "beta2", None),
+    (AdamConfig, "eps", "eps", None),
+    (DecoderConfig, "emission_weight", "w", "w"),
+    (DecoderConfig, "prior_scale", "alpha", "alpha"),
+    (DecoderConfig, "beam_width", "beam_width", "beam"),
+    (DecoderConfig, "prior_floor", "prior_floor", "prior_floor"),
+    (RecognizerConfig, "input_dim", "input_dim", None),
+    (RecognizerConfig, "context_radius", "context_radius", None),
+    (RecognizerConfig, "feature_dim", "feature_dim", None),
+    (RecognizerConfig, "recurrent_dim", "recurrent_dim", None),
+)
+
+# experiment config file: every knob plus data paths
+_CONFIG_TYPES = {key: type(getattr(cls, name)) for cls, name, key, _ in _KNOBS}
+_CONFIG_TYPES.update(source_data=str, target_data=str, val_data=str, lm=str)
 
 
 def read_config(path) -> dict:
@@ -75,12 +98,17 @@ def read_config(path) -> dict:
     return out
 
 
-def _pick(args, attr, cfg: dict, key: str, default):
-    if hasattr(args, attr):
-        return getattr(args, attr)
-    if key in cfg:
-        return cfg[key]
-    return default
+def _given(cls, args, cfg: dict) -> dict:
+    """The fields of cls that a flag or the config file sets, flag first."""
+    out = {}
+    for owner, name, key, dest in _KNOBS:
+        if owner is not cls:
+            continue
+        if dest is not None and hasattr(args, dest):
+            out[name] = getattr(args, dest)
+        elif key in cfg:
+            out[name] = cfg[key]
+    return out
 
 
 def _read_lines(path) -> list[str]:
@@ -150,41 +178,20 @@ def cmd_train_lm(args) -> int:
 # -- train-source -----------------------------------------------------------
 
 def _train_config(args, cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        aux_loss_weight=_pick(args, "lambda_", cfg, "lambda", 0.25),
-        batch_size=_pick(args, "batch_size", cfg, "batch_size", 8),
-        source_fraction=_pick(args, "rho", cfg, "source_fraction", 0.5),
-        outer_iters=_pick(args, "outer_iters", cfg, "outer_iters", 50),
-        prior_pass_batches=_pick(args, "prior_pass_batches", cfg, "prior_pass_batches", 100),
-        train_pass_batches=_pick(args, "train_pass_batches", cfg, "train_pass_batches", 100),
-        epochs=_pick(args, "epochs", cfg, "epochs", 10),
-        adam=AdamConfig(lr=_pick(args, "lr", cfg, "lr", 1e-3),
-                        beta1=cfg.get("beta1", 0.9), beta2=cfg.get("beta2", 0.999),
-                        eps=cfg.get("eps", 1e-8)),
-        seed=_pick(args, "seed", cfg, "seed", 0),
-    )
+    return TrainConfig(adam=AdamConfig(**_given(AdamConfig, args, cfg)),
+                       **_given(TrainConfig, args, cfg))
 
 
 def _decoder_config(args, cfg: dict) -> DecoderConfig:
-    return DecoderConfig(
-        emission_weight=_pick(args, "w", cfg, "w", 0.4),
-        prior_scale=_pick(args, "alpha", cfg, "alpha", 0.5),
-        beam_width=_pick(args, "beam", cfg, "beam_width", 64),
-        prior_floor=_pick(args, "prior_floor", cfg, "prior_floor", 1e-6),
-    )
+    return DecoderConfig(**_given(DecoderConfig, args, cfg))
 
 
 def cmd_train_source(args) -> int:
     cfg = read_config(args.config) if args.config else {}
     tcfg = _train_config(args, cfg)
     vocab = Vocabulary.load(args.vocab)
-    rcfg = RecognizerConfig(
-        label_count=vocab.emit_size,
-        input_dim=cfg.get("input_dim", 16),
-        context_radius=cfg.get("context_radius", 2),
-        feature_dim=cfg.get("feature_dim", 64),
-        recurrent_dim=cfg.get("recurrent_dim", 32),
-        seed=tcfg.seed)
+    rcfg = RecognizerConfig(label_count=vocab.emit_size, seed=tcfg.seed,
+                            **_given(RecognizerConfig, args, cfg))
     model = init_recognizer(rcfg, vocab)
     train = load_manifest(args.data)
     val = load_manifest(args.val) if args.val else None
@@ -239,57 +246,52 @@ def _require(args, key: str, cfg: dict) -> str:
 
 # -- decode / eval ------------------------------------------------------------
 
-def _decode_all(model, dataset, lm, dcfg):
-    """(id, hypothesis text) pairs; beam decoding when an LM is present,
-    greedy otherwise.  Beam decoding estimates label priors from the
-    model's own posteriors on this dataset."""
-    mains = []
-    for s in dataset:
-        _, main = forward(model, s.frames)
-        mains.append(main)
-    hyps = []
-    if lm is None:
-        for s, main in zip(dataset, mains):
-            hyps.append((s.sample_id, model.vocab.decode(greedy_decode(main))))
-    else:
-        priors = estimate_priors(mains, floor=dcfg.prior_floor)
-        for s, main in zip(dataset, mains):
-            ids, _ = lm_beam_decode(main, lm, priors, dcfg)
-            hyps.append((s.sample_id, model.vocab.decode(ids)))
-    return hyps
-
-
 def _load_decode_inputs(args):
     model = load_checkpoint(args.checkpoint)
     dataset = load_manifest(args.data)
     lm = load_arpa(args.lm) if args.lm else None
     if lm is not None and lm.vocab != model.vocab:
         raise ValueError("the LM and the checkpoint use different vocabularies")
-    return model, dataset, lm
+    return model, dataset, lm, _decoder_config(args, {})
 
 
-def cmd_decode(args) -> int:
-    model, dataset, lm = _load_decode_inputs(args)
-    dcfg = _decoder_config(args, {})
-    hyps = _decode_all(model, dataset, lm, dcfg)
-    lines = [f"{sid}\t{text}" for sid, text in hyps]
+def _decode_all(model, dataset, lm, dcfgs) -> list[list[str]]:
+    """Hypothesis texts in dataset order, one list per decoder config; beam
+    decoding when an LM is present, greedy otherwise.  The posteriors, and
+    the label priors beam decoding estimates from them, are computed once
+    for all configs, which share one prior_floor."""
+    mains = [forward(model, s.frames)[1] for s in dataset]
+    if lm is None:
+        return [[model.vocab.decode(greedy_decode(m)) for m in mains]] * len(dcfgs)
+    priors = estimate_priors(mains, floor=dcfgs[0].prior_floor)
+    return [[model.vocab.decode(lm_beam_decode(m, lm, priors, d)[0]) for m in mains]
+            for d in dcfgs]
+
+
+def _write_out(args, lines: list[str]) -> None:
     if args.out:
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
         for line in lines:
             print(line)
+
+
+def cmd_decode(args) -> int:
+    model, dataset, lm, dcfg = _load_decode_inputs(args)
+    hyps, = _decode_all(model, dataset, lm, [dcfg])
+    _write_out(args, [f"{s.sample_id}\t{h}" for s, h in zip(dataset, hyps)])
     if args.report:
         labeled = dataset.labeled()
         if len(labeled) != len(dataset):
             raise ValueError("--report needs a fully labeled manifest")
-        report = cer([s.transcription for s in labeled], [h for _, h in hyps])
+        report = cer([s.transcription for s in labeled], hyps)
         write_report(report, args.report)
         print(f"cer\t{report.cer:.6f}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    model, dataset, lm = _load_decode_inputs(args)
+    model, dataset, lm, dcfg = _load_decode_inputs(args)
     labeled = dataset.labeled()
     if len(labeled) != len(dataset):
         raise ValueError("eval needs a fully labeled manifest")
@@ -299,41 +301,36 @@ def cmd_eval(args) -> int:
         if lm is None:
             raise UsageError("a sweep needs --lm")
         try:
-            ws = [float(x) for x in (args.sweep_w or str(args.w)).split(",")]
-            alphas = [float(x) for x in (args.sweep_alpha or str(args.alpha)).split(",")]
+            ws = [float(x) for x in (args.sweep_w or str(dcfg.emission_weight)).split(",")]
+            alphas = [float(x) for x in (args.sweep_alpha or str(dcfg.prior_scale)).split(",")]
         except ValueError:
             raise UsageError("sweep lists must be comma-separated numbers") from None
-        lines = ["w\talpha\tcer"]
-        for w in ws:
-            for a in alphas:
-                dcfg = DecoderConfig(emission_weight=w, prior_scale=a,
-                                     beam_width=args.beam, prior_floor=args.prior_floor)
-                hyps = _decode_all(model, dataset, lm, dcfg)
-                lines.append(f"{w:g}\t{a:g}\t{cer(refs, [h for _, h in hyps]).cer:.6f}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            print(text, end="")
+        points = [(w, a) for w in ws for a in alphas]
+        sweep = _decode_all(model, dataset, lm, [
+            replace(dcfg, emission_weight=w, prior_scale=a) for w, a in points])
+        _write_out(args, ["w\talpha\tcer"] + [
+            f"{w:g}\t{a:g}\t{cer(refs, hyps).cer:.6f}" for (w, a), hyps in zip(points, sweep)])
         return 0
 
-    dcfg = DecoderConfig(emission_weight=args.w, prior_scale=args.alpha,
-                         beam_width=args.beam, prior_floor=args.prior_floor)
-    hyps = _decode_all(model, dataset, lm, dcfg)
-    report = cer(refs, [h for _, h in hyps])
+    hyps, = _decode_all(model, dataset, lm, [dcfg])
+    report = cer(refs, hyps)
     if args.report:
         write_report(report, args.report)
-    print(f"cer\t{report.cer:.6f}")
+    _write_out(args, [f"cer\t{report.cer:.6f}"])
     return 0
 
 
 # -- parser -------------------------------------------------------------------
 
-def _sup(parser, *names, **kw):
-    """Flag whose absence is detectable (config-file interplay), with the
-    default documented by hand in the help text."""
-    kw["default"] = argparse.SUPPRESS
-    parser.add_argument(*names, **kw)
+def _knob(parser, flag: str, help: str, dest: str | None = None):
+    """Flag for a config-dataclass knob.  Its absence stays detectable
+    (config-file interplay); its type and documented default are the
+    field's."""
+    dest = dest or flag[2:].replace("-", "_")
+    cls, name = next((c, n) for c, n, _, d in _KNOBS if d == dest)
+    default = getattr(cls, name)
+    parser.add_argument(flag, dest=dest, type=type(default), default=argparse.SUPPRESS,
+                        help=f"{help} (default: {default})")
 
 
 def build_parser() -> _Parser:
@@ -350,10 +347,10 @@ def build_parser() -> _Parser:
     g.add_argument("--n-train", type=int, default=320, help="training samples per language")
     g.add_argument("--n-val", type=int, default=64, help="validation samples per language")
     g.add_argument("--n-test", type=int, default=96, help="test samples per language")
-    g.add_argument("--shared-chars", default="abcdefghijklmnopqrstuvwx ",
+    g.add_argument("--shared-chars", default=STOCK_SHARED_CHARS,
                    help="characters both languages share")
     g.add_argument("--source-extra", default="", help="source-only characters")
-    g.add_argument("--target-extra", default="éàñ", help="target-only characters")
+    g.add_argument("--target-extra", default=STOCK_TARGET_EXTRA, help="target-only characters")
     g.add_argument("--style-strength", type=float, default=0.5,
                    help="target rendering-style perturbation scale")
     g.add_argument("--noise-sigma", type=float, default=0.3, help="frame noise sigma")
@@ -381,12 +378,11 @@ def build_parser() -> _Parser:
     s.add_argument("--out-checkpoint", required=True, help="checkpoint to write")
     s.add_argument("--metrics", help="append per-epoch metrics TSV here")
     s.add_argument("--config", help="experiment config file (key = value lines)")
-    _sup(s, "--epochs", type=int, help="training epochs (default: 10)")
-    _sup(s, "--lambda", dest="lambda_", type=float,
-         help="auxiliary-head loss weight (default: 0.25)")
-    _sup(s, "--batch-size", type=int, help="minibatch size (default: 8)")
-    _sup(s, "--lr", type=float, help="Adam learning rate (default: 0.001)")
-    _sup(s, "--seed", type=int, help="run seed (default: 0)")
+    _knob(s, "--epochs", "training epochs")
+    _knob(s, "--lambda", "auxiliary-head loss weight", dest="lambda_")
+    _knob(s, "--batch-size", "minibatch size")
+    _knob(s, "--lr", "Adam learning rate")
+    _knob(s, "--seed", "run seed")
     s.set_defaults(func=cmd_train_source)
 
     h = sub.add_parser("hybrid", help="adapt a checkpoint to unlabeled target data")
@@ -399,22 +395,18 @@ def build_parser() -> _Parser:
     h.add_argument("--metrics", help="append per-iteration metrics TSV here")
     h.add_argument("--priors-log", help="write per-iteration label priors TSV here")
     h.add_argument("--config", help="experiment config file (key = value lines)")
-    _sup(h, "--outer-iters", type=int, help="outer iterations (default: 50)")
-    _sup(h, "--prior-pass-batches", type=int,
-         help="minibatches per prior pass (default: 100)")
-    _sup(h, "--train-pass-batches", type=int,
-         help="update steps per training pass (default: 100)")
-    _sup(h, "--rho", type=float,
-         help="source fraction of each minibatch (default: 0.5)")
-    _sup(h, "--lambda", dest="lambda_", type=float,
-         help="auxiliary-head loss weight (default: 0.25)")
-    _sup(h, "--batch-size", type=int, help="minibatch size (default: 8)")
-    _sup(h, "--lr", type=float, help="Adam learning rate (default: 0.001)")
-    _sup(h, "--w", type=float, help="decoder emission weight (default: 0.4)")
-    _sup(h, "--alpha", type=float, help="decoder prior scale (default: 0.5)")
-    _sup(h, "--beam", type=int, help="decoder beam width (default: 64)")
-    _sup(h, "--prior-floor", type=float, help="label prior floor (default: 1e-06)")
-    _sup(h, "--seed", type=int, help="run seed (default: 0)")
+    _knob(h, "--outer-iters", "outer iterations")
+    _knob(h, "--prior-pass-batches", "minibatches per prior pass")
+    _knob(h, "--train-pass-batches", "update steps per training pass")
+    _knob(h, "--rho", "source fraction of each minibatch")
+    _knob(h, "--lambda", "auxiliary-head loss weight", dest="lambda_")
+    _knob(h, "--batch-size", "minibatch size")
+    _knob(h, "--lr", "Adam learning rate")
+    _knob(h, "--w", "decoder emission weight")
+    _knob(h, "--alpha", "decoder prior scale")
+    _knob(h, "--beam", "decoder beam width")
+    _knob(h, "--prior-floor", "label prior floor")
+    _knob(h, "--seed", "run seed")
     h.set_defaults(func=cmd_hybrid)
 
     for name, fn, extra in (("decode", cmd_decode, "write hypotheses"),
@@ -424,10 +416,10 @@ def build_parser() -> _Parser:
         d.add_argument("--checkpoint", required=True, help="model checkpoint")
         d.add_argument("--data", required=True, help="manifest to decode")
         d.add_argument("--lm", help="ARPA LM; omit for greedy decoding")
-        d.add_argument("--w", type=float, default=0.4, help="emission weight")
-        d.add_argument("--alpha", type=float, default=0.5, help="prior scale")
-        d.add_argument("--beam", type=int, default=64, help="beam width")
-        d.add_argument("--prior-floor", type=float, default=1e-6, help="label prior floor")
+        _knob(d, "--w", "emission weight")
+        _knob(d, "--alpha", "prior scale")
+        _knob(d, "--beam", "beam width")
+        _knob(d, "--prior-floor", "label prior floor")
         d.add_argument("--out", help="write output here instead of stdout")
         d.add_argument("--report", help="write a per-sample CER report here")
         if name == "eval":

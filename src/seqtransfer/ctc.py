@@ -70,6 +70,28 @@ def _check_labels(labels: Sequence[int], label_count: int) -> tuple[int, ...]:
     return y
 
 
+def _alpha(em: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Forward log-probabilities over the blank-interleaved sequence z
+    (length >= 3), given the T x len(z) emission log-probs em.  Run on the
+    time- and label-reversed lattice, this is the backward recursion."""
+    T, S = em.shape
+    # a diagonal skip s-2 -> s is legal when z[s] is a non-blank that
+    # differs from z[s-2]
+    skip_ok = (z[2:] != BLANK_ID) & (z[2:] != z[:-2])
+    step = np.full(S, _NEG_INF)
+    skip = np.full(S, _NEG_INF)
+    alpha = np.full((T, S), _NEG_INF)
+    alpha[0, :2] = em[0, :2]
+    for t in range(1, T):
+        prev, row = alpha[t - 1], alpha[t]
+        step[1:] = prev[:-1]
+        np.copyto(skip[2:], prev[:-2], where=skip_ok)
+        np.logaddexp(prev, step, out=row)
+        np.logaddexp(row, skip, out=row)
+        row += em[t]
+    return alpha
+
+
 def ctc_loss(posteriors, labels: Sequence[int]) -> tuple[float, np.ndarray]:
     """Forward-backward CTC loss and its gradient with respect to logits.
 
@@ -85,52 +107,13 @@ def ctc_loss(posteriors, labels: Sequence[int]) -> tuple[float, np.ndarray]:
     # blank-interleaved extended sequence
     z = np.zeros(2 * len(y) + 1, dtype=np.int64)
     z[1::2] = y
-    S = len(z)
     em = post[:, z]  # T x S emission log-probs
 
-    # a diagonal skip s-2 -> s is legal when z[s] is a non-blank that
-    # differs from z[s-2]
-    skip_ok = np.zeros(S, dtype=bool)
-    if S > 2:
-        skip_ok[2:] = (z[2:] != BLANK_ID) & (z[2:] != z[:-2])
-
-    def shifted(v, k):
-        out = np.full_like(v, _NEG_INF)
-        out[k:] = v[:-k]
-        return out
-
-    alpha = np.full((T, S), _NEG_INF)
-    alpha[0, 0] = em[0, 0]
-    if S > 1:
-        alpha[0, 1] = em[0, 1]
-    for t in range(1, T):
-        prev = alpha[t - 1]
-        stay = prev
-        step = shifted(prev, 1)
-        skip = np.where(skip_ok, shifted(prev, 2), _NEG_INF)
-        alpha[t] = np.logaddexp(np.logaddexp(stay, step), skip) + em[t]
-
-    log_p = alpha[T - 1, S - 1]
-    if S > 1:
-        log_p = np.logaddexp(log_p, alpha[T - 1, S - 2])
+    alpha = _alpha(em, z)
+    beta = _alpha(em[::-1, ::-1], z[::-1])[::-1, ::-1]
+    log_p = np.logaddexp(alpha[T - 1, -1], alpha[T - 1, -2])
     if log_p == _NEG_INF:
         raise ValueError("no feasible alignment has nonzero probability")
-
-    beta = np.full((T, S), _NEG_INF)
-    beta[T - 1, S - 1] = em[T - 1, S - 1]
-    if S > 1:
-        beta[T - 1, S - 2] = em[T - 1, S - 2]
-    fwd_skip = np.zeros(S, dtype=bool)  # s -> s+2 legal, judged at the target
-    fwd_skip[:-2] = skip_ok[2:]
-    for t in range(T - 2, -1, -1):
-        nxt = beta[t + 1]
-        stay = nxt
-        step = np.full(S, _NEG_INF)
-        step[:-1] = nxt[1:]
-        skip = np.full(S, _NEG_INF)
-        skip[:-2] = nxt[2:]
-        skip = np.where(fwd_skip, skip, _NEG_INF)
-        beta[t] = np.logaddexp(np.logaddexp(stay, step), skip) + em[t]
 
     # alignment posterior per label: alpha and beta both include the frame-t
     # emission, so divide one copy back out (zero-probability emissions stay

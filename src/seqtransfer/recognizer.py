@@ -249,10 +249,10 @@ def load_checkpoint(path) -> Recognizer:
     seed, = struct.unpack("<Q", take(8, "seed"))
     nchars, = struct.unpack("<I", take(4, "vocabulary length"))
     try:
-        chars = json.loads(take(nchars, "vocabulary").decode("utf-8"))
-        vocab = Vocabulary(chars)
-    except (ValueError, UnicodeDecodeError) as e:
+        text = take(nchars, "vocabulary").decode("utf-8")
+    except UnicodeDecodeError as e:
         raise FormatError(f"{path}: bad vocabulary block ({e})") from None
+    vocab = Vocabulary.from_json(text, f"{path}: vocabulary block")
     try:
         cfg = RecognizerConfig(label_count=l, input_dim=d, context_radius=r,
                                feature_dim=h, recurrent_dim=rd, seed=seed)

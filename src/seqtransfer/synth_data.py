@@ -30,6 +30,11 @@ _SAMPLE_TAG = 0x5a
 DUP_PROB = 0.2
 DROP_PROB = 0.1
 
+# the stock desk-scale pair: 24 shared lowercase letters plus space; the
+# target side adds three accented characters
+STOCK_SHARED_CHARS = "abcdefghijklmnopqrstuvwx "
+STOCK_TARGET_EXTRA = "éàñ"
+
 
 @dataclass
 class LanguageSpec:
@@ -187,9 +192,8 @@ def generate_dataset(spec: LanguageSpec, n_samples: int,
 def default_language_pair(base_seed: int, style_strength: float = 0.5,
                           noise_sigma: float = 0.3,
                           input_dim: int = 16) -> tuple[LanguageSpec, LanguageSpec]:
-    """The stock desk-scale pair: 24 shared lowercase letters plus space;
-    the target side adds three accented characters."""
-    shared = "abcdefghijklmnopqrstuvwx "
-    return make_language_pair(base_seed, shared, source_extra="",
-                              target_extra="éàñ", style_strength=style_strength,
+    """The stock desk-scale pair (STOCK_SHARED_CHARS, STOCK_TARGET_EXTRA)."""
+    return make_language_pair(base_seed, STOCK_SHARED_CHARS, source_extra="",
+                              target_extra=STOCK_TARGET_EXTRA,
+                              style_strength=style_strength,
                               noise_sigma=noise_sigma, input_dim=input_dim)

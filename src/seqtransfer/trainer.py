@@ -282,15 +282,12 @@ def hybrid_train(model: Recognizer, source_set: Dataset, target_set: Dataset,
         iter_losses = []
         for _ in range(cfg.train_pass_batches):
             batch = []
-            skipped_src = 0
             if n_src_per > 0:
                 take = min(n_src_per, len(src))
                 for idx in rng_src.choice(len(src), size=take, replace=False):
                     frames, ids = src[idx]
                     if _usable(frames, ids):
                         batch.append((frames, ids))
-                    else:
-                        skipped_src += 1
             n_from_src = len(batch)
             if n_tgt_per > 0:
                 take = min(n_tgt_per, len(tgt))

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
+from .errors import FormatError
+
 BLANK_ID = 0
 
 
@@ -76,13 +78,20 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        from .errors import FormatError
-
         with open(path, encoding="utf-8") as f:
-            try:
-                chars = json.load(f)
-            except json.JSONDecodeError as e:
-                raise FormatError(f"{path}: not a JSON character list ({e})") from None
+            return cls.from_json(f.read(), path)
+
+    @classmethod
+    def from_json(cls, text: str, where) -> "Vocabulary":
+        """Parse a JSON list of single characters; a defect raises a
+        FormatError that names `where`."""
+        try:
+            chars = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"{where}: not a JSON character list ({e})") from None
         if not isinstance(chars, list) or not all(isinstance(c, str) for c in chars):
-            raise FormatError(f"{path}: expected a JSON list of characters")
-        return cls(chars)
+            raise FormatError(f"{where}: expected a JSON list of characters")
+        try:
+            return cls(chars)
+        except ValueError as e:
+            raise FormatError(f"{where}: {e}") from None

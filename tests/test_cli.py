@@ -1,8 +1,11 @@
 """End-to-end exercises of the command-line pipeline, all in-process."""
 
 import re
+import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from seqtransfer import (NumericError, Vocabulary, build_lm, cli, forward, load_arpa,
                          load_checkpoint, load_manifest, perplexity)
@@ -335,6 +338,32 @@ def test_eval_sweep_grid(pipe, tmp_path):
         assert re.fullmatch(r"\d\.\d{6}", l.split("\t")[2])
 
 
+def test_eval_out_receives_the_cer_line(pipe, tmp_path, capsys):
+    out = tmp_path / "cer.txt"
+    rc = cli.main(["eval", "--checkpoint", str(pipe["ck"]),
+                   "--data", str(pipe["data"] / "source" / "test" / "manifest.tsv"),
+                   "--out", str(out)])
+    assert rc == 0
+    assert re.fullmatch(r"cer\t\d\.\d{6}\n", out.read_text(encoding="utf-8"))
+    assert "cer" not in capsys.readouterr().out
+
+
+def test_eval_sweep_rows_equal_single_point_runs(pipe, tmp_path, capsys):
+    common = ["eval", "--checkpoint", str(pipe["ck"]),
+              "--data", str(pipe["data"] / "source" / "val" / "manifest.tsv"),
+              "--lm", str(pipe["lm"]), "--beam", "3"]
+    out = tmp_path / "sweep.tsv"
+    assert cli.main(common + ["--sweep-w", "0.2,0.7", "--sweep-alpha", "0,0.6,1.5",
+                              "--out", str(out)]) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 6
+    capsys.readouterr()
+    for row in rows:
+        w, a, value = row.split("\t")
+        assert cli.main(common + ["--w", w, "--alpha", a]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"cer\t{value}"
+
+
 def test_eval_sweep_requires_lm(pipe, capsys):
     rc = cli.main(["eval", "--checkpoint", str(pipe["ck"]),
                    "--data", str(pipe["data"] / "source" / "val" / "manifest.tsv"),
@@ -368,6 +397,20 @@ def test_corrupt_checkpoint_exits_two(pipe, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("payload", [b"5", b"[1,2]"])
+def test_checkpoint_vocabulary_not_a_char_list_exits_two(pipe, tmp_path, capsys, payload):
+    blob = pipe["ck"].read_bytes()
+    # magic (8), config (20) and seed (8), then the u32 vocabulary length
+    nchars, = struct.unpack("<I", blob[36:40])
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:36] + struct.pack("<I", len(payload)) + payload
+                    + blob[40 + nchars:])
+    rc = cli.main(["decode", "--checkpoint", str(bad),
+                   "--data", str(pipe["data"] / "source" / "val" / "manifest.tsv")])
+    assert rc == 2
+    assert "vocabulary block" in capsys.readouterr().err
+
+
 def test_hybrid_help_documents_defaults(capsys):
     with pytest.raises(SystemExit) as e:
         cli.main(["hybrid", "--help"])
@@ -375,3 +418,74 @@ def test_hybrid_help_documents_defaults(capsys):
     out = capsys.readouterr().out
     for frag in ("(default: 0.4)", "(default: 0.5)", "(default: 0.25)", "(default: 8)"):
         assert frag in out
+
+
+# -- robustness: damaged input files ----------------------------------------------
+
+@pytest.fixture(scope="module")
+def fuzz_dir(pipe, tmp_path_factory):
+    """A copy of the source val split (manifest plus frame files) and a
+    hybrid config file, for the damaged-input test to overwrite."""
+    root = tmp_path_factory.mktemp("fuzz")
+    split = pipe["data"] / "source" / "val"
+    rows = (split / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+    for row in rows:
+        rel = row.split("\t")[1]
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes((split / rel).read_bytes())
+    (root / "manifest.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    data = pipe["data"]
+    (root / "hybrid.cfg").write_text(
+        "# hybrid knobs and inputs\nlambda = 0.25\nsource_fraction = 0.5\n"
+        "w = 0.4\nalpha = 0.5\nprior_floor = 1e-6\nlr = 0.001\nbeta1 = 0.9\nseed = 3\n"
+        f"source_data = {data / 'source' / 'train' / 'manifest.tsv'}\n"
+        f"target_data = {data / 'target' / 'train' / 'manifest.tsv'}\n"
+        f"lm = {pipe['lm']}\n", encoding="utf-8")
+    return root, rows[0].split("\t")[1]
+
+
+def _damage(blob: bytes, kind: str, cuts: list[int], bit: int) -> bytes:
+    """Truncate blob, flip one bit, or replace one span with another span
+    of the same bytes."""
+    n = len(blob)
+    a, b, c, d = (x % (n + 1) for x in cuts)
+    if kind == "truncate":
+        return blob[:a]
+    if kind == "flip":
+        a %= n
+        return blob[:a] + bytes([blob[a] ^ (1 << bit)]) + blob[a + 1:]
+    a, b = sorted((a, b))
+    c, d = sorted((c, d))
+    return blob[:a] + blob[c:d] + blob[b:]
+
+
+@pytest.mark.parametrize("target", ["checkpoint", "frames", "manifest", "config"])
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(["truncate", "flip", "splice"]),
+       cuts=st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=4, max_size=4),
+       bit=st.integers(min_value=0, max_value=7))
+def test_damaged_input_never_raises(pipe, fuzz_dir, capsys, target, kind, cuts, bit):
+    root, frame_rel = fuzz_dir
+    manifest = root / "manifest.tsv"
+    sources = {"checkpoint": pipe["ck"], "frames": root / frame_rel,
+               "manifest": manifest, "config": root / "hybrid.cfg"}
+    good = sources[target].read_bytes()
+    damaged = root / f"damaged.{target}"
+    damaged.write_bytes(_damage(good, kind, cuts, bit))
+    if target == "config":
+        argv = ["hybrid", "--config", str(damaged), "--init-checkpoint", str(pipe["ck"]),
+                "--out-checkpoint", str(root / "out.ckpt"), "--outer-iters", "1",
+                "--prior-pass-batches", "1", "--train-pass-batches", "1",
+                "--batch-size", "2", "--beam", "2"]
+    else:
+        if target == "frames":
+            damaged = root / "damaged_frames.tsv"
+            damaged.write_text(manifest.read_text(encoding="utf-8").replace(
+                frame_rel, "damaged.frames", 1), encoding="utf-8")
+        ckpt = damaged if target == "checkpoint" else pipe["ck"]
+        data = damaged if target in ("frames", "manifest") else manifest
+        argv = ["decode", "--checkpoint", str(ckpt), "--data", str(data),
+                "--out", str(root / "hyp.tsv")]
+    assert cli.main(argv) in (0, 1, 2, 3)
+    capsys.readouterr()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -149,6 +150,36 @@ def test_gradient_shape_matches_posteriors():
     post = random_log_posteriors(np.random.default_rng(8), 5, 4)
     _, grad = ctc_loss(post, [1, 3])
     assert grad.shape == (5, 4)
+
+
+# CTC output on a fixed seeded set: (T, L, labels, -inf entries, loss,
+# sha256 prefix of the float64 gradient bytes).  A change to the lattice
+# recursion that moves any bit of the loss or the gradient changes these.
+RECORDED_CTC = [
+    (6, 4, (1, 2, 3), 0, 5.4500322021341825, "1a3d80b33a6392bb"),
+    (8, 4, (1, 1, 2), 0, 13.212431670738233, "3caed53de6a9d3ef"),
+    (10, 5, (2, 2, 2), 0, 14.825934083092871, "90cf6f68cbcc868e"),
+    (3, 3, (1, 1), 0, 5.893938023598053, "c80a64a1ad49defc"),
+    (7, 3, (1, 2, 1, 2), 3, 1.4901639188102243, "849fa08025065fa9"),
+    (12, 6, (5, 1, 5, 5, 3), 6, 15.773940740256444, "7d106682adfe482b"),
+    (5, 4, (3,), 4, 6.014114192033258, "6b5ce08c2499d031"),
+    (9, 5, (4, 4, 1, 1), 5, 7.8677186606270695, "276eeb6f2d5e6c6e"),
+]
+
+
+def test_ctc_matches_recorded_output():
+    rng = np.random.default_rng(4242)
+    for T, L, labels, n_inf, want_loss, want_grad in RECORDED_CTC:
+        logits = rng.normal(0.0, 2.0, (T, L))
+        for _ in range(n_inf):
+            t, c = int(rng.integers(T)), int(rng.integers(L))
+            if np.isfinite(logits[t]).sum() > 1:
+                logits[t, c] = -np.inf
+        post = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
+        assert np.isinf(post).sum() == n_inf
+        loss, grad = ctc_loss(post, labels)
+        assert loss == want_loss, labels
+        assert hashlib.sha256(grad.tobytes()).hexdigest()[:16] == want_grad, labels
 
 
 # -- collapse / greedy --------------------------------------------------------

@@ -80,3 +80,11 @@ def test_load_rejects_non_list(tmp_path):
     p.write_text('{"a": 1}', encoding="utf-8")
     with pytest.raises(FormatError):
         Vocabulary.load(p)
+
+
+@pytest.mark.parametrize("payload", ["5", "[1,2]", '["ab"]', "[]"])
+def test_load_rejects_json_that_is_not_a_char_list(tmp_path, payload):
+    p = tmp_path / "vocab.json"
+    p.write_text(payload, encoding="utf-8")
+    with pytest.raises(FormatError):
+        Vocabulary.load(p)
