@@ -87,7 +87,7 @@ class Vocabulary:
         FormatError that names `where`."""
         try:
             chars = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested
             raise FormatError(f"{where}: not a JSON character list ({e})") from None
         if not isinstance(chars, list) or not all(isinstance(c, str) for c in chars):
             raise FormatError(f"{where}: expected a JSON list of characters")

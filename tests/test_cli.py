@@ -397,7 +397,8 @@ def test_corrupt_checkpoint_exits_two(pipe, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("payload", [b"5", b"[1,2]"])
+@pytest.mark.parametrize("payload", [b"5", b"[1,2]",
+                                     pytest.param(b"[" * 100000, id="deeply-nested")])
 def test_checkpoint_vocabulary_not_a_char_list_exits_two(pipe, tmp_path, capsys, payload):
     blob = pipe["ck"].read_bytes()
     # magic (8), config (20) and seed (8), then the u32 vocabulary length

@@ -82,7 +82,8 @@ def test_load_rejects_non_list(tmp_path):
         Vocabulary.load(p)
 
 
-@pytest.mark.parametrize("payload", ["5", "[1,2]", '["ab"]', "[]"])
+@pytest.mark.parametrize("payload", ["5", "[1,2]", '["ab"]', "[]",
+                                     pytest.param("[" * 100000, id="deeply-nested")])
 def test_load_rejects_json_that_is_not_a_char_list(tmp_path, payload):
     p = tmp_path / "vocab.json"
     p.write_text(payload, encoding="utf-8")
