@@ -300,6 +300,8 @@ def cmd_eval(args) -> int:
     if args.sweep_w or args.sweep_alpha:
         if lm is None:
             raise UsageError("a sweep needs --lm")
+        if args.report:
+            raise UsageError("--report needs a single (w, alpha) point, not a sweep")
         try:
             ws = [float(x) for x in (args.sweep_w or str(dcfg.emission_weight)).split(",")]
             alphas = [float(x) for x in (args.sweep_alpha or str(dcfg.prior_scale)).split(",")]

@@ -1,21 +1,29 @@
-"""Prior-scaled, LM-fused CTC prefix beam search.
+"""Prior-scaled, LM-fused CTC prefix beam search (Hannun et al. 2014).
 
 Per frame, every label (blank included) receives the score
 
     emission_weight * (logpost[t, c] - prior_scale * log prior[c])
 
 so dividing out a power of the label prior converts posteriors into
-scaled likelihoods.  The character LM adds log p(c | prefix) exactly when
-a hypothesis extends by a character, and a terminal EOS factor when the
-final hypotheses are ranked.  The LM itself carries weight one;
-emission_weight sets the relative weight of the recognizer evidence.
-Passing lm=None treats every character sequence as equally likely, which
-removes the LM terms entirely.
+scaled likelihoods; a label with posterior zero stays at -inf for every
+weight.  The character LM adds log p(c | prefix) exactly when a hypothesis
+extends by a character, and a terminal EOS factor when the final
+hypotheses are ranked.  The LM itself carries weight one; emission_weight
+sets the relative weight of the recognizer evidence.  Passing lm=None
+treats every character sequence as equally likely, which removes the LM
+terms entirely.
 
 Hypotheses live in collapsed-prefix space: per prefix the search keeps
-separate log scores for paths ending in blank and in a non-blank, and
-merges duplicate prefixes by log-sum-exp.
-"""
+separate log scores for paths ending in blank and in a non-blank.  The
+beam is held as arrays (those two scores, the last id and the LM row of
+each prefix), so one frame scores all B x (L-1) extensions in one array
+expression.  An extension can only coincide with a prefix already in the
+beam when it extends that prefix's parent, so each merged score has at most
+two log-sum-exp terms.  Survivors are the beam_width best candidates by
+(-score, prefix): np.argpartition finds the cutoff score, and only the
+candidates tied at the cutoff compare their id sequences.  LM rows are
+cached per decode by LM state, the last order-1 ids of BOS + prefix
+(as KenLM keys its states), so prefixes sharing a suffix share one query."""
 
 from __future__ import annotations
 
@@ -39,10 +47,11 @@ class DecoderConfig:
     prior_floor: float = 1e-6
 
     def __post_init__(self):
-        if self.emission_weight < 0.0:
-            raise ValueError(f"emission_weight must be >= 0, got {self.emission_weight}")
-        if self.prior_scale < 0.0:
-            raise ValueError(f"prior_scale must be >= 0, got {self.prior_scale}")
+        if not (0.0 <= self.emission_weight < np.inf):
+            raise ValueError(f"emission_weight must be finite and >= 0, "
+                             f"got {self.emission_weight}")
+        if not (0.0 <= self.prior_scale < np.inf):
+            raise ValueError(f"prior_scale must be finite and >= 0, got {self.prior_scale}")
         if self.beam_width < 1:
             raise ValueError(f"beam_width must be >= 1, got {self.beam_width}")
         if not (0.0 < self.prior_floor < 1.0):
@@ -103,65 +112,84 @@ def lm_beam_decode(posteriors, lm: NgramLM | None, priors,
         raise ValueError(f"posterior matrix has {L} labels but the LM vocabulary "
                          f"has {lm.vocab.emit_size}")
 
-    emis = cfg.emission_weight * (post - cfg.prior_scale * np.log(prior)[None, :])
+    emis = post - cfg.prior_scale * np.log(prior)[None, :]
+    # 0 * -inf is NaN: an impossible label stays impossible at every weight
+    np.multiply(cfg.emission_weight, emis, out=emis, where=post > _NEG_INF)
 
     if lm is not None:
-        bos = lm.vocab.bos_id
+        bos, keep = lm.vocab.bos_id, lm.order - 1
         lm_cache: dict[tuple[int, ...], np.ndarray] = {}
 
-        def lm_vec(prefix):
-            v = lm_cache.get(prefix)
-            if v is None:
-                v = lm.next_log_probs((bos,) + prefix)
-                lm_cache[prefix] = v
-            return v
-    else:
-        def lm_vec(prefix):
-            return None
+        def lm_rows(prefixes):
+            rows = []
+            for prefix in prefixes:
+                state = ((bos,) + prefix)[-keep:] if keep else ()
+                v = lm_cache.get(state)
+                if v is None:
+                    v = lm_cache[state] = lm.next_log_probs(state)
+                rows.append(v)
+            return np.array(rows)
 
-    # per prefix: [log score of paths ending in blank, ending in non-blank]
-    beams: dict[tuple[int, ...], list[float]] = {(): [0.0, _NEG_INF]}
+    # the beam: prefixes, log scores of their paths ending in blank (pb) and
+    # in a non-blank (pnb), last id (blank for the empty prefix), LM rows
+    prefixes: list[tuple[int, ...]] = [()]
+    pb, pnb = np.zeros(1), np.full(1, _NEG_INF)
+    last = np.zeros(1, dtype=np.intp)
+    if lm is not None:
+        lm_next = lm_rows(prefixes)
+    labels = np.arange(1, L)
     for t in range(T):
-        nxt: dict[tuple[int, ...], list[float]] = {}
+        n = len(prefixes)
+        tot = np.logaddexp(pb, pnb)
+        blank = tot + emis[t, BLANK_ID]
+        # repeating the last id keeps the prefix (the empty prefix has pnb = -inf)
+        rep = pnb + emis[t, last]
+        # extending with the last id needs a blank gap, so only pb counts
+        base = np.where(labels == last[:, None], pb[:, None], tot[:, None])
+        ext = base + (emis[t, 1:] if lm is None else emis[t, 1:] + lm_next[:, 1:L])
+        live = base != _NEG_INF
+        # p + (c,) is a prefix already in the beam only when p is its parent;
+        # an extension that does not exist is -inf and adds nothing
+        index = {p: i for i, p in enumerate(prefixes)}
+        kids = [(i, j) for i, p in enumerate(prefixes)
+                if p and (j := index.get(p[:-1])) is not None]
+        if kids:
+            i, j = np.array(kids).T
+            rep[i] = np.logaddexp(rep[i], ext[j, last[i] - 1])
+            live[j, last[i] - 1] = False
 
-        def bump(prefix, idx, val):
-            cell = nxt.get(prefix)
-            if cell is None:
-                cell = [_NEG_INF, _NEG_INF]
-                nxt[prefix] = cell
-            cell[idx] = np.logaddexp(cell[idx], val)
+        # candidates: every beam prefix, then every new extension (row j, id c)
+        j, c = np.nonzero(live)
+        b = np.concatenate([blank, np.full(len(j), _NEG_INF)])
+        nb = np.concatenate([rep, ext[j, c]])
+        src = np.concatenate([np.arange(n), j])
+        ends = np.concatenate([last, c + 1])
 
-        for prefix, (pb, pnb) in beams.items():
-            tot = np.logaddexp(pb, pnb)
-            # blank keeps the prefix as-is
-            bump(prefix, 0, tot + emis[t, BLANK_ID])
-            # repeated emission of the last character also keeps it
-            if prefix:
-                bump(prefix, 1, pnb + emis[t, prefix[-1]])
-            vec = lm_vec(prefix)
-            cand = emis[t, 1:]
-            if vec is not None:
-                cand = cand + vec[1:L]
-            for c in range(1, L):
-                # extending with the last character needs a blank gap, so
-                # only blank-terminated paths contribute
-                base = pb if (prefix and c == prefix[-1]) else tot
-                if base == _NEG_INF:
-                    continue
-                bump(prefix + (c,), 1, base + cand[c - 1])
-        if len(nxt) > cfg.beam_width:
-            ranked = sorted(nxt.items(),
-                            key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]))
-            nxt = dict(ranked[:cfg.beam_width])
-        beams = nxt
+        def prefix_of(k):
+            return prefixes[src[k]] + ((int(ends[k]),) if k >= n else ())
 
-    best_prefix, best_score = None, None
-    for prefix, (pb, pnb) in beams.items():
-        score = np.logaddexp(pb, pnb)
-        vec = lm_vec(prefix)
-        if vec is not None:
-            score += vec[lm.vocab.eos_id]
-        if best_score is None or score > best_score or \
-                (score == best_score and prefix < best_prefix):
-            best_prefix, best_score = prefix, score
-    return best_prefix, float(best_score)
+        chosen = np.arange(len(nb))
+        if len(nb) > cfg.beam_width:
+            chosen = _best(np.logaddexp(b, nb), cfg.beam_width, prefix_of)
+        prefixes = [prefix_of(k) for k in chosen.tolist()]
+        pb, pnb, last = b[chosen], nb[chosen], ends[chosen]
+        if lm is not None:
+            lm_next = lm_rows(prefixes)
+
+    score = np.logaddexp(pb, pnb)
+    if lm is not None:
+        score = score + lm_next[:, lm.vocab.eos_id]
+    k = min(np.flatnonzero(score == score.max()), key=prefixes.__getitem__)
+    return prefixes[k], float(score[k])
+
+
+def _best(score, k: int, prefix_of) -> np.ndarray:
+    """Indices of the k best candidates by (-score, prefix).  Only the
+    candidates tied at the cutoff score need their prefixes compared."""
+    neg = -score
+    cut = neg[np.argpartition(neg, k - 1)[k - 1]]
+    above = np.flatnonzero(neg < cut)
+    tied = np.flatnonzero(neg == cut)
+    if len(above) + len(tied) > k:
+        tied = sorted(tied, key=prefix_of)[:k - len(above)]
+    return np.concatenate([above, tied])

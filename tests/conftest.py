@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from seqtransfer import collapse
+from seqtransfer import BLANK_ID, collapse
 
 
 def random_log_posteriors(rng: np.random.Generator, T: int, L: int) -> np.ndarray:
@@ -52,11 +52,20 @@ def arpa_cond_reference(lm, next_id, context_ids) -> float:
     raise AssertionError("unigram table is complete for usable ids")
 
 
+def scaled_emissions(post, priors, w, alpha):
+    """w * (log posterior - alpha * log prior), with a -inf posterior kept
+    at -inf for every w >= 0 (the w -> 0+ limit; 0 * -inf would be NaN)."""
+    post = np.asarray(post, dtype=np.float64)
+    scaled = post - alpha * np.log(np.asarray(priors))[None, :]
+    with np.errstate(invalid="ignore"):
+        return np.where(post == -math.inf, -math.inf, w * scaled)
+
+
 def oracle_best(post, lm, priors, w, alpha):
     """Exhaustive decoder objective: path enumeration grouped by collapse,
     plus per-character and terminal LM factors."""
     T, L = post.shape
-    emis = w * (post - alpha * np.log(np.asarray(priors))[None, :])
+    emis = scaled_emissions(post, priors, w, alpha)
     scores = {}
     for path in itertools.product(range(L), repeat=T):
         seq = collapse(path)
@@ -70,6 +79,65 @@ def oracle_best(post, lm, priors, w, alpha):
                            for i, c in enumerate(seq))
             scores[seq] += lm_score + arpa_cond_reference(lm, lm.vocab.eos_id, ctx)
     return min(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def beam_decode_reference(post, lm, priors, cfg):
+    """Scalar prefix beam search with lm_beam_decode's objective, tie rule
+    and return value: one dict cell per prefix, one np.logaddexp call per
+    contribution, and a full sort of the candidates by (-score, prefix) at
+    every frame.  It shares none of lm_beam_decode's array bookkeeping, so
+    the tests can require exact equality with it."""
+    post = np.asarray(post, dtype=np.float64)
+    T, L = post.shape
+    emis = scaled_emissions(post, priors, cfg.emission_weight, cfg.prior_scale)
+
+    lm_cache = {}
+
+    def lm_vec(prefix):
+        if lm is None:
+            return None
+        v = lm_cache.get(prefix)
+        if v is None:
+            v = lm_cache[prefix] = lm.next_log_probs((lm.vocab.bos_id,) + prefix)
+        return v
+
+    # per prefix: [log score of paths ending in blank, ending in non-blank]
+    beams = {(): [0.0, -math.inf]}
+    for t in range(T):
+        nxt = {}
+
+        def bump(prefix, idx, val):
+            cell = nxt.setdefault(prefix, [-math.inf, -math.inf])
+            cell[idx] = np.logaddexp(cell[idx], val)
+
+        for prefix, (pb, pnb) in beams.items():
+            tot = np.logaddexp(pb, pnb)
+            bump(prefix, 0, tot + emis[t, BLANK_ID])
+            if prefix:
+                bump(prefix, 1, pnb + emis[t, prefix[-1]])
+            vec = lm_vec(prefix)
+            cand = emis[t, 1:] if vec is None else emis[t, 1:] + vec[1:L]
+            for c in range(1, L):
+                base = pb if (prefix and c == prefix[-1]) else tot
+                if base == -math.inf:
+                    continue
+                bump(prefix + (c,), 1, base + cand[c - 1])
+        if len(nxt) > cfg.beam_width:
+            ranked = sorted(nxt.items(),
+                            key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]))
+            nxt = dict(ranked[:cfg.beam_width])
+        beams = nxt
+
+    best_prefix, best_score = None, None
+    for prefix, (pb, pnb) in beams.items():
+        score = np.logaddexp(pb, pnb)
+        vec = lm_vec(prefix)
+        if vec is not None:
+            score += vec[lm.vocab.eos_id]
+        if best_score is None or score > best_score or \
+                (score == best_score and prefix < best_prefix):
+            best_prefix, best_score = prefix, score
+    return best_prefix, float(best_score)
 
 
 @pytest.fixture

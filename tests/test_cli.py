@@ -372,6 +372,28 @@ def test_eval_sweep_requires_lm(pipe, capsys):
     assert "--lm" in capsys.readouterr().err
 
 
+def test_eval_sweep_with_report_is_usage_error(pipe, tmp_path, capsys):
+    report = tmp_path / "r.tsv"
+    rc = cli.main(["eval", "--checkpoint", str(pipe["ck"]),
+                   "--data", str(pipe["data"] / "source" / "val" / "manifest.tsv"),
+                   "--lm", str(pipe["lm"]), "--beam", "2",
+                   "--sweep-w", "0.3", "--report", str(report)])
+    assert rc == 1
+    assert "--report" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("flags", [["--w", "nan"], ["--w", "inf"], ["--alpha", "inf"],
+                                   ["--sweep-w", "nan,0.4"]])
+def test_eval_non_finite_decoder_weight_exits_two(pipe, capsys, flags):
+    rc = cli.main(["eval", "--checkpoint", str(pipe["ck"]),
+                   "--data", str(pipe["data"] / "source" / "val" / "manifest.tsv"),
+                   "--lm", str(pipe["lm"]), "--beam", "2"] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "must be finite" in err
+
+
 # -- exit codes and help --------------------------------------------------------
 
 def test_unknown_flag_is_usage_error(capsys):

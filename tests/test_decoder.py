@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqtransfer import (DecoderConfig, build_lm, estimate_priors, floor_and_renorm,
                          greedy_decode, lm_beam_decode, load_arpa, save_arpa, uniform_priors)
-from conftest import oracle_best, random_log_posteriors
+from conftest import beam_decode_reference, oracle_best, random_log_posteriors
 
 
 # -- priors --------------------------------------------------------------------
@@ -70,6 +72,11 @@ def test_config_rejects_bad_values():
         DecoderConfig(emission_weight=-0.1)
     with pytest.raises(ValueError):
         DecoderConfig(prior_scale=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            DecoderConfig(emission_weight=bad)
+        with pytest.raises(ValueError):
+            DecoderConfig(prior_scale=bad)
 
 
 # -- hand-scored single frame ------------------------------------------------------
@@ -188,6 +195,123 @@ def test_decode_matches_recorded_output(tmp_path):
             ids, score = lm_beam_decode(post, model, priors, cfg)
             assert lm.vocab.decode(ids) == text
             assert score == pytest.approx(want, rel=1e-12)
+
+
+# Realistic sizes: an order-5 LM over 28 characters (L = 29) and six 50-frame
+# matrices, noisy rows peaked along a path that spells a corpus line.  Each
+# entry is (matrix, beam, with LM, text, score), produced by the scalar
+# decoder that the array-native one replaced.
+RECORDED_REALISTIC = [
+    (0, 16, True, 'ipmmgb eugn wyf.', 1.9558956868333113),
+    (0, 16, False, 'irprmxmvgob ezugkn wylu', 16.108359913819783),
+    (0, 64, True, 'ipmmgb eugn wyf.', 2.597432421341873),
+    (0, 64, False, 'irprmxmvgob ceugkn wylu', 16.295133531656806),
+    (1, 16, True, 'ow gtt xrios.', 8.394369630998664),
+    (1, 16, False, 'obzuw gztdt xriraoks .', 15.942578026883861),
+    (1, 64, True, 'ow gtt xrios.', 9.326145359432903),
+    (1, 64, False, 'obzuw gmtdt xriqoks .', 18.08190988331671),
+    (2, 16, True, 'etwao bdm eve.', 10.352265264756046),
+    (2, 16, False, 'etwsuao rbdm lhervex.p', 16.925394836724433),
+    (2, 64, True, 'etwao bdm eve.', 10.357365313853013),
+    (2, 64, False, 'etwizao cpbdm lhervex.p', 17.608074772423134),
+    (3, 16, True, 'tl dqxdj iogjl.', 10.038489806619703),
+    (3, 16, False, 'tswalb rdqxdaj wiogmjzl.', 18.554910626275706),
+    (3, 64, True, 'tl dqxdj iogjl.', 10.365103585063103),
+    (3, 64, False, 'tswalb rdqxdaj wiogmjzl.', 18.63616347508642),
+    (4, 16, True, 'dam wdm owl.', 2.0015851201867823),
+    (4, 16, False, 'rz pbnsokmfj.unepceaf', 15.748059352278522),
+    (4, 64, True, 'gt anua yx noy.', 4.938330242007676),
+    (4, 64, False, 'rz pbnsp.mfj.unevweaf', 16.603268440284644),
+    (5, 16, True, 'gqm rk hyonj or.', 9.898922172331536),
+    (5, 16, False, 'eagaqm rk hyoanjcjbu orx.', 18.62358619120391),
+    (5, 64, True, 'gqm rk hyonj or.', 9.899166449836388),
+    (5, 64, False, 'ewgaqm rk hyoenjcjbu orx.', 18.910239940178233),
+]
+
+
+def _realistic_cases():
+    rng = np.random.default_rng(4242)
+    alphabet = "abcdefghijklmnopqrstuvwxyz ."
+    letters = list(alphabet[:26])
+
+    def line():
+        words = ("".join(rng.choice(letters, size=rng.integers(2, 7)))
+                 for _ in range(rng.integers(2, 5)))
+        return " ".join(words) + "."
+
+    corpus = [line() for _ in range(150)]
+    lm = build_lm(corpus, order=5, discount=0.1, extra_chars=alphabet)
+    T, L = 50, lm.vocab.emit_size
+    mats = []
+    for _ in range(6):
+        ids = lm.vocab.encode(corpus[rng.integers(len(corpus))][:16])
+        path = np.zeros(T, dtype=int)
+        path[np.sort(rng.choice(T, size=len(ids), replace=False))] = ids
+        logits = rng.normal(0.0, 1.0, (T, L))
+        logits[np.arange(T), path] += 5.0
+        mats.append(logits - np.logaddexp.reduce(logits, axis=1, keepdims=True))
+    return lm, mats
+
+
+def test_realistic_decodes_match_recorded_output():
+    lm, mats = _realistic_cases()
+    assert lm.vocab.emit_size == 29
+    for i, beam, with_lm, text, want in RECORDED_REALISTIC:
+        cfg = DecoderConfig(emission_weight=0.4, prior_scale=0.5, beam_width=beam)
+        ids, score = lm_beam_decode(mats[i], lm if with_lm else None,
+                                    estimate_priors([mats[i]]), cfg)
+        assert (lm.vocab.decode(ids), score) == (text, want)
+
+
+# -- the array-native search against the scalar reference ----------------------------
+
+REFERENCE_LMS = [build_lm(["abcab", "cab", "bca a", "aab c"], order=order, discount=0.1)
+                 for order in (1, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(T=st.integers(1, 20), beam=st.sampled_from([1, 2, 3, 8, 64]),
+       lm=st.sampled_from([None] + REFERENCE_LMS),
+       rows=st.sampled_from(["peaked", "flat", "-inf", "uniform"]),
+       w=st.sampled_from([0.0, 0.4, 1.0]), alpha=st.sampled_from([0.0, 0.5]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_decoder_equals_scalar_reference(T, beam, lm, rows, w, alpha, seed):
+    rng = np.random.default_rng(seed)
+    L = REFERENCE_LMS[0].vocab.emit_size
+    logits = rng.normal(0.0, 0.3 if rows == "flat" else 4.0, (T, L))
+    if rows == "uniform":
+        logits[:] = 0.0
+    if rows == "-inf":
+        dead = rng.random((T, L)) < 0.4
+        dead[np.arange(T), rng.integers(0, L, T)] = False
+        logits[dead] = -math.inf
+    post = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
+    priors = estimate_priors([post])
+    cfg = DecoderConfig(emission_weight=w, prior_scale=alpha, beam_width=beam)
+    ids, score = lm_beam_decode(post, lm, priors, cfg)
+    want_ids, want_score = beam_decode_reference(post, lm, priors, cfg)
+    assert ids == want_ids
+    assert score == want_score
+
+
+def test_zero_emission_weight_keeps_impossible_labels_out():
+    rng = np.random.default_rng(21)
+    lm = REFERENCE_LMS[1]
+    L = lm.vocab.emit_size
+    cfg = DecoderConfig(emission_weight=0.0, prior_scale=0.5, beam_width=8)
+    for model in (None, lm):
+        for _ in range(20):
+            logits = rng.normal(0.0, 2.0, (6, L))
+            logits[rng.random((6, L)) < 0.3] = -math.inf
+            logits[:, 0] = 0.0
+            logits[:, 2] = -math.inf
+            post = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
+            ids, score = lm_beam_decode(post, model, estimate_priors([post]), cfg)
+            assert math.isfinite(score)
+            assert 2 not in ids
+            # every emitted id has a possible frame of its own, in order
+            frames = iter(range(6))
+            assert all(any(post[t, c] > -math.inf for t in frames) for c in ids)
 
 
 # -- LM override of a mildly wrong emission -----------------------------------------
