@@ -19,8 +19,8 @@ from .trainer import (AdamConfig, AdamState, HybridResult, MetricsRow,
                       greedy_eval, hybrid_train, make_pseudo_label, prior_pass,
                       train_source, write_metrics)
 from .data import Dataset, Sample, load_manifest, read_frames, write_frames, write_manifest
-from .synth_data import (LanguageSpec, default_language_pair, generate_dataset,
-                         make_language_pair, render, sample_corpus, sample_text)
+from .synth_data import (LanguageSpec, generate_dataset, make_language_pair, render,
+                         sample_corpus, sample_text)
 from .metrics import EvalReport, cer, edit_distance, write_report
 from .errors import FormatError, NumericError
 

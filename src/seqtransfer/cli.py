@@ -63,7 +63,6 @@ _KNOBS = (
     (DecoderConfig, "prior_scale", "alpha", "alpha"),
     (DecoderConfig, "beam_width", "beam_width", "beam"),
     (DecoderConfig, "prior_floor", "prior_floor", "prior_floor"),
-    (RecognizerConfig, "input_dim", "input_dim", None),
     (RecognizerConfig, "context_radius", "context_radius", None),
     (RecognizerConfig, "feature_dim", "feature_dim", None),
     (RecognizerConfig, "recurrent_dim", "recurrent_dim", None),
@@ -190,10 +189,11 @@ def cmd_train_source(args) -> int:
     cfg = read_config(args.config) if args.config else {}
     tcfg = _train_config(args, cfg)
     vocab = Vocabulary.load(args.vocab)
+    train = load_manifest(args.data)
     rcfg = RecognizerConfig(label_count=vocab.emit_size, seed=tcfg.seed,
+                            input_dim=train[0].frames.shape[1],
                             **_given(RecognizerConfig, args, cfg))
     model = init_recognizer(rcfg, vocab)
-    train = load_manifest(args.data)
     val = load_manifest(args.val) if args.val else None
     res = train_source(model, train, tcfg, val)
     save_checkpoint(model, args.out_checkpoint)

@@ -75,19 +75,18 @@ def read_frames(path) -> np.ndarray:
     return np.frombuffer(blob, dtype="<f4", offset=12).reshape(t, d).copy()
 
 
-def write_manifest(dataset: Dataset, manifest_path, frame_dir_name: str = "frames") -> Path:
-    """Write frame files under <manifest dir>/<frame_dir_name>/ and the
-    manifest rows pointing at them."""
+def write_manifest(dataset: Dataset, manifest_path) -> Path:
+    """Write frame files under <manifest dir>/frames/ and the manifest rows
+    pointing at them."""
     manifest_path = Path(manifest_path)
-    frame_dir = manifest_path.parent / frame_dir_name
-    frame_dir.mkdir(parents=True, exist_ok=True)
+    (manifest_path.parent / "frames").mkdir(parents=True, exist_ok=True)
     with open(manifest_path, "w", encoding="utf-8") as f:
         for s in dataset:
             text = s.transcription or ""
             for bad in ("\t", "\n", "\r"):
                 if bad in text or bad in s.sample_id:
                     raise ValueError("tabs and newlines cannot appear in ids or transcriptions")
-            rel = f"{frame_dir_name}/{s.sample_id}.frm"
+            rel = f"frames/{s.sample_id}.frm"
             write_frames(manifest_path.parent / rel, s.frames)
             f.write(f"{s.sample_id}\t{rel}\t{text}\n")
     return manifest_path

@@ -33,6 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from .ctc import check_posteriors
+from .errors import NumericError
 from .ngram_lm import NgramLM
 from .vocab import BLANK_ID
 
@@ -71,7 +72,7 @@ def floor_and_renorm(probs, floor: float) -> np.ndarray:
 
 
 def estimate_priors(posterior_batches: Iterable[np.ndarray],
-                    floor: float = 1e-6) -> np.ndarray:
+                    floor: float = DecoderConfig.prior_floor) -> np.ndarray:
     """Mean of exp(log-posterior rows) over every frame of every matrix,
     floored and renormalized."""
     total = None
@@ -112,9 +113,14 @@ def lm_beam_decode(posteriors, lm: NgramLM | None, priors,
         raise ValueError(f"posterior matrix has {L} labels but the LM vocabulary "
                          f"has {lm.vocab.emit_size}")
 
-    emis = post - cfg.prior_scale * np.log(prior)[None, :]
-    # 0 * -inf is NaN: an impossible label stays impossible at every weight
-    np.multiply(cfg.emission_weight, emis, out=emis, where=post > _NEG_INF)
+    possible = post > _NEG_INF
+    with np.errstate(over="ignore", invalid="ignore"):
+        emis = post - cfg.prior_scale * np.log(prior)[None, :]
+        # 0 * -inf is NaN: an impossible label stays impossible at every weight
+        np.multiply(cfg.emission_weight, emis, out=emis, where=possible)
+        if not np.where(possible, np.isfinite(emis), emis == _NEG_INF).all():
+            raise NumericError(f"emission_weight {cfg.emission_weight:g} and prior_scale "
+                               f"{cfg.prior_scale:g} overflow the scaled emissions")
 
     if lm is not None:
         bos, keep = lm.vocab.bos_id, lm.order - 1

@@ -128,7 +128,7 @@ class NgramLM:
         return total + self._cond(self.vocab.eos_id, ctx)
 
 
-def build_lm(corpus: Iterable[str], order: int = 10, discount: float = 0.1,
+def build_lm(corpus: Iterable[str], order: int, discount: float,
              extra_chars: Iterable[str] = (), vocab: Vocabulary | None = None) -> NgramLM:
     """Count n-grams over the corpus lines and derive the smoothed tables.
 

@@ -137,11 +137,11 @@ def _scan_grad(d_states: np.ndarray, states: np.ndarray, h: np.ndarray,
     return deltas.T @ h, deltas.T @ prev, deltas.sum(axis=0), deltas @ w
 
 
-def forward(model: Recognizer, frames, return_cache: bool = False):
+def forward(model: Recognizer, frames):
     """Run the model over a T x D frame matrix.
 
-    Returns (aux, main) log-posterior matrices, plus the intermediate
-    activations when return_cache is set (for backward)."""
+    Returns (aux, main, cache): the two log-posterior matrices and the
+    intermediate activations that backward reads."""
     p = model.params
     cfg = model.cfg
     x = np.asarray(frames, dtype=model.dtype)
@@ -162,20 +162,17 @@ def forward(model: Recognizer, frames, return_cache: bool = False):
     g = np.concatenate([fwd, bwd], axis=1)
     main = _log_softmax(g @ p["main_w"].T + p["main_b"])
 
-    if return_cache:
-        return aux, main, {"win": win, "h": h, "fwd": fwd, "bwd": bwd, "g": g}
-    return aux, main
+    return aux, main, {"win": win, "h": h, "fwd": fwd, "bwd": bwd, "g": g}
 
 
-def backward(model: Recognizer, frames, aux_grad, main_grad,
-             cache: dict | None = None) -> dict[str, np.ndarray]:
+def backward(model: Recognizer, cache: dict, aux_grad,
+             main_grad) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss with respect to every named parameter.
 
-    aux_grad and main_grad are d(loss)/d(logits) for the two heads, shaped
-    T x L; CTC losses hand these back directly."""
+    cache is the one forward returned for the frames; aux_grad and
+    main_grad are d(loss)/d(logits) for the two heads, shaped T x L; CTC
+    losses hand these back directly."""
     p = model.params
-    if cache is None:
-        _, _, cache = forward(model, frames, return_cache=True)
     win, h, fwd, bwd = cache["win"], cache["h"], cache["fwd"], cache["bwd"]
     t = h.shape[0]
     rd = model.cfg.recurrent_dim
@@ -277,7 +274,10 @@ def load_checkpoint(path) -> Recognizer:
         if count != int(np.prod(shape)):
             raise FormatError(f"{path}: section {name!r} holds {count} values, "
                               f"the config implies {int(np.prod(shape))}")
-        params[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        arr = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"{path}: section {name!r} holds non-finite values")
+        params[name] = arr
     missing = set(shapes) - set(params)
     if missing:
         raise FormatError(f"{path}: missing sections {sorted(missing)}")

@@ -188,12 +188,3 @@ def generate_dataset(spec: LanguageSpec, n_samples: int,
                 f.write(text + "\n")
     return manifest
 
-
-def default_language_pair(base_seed: int, style_strength: float = 0.5,
-                          noise_sigma: float = 0.3,
-                          input_dim: int = 16) -> tuple[LanguageSpec, LanguageSpec]:
-    """The stock desk-scale pair (STOCK_SHARED_CHARS, STOCK_TARGET_EXTRA)."""
-    return make_language_pair(base_seed, STOCK_SHARED_CHARS, source_extra="",
-                              target_extra=STOCK_TARGET_EXTRA,
-                              style_strength=style_strength,
-                              noise_sigma=noise_sigma, input_dim=input_dim)

@@ -106,11 +106,11 @@ def composite_loss(model: Recognizer, frames, labels: Sequence[int],
                    aux_loss_weight: float) -> tuple[float, dict[str, np.ndarray]]:
     """Weighted two-head CTC loss for one sample and its parameter gradients."""
     w = aux_loss_weight
-    aux, main, cache = forward(model, frames, return_cache=True)
+    aux, main, cache = forward(model, frames)
     aux_l, aux_g = ctc_loss(aux, labels)
     main_l, main_g = ctc_loss(main, labels)
     loss = w * aux_l + (1.0 - w) * main_l
-    grads = backward(model, frames, w * aux_g, (1.0 - w) * main_g, cache)
+    grads = backward(model, cache, w * aux_g, (1.0 - w) * main_g)
     return loss, grads
 
 
@@ -145,7 +145,7 @@ def greedy_eval(model: Recognizer, samples: Sequence[Sample]) -> float:
     for s in samples:
         if s.transcription is None:
             raise ValueError(f"sample {s.sample_id} has no transcription to score against")
-        _, main = forward(model, s.frames)
+        _, main, _ = forward(model, s.frames)
         hyps.append(model.vocab.decode(greedy_decode(main)))
         refs.append(s.transcription)
     return cer(refs, hyps).cer
@@ -211,7 +211,7 @@ def make_pseudo_label(model: Recognizer, frames, lm: NgramLM | None,
                       priors, dcfg: DecoderConfig) -> tuple[int, ...] | None:
     """Beam-decode the main head into a label sequence; None marks an empty
     decode, the signal to leave this sample out of the batch."""
-    _, main = forward(model, frames)
+    _, main, _ = forward(model, frames)
     ids, _ = lm_beam_decode(main, lm, priors, dcfg)
     return ids if ids else None
 
@@ -225,7 +225,7 @@ def prior_pass(model: Recognizer, samples: Sequence[Sample], cfg: TrainConfig,
     for _ in range(cfg.prior_pass_batches):
         take = min(cfg.batch_size, n)
         for idx in rng.choice(n, size=take, replace=False):
-            _, main = forward(model, samples[idx].frames)
+            _, main, _ = forward(model, samples[idx].frames)
             mats.append(main)
     return estimate_priors(mats, floor=floor)
 

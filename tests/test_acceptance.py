@@ -14,10 +14,11 @@ import pytest
 
 from seqtransfer import (AdamConfig, Dataset, DecoderConfig, RecognizerConfig, Sample,
                          TrainConfig, Vocabulary, backward, build_lm, cer, cli, ctc_loss,
-                         default_language_pair, edit_distance, forward,
-                         greedy_decode, greedy_eval, hybrid_train, init_recognizer,
-                         lm_beam_decode, load_arpa, min_frames, prior_pass, render,
-                         sample_text, save_arpa, train_source, uniform_priors)
+                         edit_distance, forward, greedy_decode, greedy_eval, hybrid_train,
+                         init_recognizer, lm_beam_decode, load_arpa, make_language_pair,
+                         min_frames, prior_pass, render, sample_text, save_arpa, train_source,
+                         uniform_priors)
+from seqtransfer.synth_data import STOCK_SHARED_CHARS, STOCK_TARGET_EXTRA
 from conftest import ctc_loss_bruteforce, oracle_best, random_log_posteriors
 
 
@@ -60,17 +61,17 @@ def test_criterion_2_gradient_checks():
     rng = np.random.default_rng(11)
 
     def loss_value(frames, labels):
-        aux, main = forward(model, frames)
+        aux, main, _ = forward(model, frames)
         return 0.25 * ctc_loss(aux, labels)[0] + 0.75 * ctc_loss(main, labels)[0]
 
     worst = 0.0
     n_params = 0
     for labels in ((1, 2), (2, 1, 2)):
         frames = rng.normal(0.0, 1.0, (6, 3))
-        aux, main, cache = forward(model, frames, return_cache=True)
+        aux, main, cache = forward(model, frames)
         _, g_aux = ctc_loss(aux, labels)
         _, g_main = ctc_loss(main, labels)
-        grads = backward(model, frames, 0.25 * g_aux, 0.75 * g_main, cache)
+        grads = backward(model, cache, 0.25 * g_aux, 0.75 * g_main)
         h = 1e-5
         for name, p in model.params.items():
             flat = p.reshape(-1)
@@ -174,7 +175,7 @@ def accent_stats(model, vocab, samples):
     """(accented chars emitted, matched against references, reference total)."""
     emitted = hits = total = 0
     for s in samples:
-        _, main = forward(model, s.frames)
+        _, main, _ = forward(model, s.frames)
         hyp = vocab.decode(greedy_decode(main))
         for ch in ACCENTS:
             n_hyp = hyp.count(ch)
@@ -189,7 +190,8 @@ def accent_stats(model, vocab, samples):
 def transfer():
     t_all = time.perf_counter()
     base_seed = 7
-    src, tgt = default_language_pair(base_seed)
+    src, tgt = make_language_pair(base_seed, STOCK_SHARED_CHARS,
+                                  target_extra=STOCK_TARGET_EXTRA)
     vocab = Vocabulary(set(src.chars) | set(tgt.chars))
 
     def make_split(spec, n, tag):

@@ -3,12 +3,13 @@
 import re
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from seqtransfer import (NumericError, Vocabulary, build_lm, cli, forward, load_arpa,
-                         load_checkpoint, load_manifest, perplexity)
+                         load_checkpoint, load_manifest, perplexity, save_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +167,7 @@ def test_checkpoint_is_loadable(pipe):
     assert model.cfg.feature_dim == 12  # from the config file
     assert model.cfg.recurrent_dim == 6
     ds = load_manifest(pipe["data"] / "source" / "val" / "manifest.tsv")
-    aux, main = forward(model, ds[0].frames)
+    aux, main, _ = forward(model, ds[0].frames)
     assert main.shape == (ds[0].frames.shape[0], model.vocab.emit_size)
     assert aux.shape == main.shape
 
@@ -212,6 +213,24 @@ def test_unknown_config_key_is_usage_error(pipe, tmp_path, capsys):
                    "--out-checkpoint", str(tmp_path / "c.ckpt"), "--config", str(cfg)])
     assert rc == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_train_source_reads_input_width_from_its_data(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--out", str(data), "--n-train", "3", "--n-val", "1",
+                     "--n-test", "1", "--text-len", "2,3", "--input-dim", "8"]) == 0
+    common = ["train-source", "--data", str(data / "source" / "train" / "manifest.tsv"),
+              "--vocab", str(data / "vocab.json"), "--epochs", "1"]
+    ck = tmp_path / "c.ckpt"
+    assert cli.main(common + ["--out-checkpoint", str(ck)]) == 0
+    assert load_checkpoint(ck).cfg.input_dim == 8
+    capsys.readouterr()
+
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text("input_dim = 16\n", encoding="utf-8")
+    rc = cli.main(common + ["--out-checkpoint", str(tmp_path / "d.ckpt"), "--config", str(cfg)])
+    assert rc == 1
+    assert "unknown config key 'input_dim'" in capsys.readouterr().err
 
 
 def test_numeric_failure_exits_three(pipe, tmp_path, monkeypatch, capsys):
@@ -394,6 +413,15 @@ def test_eval_non_finite_decoder_weight_exits_two(pipe, capsys, flags):
     assert len(err.splitlines()) == 1 and "must be finite" in err
 
 
+def test_eval_overflowing_decoder_weight_exits_three(pipe, capsys):
+    rc = cli.main(["eval", "--checkpoint", str(pipe["ck"]),
+                   "--data", str(pipe["data"] / "source" / "val" / "manifest.tsv"),
+                   "--lm", str(pipe["lm"]), "--beam", "2", "--alpha", "1e308"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "emission_weight" in err and "prior_scale" in err
+
+
 # -- exit codes and help --------------------------------------------------------
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -406,6 +434,18 @@ def test_missing_file_exits_two(tmp_path, capsys):
                    "--out", str(tmp_path / "o.arpa")])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_non_finite_checkpoint_parameter_exits_two(pipe, tmp_path, capsys):
+    model = load_checkpoint(pipe["ck"])
+    model.params["main_b"][1] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    save_checkpoint(model, bad)
+    rc = cli.main(["eval", "--checkpoint", str(bad), "--lm", str(pipe["lm"]),
+                   "--data", str(pipe["data"] / "source" / "val" / "manifest.tsv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(bad) in err and "'main_b'" in err
 
 
 def test_corrupt_checkpoint_exits_two(pipe, tmp_path, capsys):

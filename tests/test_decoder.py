@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtransfer import (DecoderConfig, build_lm, estimate_priors, floor_and_renorm,
-                         greedy_decode, lm_beam_decode, load_arpa, save_arpa, uniform_priors)
+from seqtransfer import (DecoderConfig, NumericError, build_lm, estimate_priors,
+                         floor_and_renorm, greedy_decode, lm_beam_decode, load_arpa, save_arpa,
+                         uniform_priors)
 from conftest import beam_decode_reference, oracle_best, random_log_posteriors
 
 
@@ -312,6 +313,23 @@ def test_zero_emission_weight_keeps_impossible_labels_out():
             # every emitted id has a possible frame of its own, in order
             frames = iter(range(6))
             assert all(any(post[t, c] > -math.inf for t in frames) for c in ids)
+
+
+@pytest.mark.parametrize("weights", [{"prior_scale": 1e308}, {"emission_weight": 1e308},
+                                     {"prior_scale": 1e306}])
+@pytest.mark.parametrize("impossible", [False, True], ids=["finite", "-inf"])
+def test_overflowing_weights_raise_numeric_error(weights, impossible):
+    post = np.log(np.tile([0.97, 0.01, 0.01, 0.01], (5, 1)))
+    if impossible:
+        post[:, 0] = np.log(0.98)
+        post[:, 3] = -math.inf
+    # at prior_scale 1e306 only the last label's prior term overflows: with a
+    # -inf posterior there, every possible label's emission stays finite
+    priors = np.array([0.96, 0.02, 0.02, 1e-300])
+    lm = build_lm(["abc"], order=2, discount=0.1)
+    for model in (None, lm):
+        with pytest.raises(NumericError, match="emission_weight .* prior_scale"):
+            lm_beam_decode(post, model, priors, DecoderConfig(**weights))
 
 
 # -- LM override of a mildly wrong emission -----------------------------------------

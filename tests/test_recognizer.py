@@ -68,7 +68,7 @@ def test_label_count_tied_to_vocab():
 def test_output_rows_are_log_normalized(rng):
     m = tiny_model()
     frames = rng.normal(0, 1, (6, 3))
-    aux, main = forward(m, frames)
+    aux, main, _ = forward(m, frames)
     for out in (aux, main):
         assert out.shape == (6, 3)
         mass = np.logaddexp.reduce(out, axis=1)
@@ -77,15 +77,15 @@ def test_output_rows_are_log_normalized(rng):
 
 def test_forward_single_frame(rng):
     m = tiny_model()
-    aux, main = forward(m, rng.normal(0, 1, (1, 3)))
+    aux, main, _ = forward(m, rng.normal(0, 1, (1, 3)))
     assert aux.shape == main.shape == (1, 3)
 
 
 def test_forward_is_deterministic(rng):
     m = tiny_model()
     frames = rng.normal(0, 1, (4, 3))
-    a1, m1 = forward(m, frames)
-    a2, m2 = forward(m, frames)
+    a1, m1, _ = forward(m, frames)
+    a2, m2, _ = forward(m, frames)
     assert np.array_equal(a1, a2) and np.array_equal(m1, m2)
 
 
@@ -104,10 +104,10 @@ def test_last_frame_reaches_main_but_not_aux_at_frame_one(rng):
     # only; the main head sees everything through the backward recurrence
     m = tiny_model()
     frames = rng.normal(0, 1, (8, 3))
-    aux0, main0 = forward(m, frames)
+    aux0, main0, _ = forward(m, frames)
     bumped = frames.copy()
     bumped[7] += 1.0
-    aux1, main1 = forward(m, bumped)
+    aux1, main1, _ = forward(m, bumped)
     assert np.array_equal(aux0[1], aux1[1])
     assert not np.array_equal(main0[1], main1[1])
 
@@ -115,10 +115,10 @@ def test_last_frame_reaches_main_but_not_aux_at_frame_one(rng):
 # -- backward ----------------------------------------------------------------------
 
 def composite(model, frames, labels, lam):
-    aux, main, cache = forward(model, frames, return_cache=True)
+    aux, main, cache = forward(model, frames)
     la, ga = ctc_loss(aux, labels)
     lm_, gm = ctc_loss(main, labels)
-    grads = backward(model, frames, lam * ga, (1 - lam) * gm, cache)
+    grads = backward(model, cache, lam * ga, (1 - lam) * gm)
     return lam * la + (1 - lam) * lm_, grads
 
 
@@ -168,9 +168,9 @@ def per_step_recurrence_grads(m, cache, main_grad):
 def test_recurrence_grads_match_per_step_reference(rng):
     m = tiny_model(seed=4)
     frames = rng.normal(0, 1, (20, 3))
-    aux, main, cache = forward(m, frames, return_cache=True)
+    aux, main, cache = forward(m, frames)
     gm = rng.normal(0, 1, main.shape)
-    grads = backward(m, frames, np.zeros_like(aux), gm, cache)
+    grads = backward(m, cache, np.zeros_like(aux), gm)
     # float64 sums of 20 terms reordered by the matmul
     for name, want in per_step_recurrence_grads(m, cache, gm).items():
         np.testing.assert_allclose(grads[name], want, rtol=1e-12, atol=1e-14, err_msg=name)
@@ -180,7 +180,8 @@ def test_zero_grads_in_give_zero_grads_out(rng):
     m = tiny_model()
     frames = rng.normal(0, 1, (4, 3))
     z = np.zeros((4, 3))
-    grads = backward(m, frames, z, z)
+    _, _, cache = forward(m, frames)
+    grads = backward(m, cache, z, z)
     for g in grads.values():
         assert np.all(g == 0.0)
 
@@ -188,9 +189,9 @@ def test_zero_grads_in_give_zero_grads_out(rng):
 def test_aux_only_loss_skips_recurrence_and_main_head(rng):
     m = tiny_model()
     frames = rng.normal(0, 1, (4, 3))
-    aux, _, cache = forward(m, frames, return_cache=True)
+    aux, _, cache = forward(m, frames)
     _, ga = ctc_loss(aux, (1,))
-    grads = backward(m, frames, ga, np.zeros_like(ga), cache)
+    grads = backward(m, cache, ga, np.zeros_like(ga))
     for name in ("fwd_w", "fwd_u", "fwd_b", "bwd_w", "bwd_u", "bwd_b", "main_w", "main_b"):
         assert np.all(grads[name] == 0.0), name
     assert np.any(grads["aux_w"] != 0.0)
@@ -200,8 +201,9 @@ def test_aux_only_loss_skips_recurrence_and_main_head(rng):
 def test_backward_shape_mismatch(rng):
     m = tiny_model()
     frames = rng.normal(0, 1, (4, 3))
+    _, _, cache = forward(m, frames)
     with pytest.raises(ValueError):
-        backward(m, frames, np.zeros((4, 3)), np.zeros((3, 3)))
+        backward(m, cache, np.zeros((4, 3)), np.zeros((3, 3)))
 
 
 # -- checkpoint ---------------------------------------------------------------------
@@ -219,7 +221,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, rng):
         assert np.array_equal(back.params[name], m.params[name])
         assert back.params[name].dtype == np.float32
     frames = rng.normal(0, 1, (5, 5)).astype(np.float32)
-    for a, b in zip(forward(m, frames), forward(back, frames)):
+    for a, b in zip(forward(m, frames)[:2], forward(back, frames)[:2]):
         assert np.array_equal(a, b)
 
 
@@ -272,6 +274,15 @@ def test_checkpoint_flipped_count(tmp_path):
     bad[cpos:cpos + 4] = struct.pack("<I", 10 ** 6)
     p.write_bytes(bytes(bad))
     with pytest.raises(FormatError):
+        load_checkpoint(p)
+
+
+def test_checkpoint_non_finite_parameter(tmp_path):
+    m = tiny_model()
+    m.params["main_b"][0] = np.nan
+    p = tmp_path / "model.ckpt"
+    save_checkpoint(m, p)
+    with pytest.raises(FormatError, match=r"model\.ckpt: section 'main_b' holds non-finite"):
         load_checkpoint(p)
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from seqtransfer import (LanguageSpec, default_language_pair, generate_dataset, load_manifest,
-                         make_language_pair, read_frames, render, sample_corpus, sample_text)
+from seqtransfer import (LanguageSpec, generate_dataset, load_manifest, make_language_pair,
+                         read_frames, render, sample_corpus, sample_text)
+from seqtransfer.synth_data import STOCK_SHARED_CHARS, STOCK_TARGET_EXTRA
 
 
 def test_same_base_seed_gives_identical_pair():
@@ -148,7 +149,7 @@ def test_render_rejects_oov():
 
 
 def test_default_pair_shape():
-    src, tgt = default_language_pair(7)
+    src, tgt = make_language_pair(7, STOCK_SHARED_CHARS, target_extra=STOCK_TARGET_EXTRA)
     assert len(src.chars) == 25
     assert len(tgt.chars) == 28
     assert set(tgt.chars) - set(src.chars) == set("éàñ")

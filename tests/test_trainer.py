@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ import seqtransfer.trainer as trainer_mod
 from seqtransfer import (AdamConfig, AdamState, Dataset, DecoderConfig, NumericError,
                          RecognizerConfig, Sample, TrainConfig, Vocabulary, adam_step, build_lm,
                          composite_loss, ctc_loss, forward, greedy_eval, hybrid_train,
-                         init_recognizer, make_pseudo_label, prior_pass, train_source,
-                         uniform_priors, write_metrics)
+                         init_recognizer, make_language_pair, make_pseudo_label, prior_pass,
+                         render, sample_corpus, sample_text, train_source, uniform_priors,
+                         write_metrics)
+from seqtransfer.synth_data import STOCK_SHARED_CHARS, STOCK_TARGET_EXTRA
 from seqtransfer.trainer import MetricsRow
 from conftest import oracle_best
 
@@ -22,7 +25,7 @@ def tiny_model(seed=0, dtype=np.float64):
 
 
 def head_losses(model, frames, labels):
-    aux, main = forward(model, frames)
+    aux, main, _ = forward(model, frames)
     return ctc_loss(aux, labels)[0], ctc_loss(main, labels)[0]
 
 
@@ -90,8 +93,8 @@ def test_adam_shape_mismatch():
 # -- train_source --------------------------------------------------------------------
 
 def source_samples(n=10, seed=4, noise=0.15):
-    from seqtransfer import default_language_pair, render, sample_text
-    spec, _ = default_language_pair(11, noise_sigma=noise)
+    spec, _ = make_language_pair(11, STOCK_SHARED_CHARS, target_extra=STOCK_TARGET_EXTRA,
+                                 noise_sigma=noise)
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
@@ -188,9 +191,9 @@ def test_non_finite_loss_raises(rng, monkeypatch):
 def fixed_posterior_forward(main_rows):
     main = np.log(np.asarray(main_rows, dtype=np.float64))
 
-    def fake(model, frames, return_cache=False):
+    def fake(model, frames):
         aux = np.full_like(main, -np.log(main.shape[1]))
-        return (aux, main, None) if return_cache else (aux, main)
+        return aux, main, None
 
     return fake
 
@@ -330,6 +333,45 @@ def test_hybrid_rejects_empty_target():
     model, src, _, lm, tcfg, dcfg = hybrid_fixture(lm_corpus=["ab"])
     with pytest.raises(ValueError):
         hybrid_train(model, src, Dataset([]), lm, tcfg, dcfg)
+
+
+def param_digest(model):
+    blob = b"".join(np.ascontiguousarray(v, dtype="<f4").tobytes()
+                    for v in model.params.values())
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def test_training_matches_recorded_output():
+    """A tiny train_source and hybrid_train pinned to the step losses and
+    final parameter bytes that the previous recognizer and trainer
+    produced; a refactor of either must not move a bit."""
+    src_spec, tgt_spec = make_language_pair(11, STOCK_SHARED_CHARS,
+                                            target_extra=STOCK_TARGET_EXTRA)
+    vocab = Vocabulary(set(src_spec.chars) | set(tgt_spec.chars))
+    rng = np.random.default_rng(2024)
+
+    def draw(spec, n, labeled):
+        texts = [sample_text(spec, int(rng.integers(3, 6)), rng) for _ in range(n)]
+        return Dataset([Sample(f"{spec.name}{i}", render(t, spec, rng), t if labeled else None)
+                        for i, t in enumerate(texts)])
+
+    src, tgt = draw(src_spec, 6, True), draw(tgt_spec, 6, False)
+    cfg = RecognizerConfig(label_count=vocab.emit_size, input_dim=16, context_radius=1,
+                           feature_dim=8, recurrent_dim=6, seed=5)
+    model = init_recognizer(cfg, vocab)
+    res = train_source(model, src, TrainConfig(epochs=2, batch_size=3, seed=1))
+    assert res.step_losses == [57.532851274764404, 58.04288037173063,
+                               68.10519456694446, 46.851198059513735]
+    assert param_digest(model) == "1e3c9cc4aa9597b9"
+
+    lm = build_lm(sample_corpus(tgt_spec, 30, (3, 6), rng), order=3, discount=0.1,
+                  vocab=vocab)
+    tcfg = TrainConfig(batch_size=4, outer_iters=1, prior_pass_batches=1,
+                       train_pass_batches=2, seed=3)
+    res = hybrid_train(model, src, tgt, lm, tcfg, DecoderConfig(beam_width=4))
+    assert res.skipped_decodes == 0  # every target slot trained on a pseudo-label
+    assert res.step_losses == [68.39847869564923, 69.25178526338932]
+    assert param_digest(model) == "6945d445a1dc70cd"
 
 
 # -- config validation / metrics --------------------------------------------------------
