@@ -194,7 +194,7 @@ def cmd_train_source(args) -> int:
                             input_dim=train[0].frames.shape[1],
                             **_given(RecognizerConfig, args, cfg))
     model = init_recognizer(rcfg, vocab)
-    val = load_manifest(args.val) if args.val else None
+    val = load_manifest(args.val, rcfg.input_dim) if args.val else None
     res = train_source(model, train, tcfg, val)
     save_checkpoint(model, args.out_checkpoint)
     if args.metrics:
@@ -214,10 +214,10 @@ def cmd_hybrid(args) -> int:
     model = load_checkpoint(args.init_checkpoint)
     lm_path = args.lm or cfg.get("lm")
     lm = load_arpa(lm_path) if lm_path else None
-    source = load_manifest(_require(args, "source_data", cfg))
-    target = load_manifest(_require(args, "target_data", cfg))
+    source = load_manifest(_require(args, "source_data", cfg), model.cfg.input_dim)
+    target = load_manifest(_require(args, "target_data", cfg), model.cfg.input_dim)
     val_path = args.val_data or cfg.get("val_data")
-    val = load_manifest(val_path) if val_path else None
+    val = load_manifest(val_path, model.cfg.input_dim) if val_path else None
     res = hybrid_train(model, source, target, lm, tcfg, dcfg, val)
     save_checkpoint(model, args.out_checkpoint)
     if args.metrics:
@@ -248,7 +248,7 @@ def _require(args, key: str, cfg: dict) -> str:
 
 def _load_decode_inputs(args):
     model = load_checkpoint(args.checkpoint)
-    dataset = load_manifest(args.data)
+    dataset = load_manifest(args.data, model.cfg.input_dim)
     lm = load_arpa(args.lm) if args.lm else None
     if lm is not None and lm.vocab != model.vocab:
         raise ValueError("the LM and the checkpoint use different vocabularies")

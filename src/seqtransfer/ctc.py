@@ -71,21 +71,23 @@ def _check_labels(labels: Sequence[int], label_count: int) -> tuple[int, ...]:
 
 
 def _alpha(em: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Forward log-probabilities over the blank-interleaved sequence z
-    (length >= 3), given the T x len(z) emission log-probs em.  Run on the
-    time- and label-reversed lattice, this is the backward recursion."""
-    T, S = em.shape
+    """Forward log-probabilities of a batch of lattices, time-major: em is
+    the T x N x S emission log-probs of the N blank-interleaved sequences z
+    (N x S, each of length >= 3, padded with blank), -inf past each
+    lattice's own frames and labels.  Run on time- and label-reversed
+    lattices, this is the backward recursion."""
+    T, n, S = em.shape
     # a diagonal skip s-2 -> s is legal when z[s] is a non-blank that
     # differs from z[s-2]
-    skip_ok = (z[2:] != BLANK_ID) & (z[2:] != z[:-2])
-    step = np.full(S, _NEG_INF)
-    skip = np.full(S, _NEG_INF)
-    alpha = np.full((T, S), _NEG_INF)
-    alpha[0, :2] = em[0, :2]
+    skip_ok = (z[:, 2:] != BLANK_ID) & (z[:, 2:] != z[:, :-2])
+    step = np.full((n, S), _NEG_INF)
+    skip = np.full((n, S), _NEG_INF)
+    alpha = np.full((T, n, S), _NEG_INF)
+    alpha[0, :, :2] = em[0, :, :2]
     for t in range(1, T):
         prev, row = alpha[t - 1], alpha[t]
-        step[1:] = prev[:-1]
-        np.copyto(skip[2:], prev[:-2], where=skip_ok)
+        step[:, 1:] = prev[:, :-1]
+        np.copyto(skip[:, 2:], prev[:, :-2], where=skip_ok)
         np.logaddexp(prev, step, out=row)
         np.logaddexp(row, skip, out=row)
         row += em[t]
@@ -93,40 +95,72 @@ def _alpha(em: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def ctc_loss(posteriors, labels: Sequence[int]) -> tuple[float, np.ndarray]:
-    """Forward-backward CTC loss and its gradient with respect to logits.
+    """Forward-backward CTC loss and its gradient with respect to logits:
+    the batch of one of ctc_loss_batch.
 
-    Returns (loss, grad) with grad shaped like the posterior matrix.
-    """
-    post = check_posteriors(posteriors).astype(np.float64)
-    T, L = post.shape
-    y = _check_labels(labels, L)
-    if T < min_frames(y):
-        raise ValueError(f"{T} frames cannot align {len(y)} labels "
-                         f"(need at least {min_frames(y)})")
+    Returns (loss, grad) with grad shaped like the posterior matrix."""
+    losses, grads = ctc_loss_batch([posteriors], [labels])
+    return losses[0], grads[0]
 
-    # blank-interleaved extended sequence
-    z = np.zeros(2 * len(y) + 1, dtype=np.int64)
-    z[1::2] = y
-    em = post[:, z]  # T x S emission log-probs
 
-    alpha = _alpha(em, z)
-    beta = _alpha(em[::-1, ::-1], z[::-1])[::-1, ::-1]
-    log_p = np.logaddexp(alpha[T - 1, -1], alpha[T - 1, -2])
-    if log_p == _NEG_INF:
+def ctc_loss_batch(posteriors: Sequence, labels: Sequence[Sequence[int]]
+                   ) -> tuple[list[float], np.ndarray]:
+    """ctc_loss of every (posterior matrix, label sequence) pair in one
+    recursion over all their lattices, forward and reversed.  Returns the
+    losses and an N x max(T) x L gradient array, zero past each matrix's T
+    rows; padding with -inf, which logaddexp passes through exactly, keeps
+    every result bit-identical to its batch of one."""
+    posts, ys = [], []
+    for mat, lab in zip(posteriors, labels, strict=True):
+        post = check_posteriors(mat)
+        y = _check_labels(lab, post.shape[1])
+        if post.shape[0] < min_frames(y):
+            raise ValueError(f"{post.shape[0]} frames cannot align {len(y)} labels "
+                             f"(need at least {min_frames(y)})")
+        posts.append(post)
+        ys.append(y)
+    if not posts or any(p.shape[1] != posts[0].shape[1] for p in posts):
+        raise ValueError("a batch needs at least one posterior matrix, all of one label count")
+    n, L = len(posts), posts[0].shape[1]
+    T, S = np.array([len(p) for p in posts]), np.array([2 * len(y) + 1 for y in ys])
+
+    # lattice i runs forward over the blank-interleaved labels zz[i];
+    # lattice n + i is it reversed in time and label, so that its forward
+    # pass is lattice i's backward pass.  em keeps the posteriors' width.
+    em = np.full((T.max(), 2 * n, S.max()), _NEG_INF, dtype=np.result_type(np.float32, *posts))
+    zz = np.zeros((2 * n, S.max()), dtype=np.int64)
+    for i, (post, y) in enumerate(zip(posts, ys)):
+        zz[i, 1:S[i]:2] = y
+        zz[n + i, :S[i]] = zz[i, S[i] - 1::-1]
+        em[:T[i], i, :S[i]] = post[:, zz[i, :S[i]]]
+        em[:T[i], n + i, :S[i]] = em[T[i] - 1::-1, i, S[i] - 1::-1]
+    alpha = _alpha(em, zz)
+    lanes = np.arange(n)
+    log_p = np.logaddexp(alpha[T - 1, lanes, S - 1], alpha[T - 1, lanes, S - 2])
+    if np.any(log_p == _NEG_INF):
         raise ValueError("no feasible alignment has nonzero probability")
 
-    # alignment posterior per label: alpha and beta both include the frame-t
-    # emission, so divide one copy back out (zero-probability emissions stay
-    # at -inf rather than turning into nan)
+    # alignment posterior per label: alpha and beta (the reversed lattice
+    # turned back) both include the frame-t emission, so divide one copy
+    # back out; zero-probability emissions stay at -inf rather than nan
+    gamma, em = alpha[:, :n], em[:, :n]
     with np.errstate(invalid="ignore"):
-        gamma = alpha + beta - em
+        for i in range(n):
+            gamma[:T[i], i, :S[i]] += alpha[T[i] - 1::-1, n + i, S[i] - 1::-1]
+        gamma -= em
     gamma[em == _NEG_INF] = _NEG_INF
-    grad = np.exp(post)
-    for k in set(z.tolist()):
-        cols = np.flatnonzero(z == k)
-        occ = np.logaddexp.reduce(gamma[:, cols], axis=1)
-        grad[:, k] -= np.exp(occ - log_p)
+    del em
+    # occupancy of each label: logaddexp over its positions in z, in order
+    # (a padding position is a blank at -inf, which adds nothing)
+    occ = np.full((T.max(), n, L), _NEG_INF)
+    np.logaddexp.at(occ, (slice(None), lanes[:, None], zz[:n]), gamma)
+    del alpha, gamma
+    occ -= log_p[:, None]
+    grads = np.full((n, T.max(), L), _NEG_INF)
+    for i, post in enumerate(posts):
+        grads[i, :T[i]] = post
+    np.exp(grads, out=grads)
+    grads -= np.exp(occ, out=occ).transpose(1, 0, 2)
 
     # the true loss is >= 0; guard against float jitter at the boundary
-    return max(0.0, -float(log_p)), grad
-
+    return [max(0.0, -float(lp)) for lp in log_p], grads

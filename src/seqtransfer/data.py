@@ -92,7 +92,8 @@ def write_manifest(dataset: Dataset, manifest_path) -> Path:
     return manifest_path
 
 
-def load_manifest(manifest_path) -> Dataset:
+def load_manifest(manifest_path, width: int | None = None) -> Dataset:
+    """Every sample's frames must be width wide, by default the first's."""
     manifest_path = Path(manifest_path)
     samples = []
     with open(manifest_path, encoding="utf-8") as f:
@@ -106,6 +107,10 @@ def load_manifest(manifest_path) -> Dataset:
                                   f"fields, got {len(fields)}")
             sample_id, rel, text = fields
             frames = read_frames(manifest_path.parent / rel)
+            width = width or frames.shape[1]
+            if frames.shape[1] != width:
+                raise FormatError(f"{manifest_path}:{lineno}: sample {sample_id} has "
+                                  f"{frames.shape[1]}-wide frames, expected {width}")
             samples.append(Sample(sample_id, frames, text if text else None))
     if not samples:
         raise FormatError(f"{manifest_path}: manifest has no rows")

@@ -59,12 +59,6 @@ class DecoderConfig:
             raise ValueError(f"prior_floor must be in (0, 1), got {self.prior_floor}")
 
 
-def uniform_priors(label_count: int) -> np.ndarray:
-    if label_count < 2:
-        raise ValueError("need at least blank plus one character")
-    return np.full(label_count, 1.0 / label_count)
-
-
 def floor_and_renorm(probs, floor: float) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
     p = np.maximum(p, floor)

@@ -110,98 +110,120 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _scan(drive: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _pad(rows, dtype) -> np.ndarray:
+    """Time-major, zero-padded max(T) x B x 1 x C stack of T_b x C matrices."""
+    out = np.zeros((max(map(len, rows)), len(rows), 1, rows[0].shape[1]), dtype=dtype)
+    for b, r in enumerate(rows):
+        out[:len(r), b, 0] = r
+    return out
+
+
+def _scan(drives: list, u: np.ndarray) -> list:
     """States of the tanh recurrence s_i = tanh(drive_i + u s_{i-1}) from a
-    zero initial state, one row per step of the drive matrix."""
+    zero initial state, one row per row of each drive matrix.  All drives
+    step together as stacked (B, 1, R) @ (R, R) matvecs, which give the
+    same bits as one row at a time."""
+    drive = _pad(drives, drives[0].dtype)
     states = np.empty_like(drive)
-    state = np.zeros(drive.shape[1], dtype=drive.dtype)
-    for i in range(drive.shape[0]):
-        state = np.tanh(drive[i] + state @ u.T)
-        states[i] = state
-    return states
+    state, ut = np.zeros_like(drive[0]), u.T
+    for i in range(len(drive)):
+        state = np.tanh(drive[i] + state @ ut, out=states[i])
+    return [states[:len(d), b, 0] for b, d in enumerate(drives)]
 
 
-def _scan_grad(d_states: np.ndarray, states: np.ndarray, h: np.ndarray,
-               w: np.ndarray, u: np.ndarray):
-    """Backpropagate through _scan driven by h @ w.T + b.  d_states is the
-    loss gradient reaching each state from outside the recurrence.  Returns
-    the gradients for w, u and b and the gradient reaching h."""
-    keep = 1.0 - states.astype(np.float64) ** 2
-    deltas = np.empty(keep.shape)
-    carry = np.zeros(keep.shape[1])  # d loss / d state[i] from step i+1
-    for i in range(len(deltas) - 1, -1, -1):
-        deltas[i] = (d_states[i] + carry) * keep[i]
+def _scan_grad(deltas: np.ndarray, states: list, hs: list, w: np.ndarray, u: np.ndarray):
+    """Backpropagate through _scan driven by h @ w.T + b, for each sample's
+    states and h in scan order.  deltas (laid out as _pad, overwritten)
+    holds the loss gradient reaching each state from outside the recurrence,
+    each sample reversed from step 0 so that all carries step back together.
+    Yields per sample the gradients for w, u and b and the one reaching h."""
+    keep = _pad([1.0 - s[::-1].astype(np.float64) ** 2 for s in states], np.float64)
+    carry = np.zeros_like(keep[0])  # d loss / d state[i] from step i+1
+    for i in range(len(keep)):
+        deltas[i] += carry
+        deltas[i] *= keep[i]
         carry = deltas[i] @ u
-    prev = np.zeros_like(states)
-    prev[1:] = states[:-1]
-    return deltas.T @ h, deltas.T @ prev, deltas.sum(axis=0), deltas @ w
+    del keep
+    for b, (s, h) in enumerate(zip(states, hs)):
+        dl = np.ascontiguousarray(deltas[len(s) - 1::-1, b, 0])
+        prev = np.concatenate([np.zeros_like(s[:1]), s[:-1]])
+        yield dl.T @ h, dl.T @ prev, dl.sum(axis=0), dl @ w
 
 
 def forward(model: Recognizer, frames):
-    """Run the model over a T x D frame matrix.
+    """Run the model over a T x D frame matrix: the batch of one of
+    forward_batch.  Returns (aux, main, cache): the two log-posterior
+    matrices and the intermediate activations that backward reads."""
+    aux, main, cache = forward_batch(model, [frames])
+    return aux[0], main[0], cache
 
-    Returns (aux, main, cache): the two log-posterior matrices and the
-    intermediate activations that backward reads."""
+
+def forward_batch(model: Recognizer, frames: list, aux: bool = True):
+    """forward over a list of T_b x D frame matrices, each recurrence in
+    one scan for all samples; the dense layers run per sample, so every
+    output is bit-identical to its batch of one.  Returns per-sample lists
+    of aux (None when aux is False) and main log-posteriors, and the cache."""
     p = model.params
-    cfg = model.cfg
-    x = np.asarray(frames, dtype=model.dtype)
-    if x.ndim != 2 or x.shape[1] != cfg.input_dim:
-        raise ValueError(f"frames must be T x {cfg.input_dim}, got {x.shape}")
-    if x.shape[0] < 1:
-        raise ValueError("need at least one frame")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("frames contain non-finite values")
+    xs = [np.asarray(f, dtype=model.dtype) for f in frames]
+    for x in xs:
+        if x.ndim != 2 or x.shape[1] != model.cfg.input_dim:
+            raise ValueError(f"frames must be T x {model.cfg.input_dim}, got {x.shape}")
+        if x.shape[0] < 1:
+            raise ValueError("need at least one frame")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("frames contain non-finite values")
+    hs = [np.tanh(_windows(x, model.cfg.context_radius) @ p["feat_w"].T + p["feat_b"])
+          for x in xs]
+    auxs = [_log_softmax(h @ p["aux_w"].T + p["aux_b"]) for h in hs] if aux else None
 
-    win = _windows(x, cfg.context_radius)
-    h = np.tanh(win @ p["feat_w"].T + p["feat_b"])
-    aux = _log_softmax(h @ p["aux_w"].T + p["aux_b"])
-
-    fwd = _scan(h @ p["fwd_w"].T + p["fwd_b"], p["fwd_u"])
-    # the backward recurrence is the same scan over time-flipped views
-    bwd = _scan((h @ p["bwd_w"].T + p["bwd_b"])[::-1], p["bwd_u"])[::-1]
-    g = np.concatenate([fwd, bwd], axis=1)
-    main = _log_softmax(g @ p["main_w"].T + p["main_b"])
-
-    return aux, main, {"win": win, "h": h, "fwd": fwd, "bwd": bwd, "g": g}
+    fwd = _scan([h @ p["fwd_w"].T + p["fwd_b"] for h in hs], p["fwd_u"])
+    # the backward recurrence is the same scan over time-flipped drives
+    bwd = _scan([(h @ p["bwd_w"].T + p["bwd_b"])[::-1] for h in hs], p["bwd_u"])
+    gs = [np.concatenate([f, b[::-1]], axis=1) for f, b in zip(fwd, bwd)]
+    mains = [_log_softmax(g @ p["main_w"].T + p["main_b"]) for g in gs]
+    return auxs, mains, {"x": xs, "h": hs, "g": gs}
 
 
 def backward(model: Recognizer, cache: dict, aux_grad,
              main_grad) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss with respect to every named parameter.
-
-    cache is the one forward returned for the frames; aux_grad and
-    main_grad are d(loss)/d(logits) for the two heads, shaped T x L; CTC
-    losses hand these back directly."""
+    """Gradients of a scalar loss with respect to every named parameter,
+    summed over the cache's samples in order.  cache is the one forward or
+    forward_batch returned; aux_grad and main_grad are d(loss)/d(logits)
+    for the two heads, B x max(T) x L (T x L for a batch of one), as CTC
+    losses hand them back."""
     p = model.params
-    win, h, fwd, bwd = cache["win"], cache["h"], cache["fwd"], cache["bwd"]
-    t = h.shape[0]
+    hs, gs = cache["h"], cache["g"]
     rd = model.cfg.recurrent_dim
-    ga = np.asarray(aux_grad, dtype=np.float64)
-    gm = np.asarray(main_grad, dtype=np.float64)
-    if ga.shape != (t, model.cfg.label_count) or gm.shape != ga.shape:
+    ga, gm = (np.asarray(g, dtype=np.float64) for g in (aux_grad, main_grad))
+    ga, gm = (g[None] if g.ndim == 2 else g for g in (ga, gm))
+    shape = (len(hs), max(len(h) for h in hs), model.cfg.label_count)
+    if ga.shape != shape or gm.shape != shape:
         raise ValueError("head gradients must match the posterior shapes")
 
-    g = cache["g"]
-    grads = {
-        "main_w": gm.T @ g,
-        "main_b": gm.sum(axis=0),
-        "aux_w": ga.T @ h,
-        "aux_b": ga.sum(axis=0),
-    }
-    dg = gm @ p["main_w"]
-    dh = ga @ p["aux_w"]
-
-    grads["fwd_w"], grads["fwd_u"], grads["fwd_b"], dh_fwd = _scan_grad(
-        dg[:, :rd], fwd, h, p["fwd_w"], p["fwd_u"])
-    grads["bwd_w"], grads["bwd_u"], grads["bwd_b"], dh_bwd = _scan_grad(
-        dg[::-1, rd:], bwd[::-1], h[::-1], p["bwd_w"], p["bwd_u"])
-    dh += dh_fwd
-    dh += dh_bwd[::-1]
-
-    delta1 = dh * (1.0 - h.astype(np.float64) ** 2)
-    grads["feat_w"] = delta1.T @ win
-    grads["feat_b"] = delta1.sum(axis=0)
-    return {name: grads[name].astype(np.float64) for name in model.params}
+    # the gradient reaching each recurrence's states, reversed per sample
+    d_fwd, d_bwd = np.zeros((2, shape[1], len(hs), 1, rd))
+    for b, h in enumerate(hs):
+        dg = gm[b, :len(h)] @ p["main_w"]
+        d_fwd[:len(h), b, 0], d_bwd[:len(h), b, 0] = dg[::-1, :rd], dg[:, rd:]
+    fwd = _scan_grad(d_fwd, [g[:, :rd] for g in gs], hs, p["fwd_w"], p["fwd_u"])
+    bwd = _scan_grad(d_bwd, [g[::-1, rd:] for g in gs], [h[::-1] for h in hs],
+                     p["bwd_w"], p["bwd_u"])
+    for b, (x, h, g) in enumerate(zip(cache["x"], hs, gs)):
+        ga_b, gm_b = ga[b, :len(h)], gm[b, :len(h)]
+        grads = {"main_w": gm_b.T @ g, "main_b": gm_b.sum(axis=0),
+                 "aux_w": ga_b.T @ h, "aux_b": ga_b.sum(axis=0)}
+        dh = ga_b @ p["aux_w"]
+        grads["fwd_w"], grads["fwd_u"], grads["fwd_b"], dh_fwd = next(fwd)
+        grads["bwd_w"], grads["bwd_u"], grads["bwd_b"], dh_bwd = next(bwd)
+        dh += dh_fwd
+        dh += dh_bwd[::-1]
+        delta1 = dh * (1.0 - h.astype(np.float64) ** 2)
+        grads["feat_w"] = delta1.T @ _windows(x, model.cfg.context_radius)
+        grads["feat_b"] = delta1.sum(axis=0)
+        # summed sample by sample: one gemm over all samples rounds differently
+        total = grads if b == 0 else {k: np.add(total[k], v, out=total[k])
+                                      for k, v in grads.items()}
+    return {name: total[name] for name in model.params}
 
 
 # -- checkpoints -----------------------------------------------------------

@@ -19,13 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .ctc import ctc_loss, greedy_decode, min_frames
+from .ctc import ctc_loss_batch, greedy_decode, min_frames
 from .data import Dataset, Sample
 from .decoder import DecoderConfig, estimate_priors, lm_beam_decode
 from .errors import NumericError
 from .metrics import cer
 from .ngram_lm import NgramLM
-from .recognizer import Recognizer, backward, forward
+from .recognizer import Recognizer, backward, forward, forward_batch
 from .vocab import Vocabulary
 
 
@@ -35,6 +35,15 @@ class AdamConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self):
+        # NaN fails every comparison, so every check rejects it
+        for name, ok, bounds in (("lr", 0.0 < self.lr < math.inf, "(0, inf)"),
+                                 ("beta1", 0.0 <= self.beta1 < 1.0, "[0, 1)"),
+                                 ("beta2", 0.0 <= self.beta2 < 1.0, "[0, 1)"),
+                                 ("eps", 0.0 < self.eps < math.inf, "(0, inf)")):
+            if not ok:
+                raise ValueError(f"{name} must be in {bounds}, got {getattr(self, name)}")
 
 
 class AdamState:
@@ -102,16 +111,24 @@ def write_metrics(rows: Sequence[MetricsRow], path) -> None:
             f.write(f"{r.iteration}\t{r.split}\t{r.loss:.10g}\t{r.cer:.10g}\n")
 
 
-def composite_loss(model: Recognizer, frames, labels: Sequence[int],
+def composite_loss(model: Recognizer, frames: Sequence, labels: Sequence[Sequence[int]],
                    aux_loss_weight: float) -> tuple[float, dict[str, np.ndarray]]:
-    """Weighted two-head CTC loss for one sample and its parameter gradients."""
+    """Mean weighted two-head CTC loss over a batch of frame matrices and
+    label sequences, and its mean parameter gradients."""
     w = aux_loss_weight
-    aux, main, cache = forward(model, frames)
-    aux_l, aux_g = ctc_loss(aux, labels)
-    main_l, main_g = ctc_loss(main, labels)
-    loss = w * aux_l + (1.0 - w) * main_l
-    grads = backward(model, cache, w * aux_g, (1.0 - w) * main_g)
-    return loss, grads
+    n = len(frames)
+    aux, main, cache = forward_batch(model, frames)
+    losses, grads = ctc_loss_batch(aux + main, list(labels) * 2)
+    del aux, main  # not needed by backward; frees them before its peak
+    loss = 0.0
+    for aux_l, main_l in zip(losses[:n], losses[n:]):
+        loss += w * aux_l + (1.0 - w) * main_l
+    grads[:n] *= w
+    grads[n:] *= 1.0 - w
+    total = backward(model, cache, grads[:n], grads[n:])
+    for g in total.values():
+        g /= n
+    return loss / n, total
 
 
 def _usable(frames: np.ndarray, label_ids: tuple[int, ...]) -> bool:
@@ -121,43 +138,32 @@ def _usable(frames: np.ndarray, label_ids: tuple[int, ...]) -> bool:
 def _batch_update(model: Recognizer, batch, cfg: TrainConfig, state: AdamState) -> float:
     """Mean composite loss and gradient over (frames, label_ids) pairs,
     followed by one Adam step."""
-    total = None
-    loss_sum = 0.0
-    for frames, label_ids in batch:
-        loss, grads = composite_loss(model, frames, label_ids, cfg.aux_loss_weight)
-        loss_sum += loss
-        if total is None:
-            total = grads
-        else:
-            for k in total:
-                total[k] += grads[k]
-    n = len(batch)
-    mean_loss = loss_sum / n
-    if not math.isfinite(mean_loss):
-        raise NumericError(f"non-finite training loss {mean_loss}")
-    adam_step(model.params, {k: v / n for k, v in total.items()}, state, cfg.adam)
-    return mean_loss
+    frames, label_ids = zip(*batch)
+    loss, grads = composite_loss(model, list(frames), list(label_ids), cfg.aux_loss_weight)
+    if not math.isfinite(loss):
+        raise NumericError(f"non-finite training loss {loss}")
+    adam_step(model.params, grads, state, cfg.adam)
+    return loss
 
 
-def greedy_eval(model: Recognizer, samples: Sequence[Sample]) -> float:
-    """Pooled CER of greedy decodes against the stored transcriptions."""
-    refs, hyps = [], []
+def greedy_eval(model: Recognizer, samples: Sequence[Sample],
+                batch_size: int = TrainConfig.batch_size) -> float:
+    """Pooled CER of greedy decodes against the stored transcriptions,
+    forwarding batch_size samples at a time."""
     for s in samples:
         if s.transcription is None:
             raise ValueError(f"sample {s.sample_id} has no transcription to score against")
-        _, main, _ = forward(model, s.frames)
-        hyps.append(model.vocab.decode(greedy_decode(main)))
-        refs.append(s.transcription)
-    return cer(refs, hyps).cer
+    hyps = []
+    for lo in range(0, len(samples), batch_size):
+        chunk = [s.frames for s in samples[lo:lo + batch_size]]
+        hyps += [model.vocab.decode(greedy_decode(m))
+                 for m in forward_batch(model, chunk, aux=False)[1]]
+    return cer([s.transcription for s in samples], hyps).cer
 
 
 def _encode_labeled(samples: Sequence[Sample], vocab: Vocabulary):
-    items = []
-    for s in samples:
-        if s.transcription is None:
-            raise ValueError(f"sample {s.sample_id} is unlabeled")
-        items.append((s.frames, vocab.encode(s.transcription)))
-    return items
+    """(frames, label ids) of each sample of a Dataset.labeled() list."""
+    return [(s.frames, vocab.encode(s.transcription)) for s in samples]
 
 
 @dataclass
@@ -200,10 +206,11 @@ def train_source(model: Recognizer, train_set: Dataset, cfg: TrainConfig,
             epoch_losses.append(loss)
             step_losses.append(loss)
         mean_loss = float(np.mean(epoch_losses)) if epoch_losses else math.nan
-        rows.append(MetricsRow(epoch, "train", mean_loss, greedy_eval(model, labeled)))
+        rows.append(MetricsRow(epoch, "train", mean_loss,
+                               greedy_eval(model, labeled, cfg.batch_size)))
         if val_set is not None:
             rows.append(MetricsRow(epoch, "val", math.nan,
-                                   greedy_eval(model, val_set.labeled())))
+                                   greedy_eval(model, val_set.labeled(), cfg.batch_size)))
     return TrainResult(model, rows, step_losses, skipped)
 
 
@@ -223,10 +230,8 @@ def prior_pass(model: Recognizer, samples: Sequence[Sample], cfg: TrainConfig,
     mats = []
     n = len(samples)
     for _ in range(cfg.prior_pass_batches):
-        take = min(cfg.batch_size, n)
-        for idx in rng.choice(n, size=take, replace=False):
-            _, main, _ = forward(model, samples[idx].frames)
-            mats.append(main)
+        idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
+        mats += forward_batch(model, [samples[i].frames for i in idx], aux=False)[1]
     return estimate_priors(mats, floor=floor)
 
 
@@ -310,6 +315,6 @@ def hybrid_train(model: Recognizer, source_set: Dataset, target_set: Dataset,
         rows.append(MetricsRow(it, "train", mean_loss, math.nan))
         if val_set is not None:
             rows.append(MetricsRow(it, "val", math.nan,
-                                   greedy_eval(model, val_set.labeled())))
+                                   greedy_eval(model, val_set.labeled(), cfg.batch_size)))
     return HybridResult(model, rows, step_losses, prior_history,
                         source_only_steps, skipped_decodes)

@@ -15,6 +15,12 @@ def random_log_posteriors(rng: np.random.Generator, T: int, L: int) -> np.ndarra
     return logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
 
 
+def uniform_priors(label_count: int) -> np.ndarray:
+    if label_count < 2:
+        raise ValueError("need at least blank plus one character")
+    return np.full(label_count, 1.0 / label_count)
+
+
 def ctc_loss_bruteforce(post, labels) -> float:
     """Reference CTC loss by explicit path enumeration.
 

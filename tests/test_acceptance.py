@@ -16,10 +16,9 @@ from seqtransfer import (AdamConfig, Dataset, DecoderConfig, RecognizerConfig, S
                          TrainConfig, Vocabulary, backward, build_lm, cer, cli, ctc_loss,
                          edit_distance, forward, greedy_decode, greedy_eval, hybrid_train,
                          init_recognizer, lm_beam_decode, load_arpa, make_language_pair,
-                         min_frames, prior_pass, render, sample_text, save_arpa, train_source,
-                         uniform_priors)
+                         min_frames, prior_pass, render, sample_text, save_arpa, train_source)
 from seqtransfer.synth_data import STOCK_SHARED_CHARS, STOCK_TARGET_EXTRA
-from conftest import ctc_loss_bruteforce, oracle_best, random_log_posteriors
+from conftest import ctc_loss_bruteforce, oracle_best, random_log_posteriors, uniform_priors
 
 
 def report(tag, ok: bool, detail: str) -> None:

@@ -233,6 +233,70 @@ def test_train_source_reads_input_width_from_its_data(tmp_path, capsys):
     assert "unknown config key 'input_dim'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--lr", "nan"], "lr"), (["--lr", "inf"], "lr"), (["--lr", "-1"], "lr"),
+    (["--config", "beta1"], "beta1"), (["--config", "beta2"], "beta2"),
+    (["--config", "eps"], "eps")])
+def test_bad_adam_setting_exits_two_before_loading_data(tmp_path, capsys, flags, field):
+    if flags[0] == "--config":  # the fields without a flag come from the config file
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text(f"{field} = {'0' if field == 'eps' else '1.0'}\n", encoding="utf-8")
+        flags = ["--config", str(cfg)]
+    missing = str(tmp_path / "missing.tsv")  # loading any data would fail differently
+    for command in (["train-source", "--data", missing, "--vocab", missing],
+                    ["hybrid", "--source-data", missing, "--target-data", missing,
+                     "--init-checkpoint", missing]):
+        ck = tmp_path / "c.ckpt"
+        assert cli.main(command + ["--out-checkpoint", str(ck)] + flags) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"{field} must be in" in err
+        assert not ck.exists()
+
+
+@pytest.fixture(scope="module")
+def narrow(tmp_path_factory):
+    """Manifests whose frames are 8 wide, where the pipeline's are 16."""
+    data = tmp_path_factory.mktemp("narrow")
+    assert cli.main(["gen-data", "--out", str(data), "--n-train", "2", "--n-val", "2",
+                     "--n-test", "1", "--text-len", "2,3", "--input-dim", "8"]) == 0
+    return data
+
+
+def _refuse(*args, **kwargs):
+    pytest.fail("training started")
+
+
+def test_train_source_checks_val_width_before_training(pipe, narrow, tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.setattr(cli, "train_source", _refuse)
+    val = narrow / "source" / "val" / "manifest.tsv"
+    ck = tmp_path / "c.ckpt"
+    rc = cli.main(["train-source", "--data", str(pipe["data"] / "source" / "train" / "manifest.tsv"),
+                   "--val", str(val), "--vocab", str(pipe["data"] / "vocab.json"),
+                   "--out-checkpoint", str(ck)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"{val}:1: sample {load_manifest(val)[0].sample_id} has 8-wide frames" in err
+    assert not ck.exists()
+
+
+def test_hybrid_checks_target_width_before_training(pipe, narrow, tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.setattr(cli, "hybrid_train", _refuse)
+    target = narrow / "target" / "train" / "manifest.tsv"
+    ck = tmp_path / "h.ckpt"
+    rc = cli.main(["hybrid", "--source-data",
+                   str(pipe["data"] / "source" / "train" / "manifest.tsv"),
+                   "--target-data", str(target), "--init-checkpoint", str(pipe["ck"]),
+                   "--out-checkpoint", str(ck)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"{target}:1: sample {load_manifest(target)[0].sample_id} has 8-wide frames" in err
+    assert not ck.exists()
+
+
 def test_numeric_failure_exits_three(pipe, tmp_path, monkeypatch, capsys):
     def blow_up(*a, **kw):
         raise NumericError("loss went non-finite")

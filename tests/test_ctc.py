@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtransfer import BLANK_ID, collapse, ctc_loss, greedy_decode, min_frames
+from seqtransfer import (BLANK_ID, collapse, ctc_loss, ctc_loss_batch, greedy_decode,
+                         min_frames)
 from conftest import ctc_loss_bruteforce, random_log_posteriors
 
 
@@ -180,6 +181,60 @@ def test_ctc_matches_recorded_output():
         loss, grad = ctc_loss(post, labels)
         assert loss == want_loss, labels
         assert hashlib.sha256(grad.tobytes()).hexdigest()[:16] == want_grad, labels
+
+
+# -- batched lattices -------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batch_matches_each_lattice_alone(data):
+    """Padding to the batch's longest lattice moves no bit of any loss or
+    gradient, whatever the mix of lengths, repeats, -inf entries and
+    float widths."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    L = data.draw(st.integers(2, 6))
+    posts, labels = [], []
+    for _ in range(data.draw(st.integers(1, 16))):
+        labs = data.draw(st.lists(st.integers(1, L - 1), min_size=1, max_size=6))
+        logits = rng.normal(0.0, 2.0, (min_frames(labs) + data.draw(st.integers(0, 6)), L))
+        # knock out non-blank entries; every row keeps its blank
+        logits[:, 1:][rng.random((len(logits), L - 1)) < data.draw(st.sampled_from([0, 0.2]))] \
+            = -np.inf
+        post = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
+        posts.append(post.astype(data.draw(st.sampled_from([np.float32, np.float64]))))
+        labels.append(labs)
+    try:
+        alone = [ctc_loss(post, labs) for post, labs in zip(posts, labels)]
+    except ValueError:  # an infeasible lattice: the batch must fail the same way
+        with pytest.raises(ValueError, match="no feasible alignment"):
+            ctc_loss_batch(posts, labels)
+        return
+    losses, grads = ctc_loss_batch(posts, labels)
+    assert grads.shape == (len(posts), max(map(len, posts)), L)
+    for (loss, grad), got_loss, got_grad in zip(alone, losses, grads):
+        assert got_loss == loss
+        assert got_grad[:len(grad)].tobytes() == grad.tobytes()
+        assert not np.any(got_grad[len(grad):])
+
+
+def test_batch_with_one_infeasible_lattice_raises_like_it_alone(rng):
+    # label 2 has zero probability on every frame
+    bad = np.log(np.array([[0.5, 0.5, 1.0]] * 3))
+    bad[:, 2] = -np.inf
+    with pytest.raises(ValueError) as alone:
+        ctc_loss(bad, [2])
+    ok = random_log_posteriors(rng, 5, 3)
+    with pytest.raises(ValueError) as batch:
+        ctc_loss_batch([ok, bad, ok], [[1], [2], [1, 2]])
+    assert str(batch.value) == str(alone.value)
+
+
+def test_batch_rejects_empty_and_mixed_label_counts(rng):
+    with pytest.raises(ValueError, match="at least one posterior matrix"):
+        ctc_loss_batch([], [])
+    with pytest.raises(ValueError, match="all of one label count"):
+        ctc_loss_batch([random_log_posteriors(rng, 3, 3), random_log_posteriors(rng, 3, 4)],
+                       [[1], [1]])
 
 
 # -- collapse / greedy --------------------------------------------------------

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqtransfer import (DecoderConfig, NumericError, build_lm, estimate_priors,
-                         floor_and_renorm, greedy_decode, lm_beam_decode, load_arpa, save_arpa,
-                         uniform_priors)
-from conftest import beam_decode_reference, oracle_best, random_log_posteriors
+                         floor_and_renorm, greedy_decode, lm_beam_decode, load_arpa, save_arpa)
+from conftest import beam_decode_reference, oracle_best, random_log_posteriors, uniform_priors
 
 
 # -- priors --------------------------------------------------------------------

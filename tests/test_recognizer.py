@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqtransfer import (FormatError, Recognizer, RecognizerConfig, Vocabulary, backward,
-                         ctc_loss, forward, init_recognizer, load_checkpoint, param_shapes,
-                         save_checkpoint)
+                         ctc_loss, forward, forward_batch, init_recognizer, load_checkpoint,
+                         param_shapes, save_checkpoint)
 from seqtransfer.recognizer import CHECKPOINT_MAGIC
 
 VOCAB = Vocabulary("ab")
@@ -146,12 +148,12 @@ def per_step_recurrence_grads(m, cache, main_grad):
     """Reference for the recurrence gradients: walk each direction against
     its time order and add one outer product per frame."""
     p, rd = m.params, m.cfg.recurrent_dim
-    h, t = cache["h"], cache["h"].shape[0]
+    h, t = cache["h"][0], cache["h"][0].shape[0]
     dg = main_grad @ p["main_w"]
     out = {}
     for tag, cols, steps, back in (("fwd", slice(0, rd), range(t - 1, -1, -1), -1),
                                    ("bwd", slice(rd, None), range(t), 1)):
-        states, u = cache[tag], p[tag + "_u"]
+        states, u = cache["g"][0][:, cols], p[tag + "_u"]
         dw, du, db = np.zeros(p[tag + "_w"].shape), np.zeros(u.shape), np.zeros(rd)
         carry = np.zeros(rd)
         for i in steps:
@@ -196,6 +198,24 @@ def test_aux_only_loss_skips_recurrence_and_main_head(rng):
         assert np.all(grads[name] == 0.0), name
     assert np.any(grads["aux_w"] != 0.0)
     assert np.any(grads["feat_w"] != 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=25, deadline=None)
+@given(lengths=st.lists(st.integers(1, 30), min_size=1, max_size=12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_forward_batch_matches_batch_of_one(dtype, lengths, seed):
+    cfg = RecognizerConfig(label_count=3, input_dim=3, context_radius=2,
+                           feature_dim=16, recurrent_dim=8, seed=seed % 100)
+    m = init_recognizer(cfg, VOCAB, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    frames = [rng.normal(0, 1, (t, 3)).astype(dtype) for t in lengths]
+    auxs, mains, _ = forward_batch(m, frames)
+    assert forward_batch(m, frames, aux=False)[0] is None
+    for f, aux, main in zip(frames, auxs, mains):
+        aux1, main1, _ = forward(m, f)
+        assert aux.dtype == aux1.dtype and aux.tobytes() == aux1.tobytes()
+        assert main.tobytes() == main1.tobytes()
 
 
 def test_backward_shape_mismatch(rng):

@@ -3,17 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqtransfer.trainer as trainer_mod
 from seqtransfer import (AdamConfig, AdamState, Dataset, DecoderConfig, NumericError,
                          RecognizerConfig, Sample, TrainConfig, Vocabulary, adam_step, build_lm,
                          composite_loss, ctc_loss, forward, greedy_eval, hybrid_train,
-                         init_recognizer, make_language_pair, make_pseudo_label, prior_pass,
-                         render, sample_corpus, sample_text, train_source, uniform_priors,
+                         init_recognizer, make_language_pair, make_pseudo_label, min_frames,
+                         prior_pass, render, sample_corpus, sample_text, train_source,
                          write_metrics)
 from seqtransfer.synth_data import STOCK_SHARED_CHARS, STOCK_TARGET_EXTRA
 from seqtransfer.trainer import MetricsRow
-from conftest import oracle_best
+from conftest import oracle_best, uniform_priors
 
 VOCAB = Vocabulary("ab")
 
@@ -37,18 +39,45 @@ def test_composite_is_convex_combination(rng):
     labels = (1, 2)
     aux_l, main_l = head_losses(m, frames, labels)
     for lam in (0.0, 1.0, 0.25):
-        loss, _ = composite_loss(m, frames, labels, lam)
+        loss, _ = composite_loss(m, [frames], [labels], lam)
         assert loss == pytest.approx(lam * aux_l + (1 - lam) * main_l, rel=1e-12)
 
 
 def test_composite_grads_scale_with_lambda(rng):
     m = tiny_model()
     frames = rng.normal(0, 1, (5, 3))
-    _, g0 = composite_loss(m, frames, (1,), 0.0)
+    _, g0 = composite_loss(m, [frames], [(1,)], 0.0)
     # with lambda 0 the aux head contributes nothing
     assert np.all(g0["aux_w"] == 0.0)
-    _, g1 = composite_loss(m, frames, (1,), 1.0)
+    _, g1 = composite_loss(m, [frames], [(1,)], 1.0)
     assert np.all(g1["main_w"] == 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=20, deadline=None)
+@given(labels=st.lists(st.lists(st.integers(1, 2), min_size=1, max_size=4),
+                       min_size=1, max_size=8),
+       extra=st.lists(st.integers(0, 5), min_size=8, max_size=8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_gradient_is_the_in_order_sum_of_sample_gradients(dtype, labels, extra, seed):
+    m = tiny_model(seed % 100, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    frames = [rng.normal(0, 1, (min_frames(y) + e, 3)).astype(dtype)
+              for y, e in zip(labels, extra)]
+    loss, grads = composite_loss(m, frames, labels, 0.25)
+    loss_sum, total = 0.0, None
+    for f, y in zip(frames, labels):
+        one_loss, one = composite_loss(m, [f], [y], 0.25)
+        loss_sum += one_loss
+        if total is None:
+            total = one
+        else:
+            for k in total:
+                total[k] += one[k]
+    n = len(frames)
+    assert loss == loss_sum / n
+    for k in grads:
+        assert np.array_equal(grads[k], total[k] / n), k
 
 
 # -- adam -------------------------------------------------------------------------
@@ -374,6 +403,31 @@ def test_training_matches_recorded_output():
     assert param_digest(model) == "6945d445a1dc70cd"
 
 
+def test_forward_only_passes_match_recorded_output(monkeypatch):
+    """prior_pass priors and greedy_eval hypotheses of a default-size
+    float32 model, pinned to what one-sample-at-a-time forwards produced
+    (11 samples of 12 to 44 frames, so the batches mix lengths)."""
+    spec, _ = make_language_pair(11, STOCK_SHARED_CHARS, target_extra=STOCK_TARGET_EXTRA)
+    vocab = Vocabulary(spec.chars)
+    rng = np.random.default_rng(31)
+    texts = [sample_text(spec, int(rng.integers(2, 7)), rng) for _ in range(11)]
+    samples = [Sample(f"s{i}", render(t, spec, rng), t) for i, t in enumerate(texts)]
+    model = init_recognizer(RecognizerConfig(label_count=vocab.emit_size, input_dim=16, seed=5),
+                            vocab)
+    train_source(model, Dataset(samples), TrainConfig(epochs=1, batch_size=4, seed=2))
+    priors = prior_pass(model, samples, TrainConfig(batch_size=4, prior_pass_batches=3),
+                        np.random.default_rng(3), floor=1e-6)
+    assert hashlib.sha256(priors.tobytes()).hexdigest()[:16] == "6d343cb9adc2103d"
+
+    seen = []
+    real_cer = trainer_mod.cer
+    monkeypatch.setattr(trainer_mod, "cer", lambda refs, hyps: seen.append(hyps) or
+                        real_cer(refs, hyps))
+    assert greedy_eval(model, samples) == 4.63265306122449
+    assert seen[0][0] == "nimhcguqkjbivwqhij"
+    assert hashlib.sha256("\n".join(seen[0]).encode()).hexdigest()[:16] == "71ee3427687ed91c"
+
+
 # -- config validation / metrics --------------------------------------------------------
 
 def test_train_config_validation():
@@ -385,6 +439,20 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(outer_iters=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", math.nan), ("lr", math.inf), ("lr", -1.0), ("lr", 0.0),
+    ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan),
+    ("beta2", 1.0), ("beta2", math.inf),
+    ("eps", 0.0), ("eps", math.inf), ("eps", math.nan)])
+def test_adam_config_rejects_out_of_range_fields(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be in"):
+        AdamConfig(**{field: value})
+
+
+def test_adam_config_accepts_range_edges():
+    AdamConfig(lr=1e-300, beta1=0.0, beta2=0.0, eps=1e300)
 
 
 def test_write_metrics_appends(tmp_path):
