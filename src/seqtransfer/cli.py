@@ -260,7 +260,7 @@ def _decode_all(model, dataset, lm, dcfgs) -> list[list[str]]:
     decoding when an LM is present, greedy otherwise.  The posteriors, and
     the label priors beam decoding estimates from them, are computed once
     for all configs, which share one prior_floor."""
-    mains = [forward(model, s.frames)[1] for s in dataset]
+    mains = [forward(model, s.frames, aux=False)[1] for s in dataset]
     if lm is None:
         return [[model.vocab.decode(greedy_decode(m)) for m in mains]] * len(dcfgs)
     priors = estimate_priors(mains, floor=dcfgs[0].prior_floor)

@@ -14,16 +14,21 @@ treats every character sequence as equally likely, which removes the LM
 terms entirely.
 
 Hypotheses live in collapsed-prefix space: per prefix the search keeps
-separate log scores for paths ending in blank and in a non-blank.  The
-beam is held as arrays (those two scores, the last id and the LM row of
-each prefix), so one frame scores all B x (L-1) extensions in one array
-expression.  An extension can only coincide with a prefix already in the
-beam when it extends that prefix's parent, so each merged score has at most
-two log-sum-exp terms.  Survivors are the beam_width best candidates by
-(-score, prefix): np.argpartition finds the cutoff score, and only the
-candidates tied at the cutoff compare their id sequences.  LM rows are
-cached per decode by LM state, the last order-1 ids of BOS + prefix
-(as KenLM keys its states), so prefixes sharing a suffix share one query."""
+separate log scores for paths ending in blank and in a non-blank.  A
+prefix is an integer node of a trie built during the decode, which stores
+each node's parent, last id and LM state id; a (parent, id) dict gives a
+prefix the same node when it leaves the beam and comes back.  The beam is
+three arrays: node ids and the two scores.  One frame scores every
+candidate in one flat array of n x L entries: entry j * L is beam prefix j
+itself and entry j * L + c its extension by id c, NaN where no path
+reaches it.  An extension can only coincide with a prefix already in the
+beam when it extends that prefix's parent, a gather through the parent
+ids, so each merged score has at most two log-sum-exp terms.  Survivors
+are the beam_width best candidates by (-score, prefix): np.partition finds
+the cutoff score, and only the candidates tied at the cutoff spell out
+their id sequences.  An LM state is the last order-1 ids of BOS + prefix
+(as KenLM keys its states); each state seen in a decode gets an id and one
+next_log_probs row of a table, so the beam's LM rows are one gather."""
 
 from __future__ import annotations
 
@@ -116,80 +121,97 @@ def lm_beam_decode(posteriors, lm: NgramLM | None, priors,
             raise NumericError(f"emission_weight {cfg.emission_weight:g} and prior_scale "
                                f"{cfg.prior_scale:g} overflow the scaled emissions")
 
-    if lm is not None:
-        bos, keep = lm.vocab.bos_id, lm.order - 1
-        lm_cache: dict[tuple[int, ...], np.ndarray] = {}
+    # the trie: node 0 is the empty prefix.  Per node, info holds its
+    # parent node, last id and LM state id; child maps parent * L + id to a
+    # node, so a prefix that leaves the beam and comes back keeps its node
+    info = np.zeros((256, 3), dtype=np.intp)
+    info[0, 0] = -1
+    child: dict[int, int] = {}
+    if lm is not None:  # LM states, their ids, and one LM row per state id
+        eos, keep = lm.vocab.eos_id, lm.order - 1
+        states = [(lm.vocab.bos_id,) if keep else ()]
+        state_id = {states[0]: 0}
+        table = np.empty((16, lm.vocab.size))
+        table[0] = lm.next_log_probs(states[0])
 
-        def lm_rows(prefixes):
-            rows = []
-            for prefix in prefixes:
-                state = ((bos,) + prefix)[-keep:] if keep else ()
-                v = lm_cache.get(state)
-                if v is None:
-                    v = lm_cache[state] = lm.next_log_probs(state)
-                rows.append(v)
-            return np.array(rows)
+    def node_of(p: int, c: int) -> int:
+        nonlocal info, table
+        node = child.get(p * L + c)
+        if node is None:
+            node = child[p * L + c] = len(child) + 1
+            if node == len(info):
+                info = np.concatenate([info, np.empty_like(info)])
+            sid = 0
+            if lm is not None:
+                state = (states[info[p, 2]] + (c,))[-keep:] if keep else ()
+                sid = state_id.setdefault(state, len(states))
+                if sid == len(states):
+                    if sid == len(table):
+                        table = np.concatenate([table, np.empty_like(table)])
+                    table[sid] = lm.next_log_probs(state)
+                    states.append(state)
+            info[node] = p, c, sid
+        return node
 
-    # the beam: prefixes, log scores of their paths ending in blank (pb) and
-    # in a non-blank (pnb), last id (blank for the empty prefix), LM rows
-    prefixes: list[tuple[int, ...]] = [()]
+    def spell(node: int) -> tuple[int, ...]:
+        ids = []
+        while node:
+            node, c, _ = info[node].tolist()
+            ids.append(c)
+        return tuple(ids[::-1])
+
+    # the beam: node ids, and log scores of their paths ending in blank (pb)
+    # and in a non-blank (pnb)
+    nodes = np.zeros(1, dtype=np.intp)
     pb, pnb = np.zeros(1), np.full(1, _NEG_INF)
-    last = np.zeros(1, dtype=np.intp)
-    if lm is not None:
-        lm_next = lm_rows(prefixes)
-    labels = np.arange(1, L)
+    labels, width = np.arange(1, L), cfg.beam_width
     for t in range(T):
-        n = len(prefixes)
+        n = len(nodes)
+        parent, last, sid = info[nodes].T
         tot = np.logaddexp(pb, pnb)
         blank = tot + emis[t, BLANK_ID]
         # repeating the last id keeps the prefix (the empty prefix has pnb = -inf)
         rep = pnb + emis[t, last]
         # extending with the last id needs a blank gap, so only pb counts
         base = np.where(labels == last[:, None], pb[:, None], tot[:, None])
-        ext = base + (emis[t, 1:] if lm is None else emis[t, 1:] + lm_next[:, 1:L])
-        live = base != _NEG_INF
-        # p + (c,) is a prefix already in the beam only when p is its parent;
-        # an extension that does not exist is -inf and adds nothing
-        index = {p: i for i, p in enumerate(prefixes)}
-        kids = [(i, j) for i, p in enumerate(prefixes)
-                if p and (j := index.get(p[:-1])) is not None]
-        if kids:
-            i, j = np.array(kids).T
-            rep[i] = np.logaddexp(rep[i], ext[j, last[i] - 1])
-            live[j, last[i] - 1] = False
+        # candidate (j, c) is beam prefix j itself for c = 0 and its extension
+        # by id c otherwise; nb holds its non-blank log score
+        nb = np.empty((n, L))
+        ext = nb[:, 1:]
+        np.add(base, emis[t, 1:] if lm is None else emis[t, 1:] + table[sid, 1:L], out=ext)
+        # extension (j, c) is beam prefix i when j is i's parent and c its
+        # last id; pos maps a node to its beam slot and is -1 elsewhere, in
+        # the last entry too, which the empty prefix's parent -1 reads
+        pos = np.full(len(child) + 2, -1, dtype=np.intp)
+        pos[nodes] = np.arange(n)
+        j = pos[parent]
+        kid = j >= 0
+        j, c = j[kid], last[kid]
+        rep[kid] = np.logaddexp(rep[kid], nb[j, c])
+        # an extension that does not exist is NaN, and never survives
+        ext[base == _NEG_INF] = np.nan
+        nb[j, c] = np.nan
+        nb[:, 0] = rep
+        neg = -nb.ravel()
+        neg[::L] = -np.logaddexp(blank, rep)
 
-        # candidates: every beam prefix, then every new extension (row j, id c)
-        j, c = np.nonzero(live)
-        b = np.concatenate([blank, np.full(len(j), _NEG_INF)])
-        nb = np.concatenate([rep, ext[j, c]])
-        src = np.concatenate([np.arange(n), j])
-        ends = np.concatenate([last, c + 1])
-
-        def prefix_of(k):
-            return prefixes[src[k]] + ((int(ends[k]),) if k >= n else ())
-
-        chosen = np.arange(len(nb))
-        if len(nb) > cfg.beam_width:
-            chosen = _best(np.logaddexp(b, nb), cfg.beam_width, prefix_of)
-        prefixes = [prefix_of(k) for k in chosen.tolist()]
-        pb, pnb, last = b[chosen], nb[chosen], ends[chosen]
-        if lm is not None:
-            lm_next = lm_rows(prefixes)
+        # survivors: the beam_width best by (-score, prefix)
+        k = min(width, len(neg))
+        cut = np.partition(neg, k - 1)[k - 1]
+        # NaNs sort last, so a NaN cutoff means every live candidate fits
+        chosen = np.flatnonzero(neg <= cut if cut == cut else neg == neg)
+        if len(chosen) > width:  # only the candidates tied at the cutoff compare prefixes
+            tied = chosen[neg[chosen] == cut].tolist()
+            tied.sort(key=lambda x: spell(nodes[x // L]) + ((x % L,) if x % L else ()))
+            chosen = np.concatenate([chosen[neg[chosen] < cut], tied])[:width]
+        src, c = np.divmod(chosen, L)
+        nodes, grown = nodes[src], np.flatnonzero(c)
+        pb, pnb = blank[src], nb.ravel()[chosen]
+        pb[grown] = _NEG_INF
+        nodes[grown] = [node_of(p, x) for p, x in zip(nodes[grown].tolist(), c[grown].tolist())]
 
     score = np.logaddexp(pb, pnb)
     if lm is not None:
-        score = score + lm_next[:, lm.vocab.eos_id]
-    k = min(np.flatnonzero(score == score.max()), key=prefixes.__getitem__)
-    return prefixes[k], float(score[k])
-
-
-def _best(score, k: int, prefix_of) -> np.ndarray:
-    """Indices of the k best candidates by (-score, prefix).  Only the
-    candidates tied at the cutoff score need their prefixes compared."""
-    neg = -score
-    cut = neg[np.argpartition(neg, k - 1)[k - 1]]
-    above = np.flatnonzero(neg < cut)
-    tied = np.flatnonzero(neg == cut)
-    if len(above) + len(tied) > k:
-        tied = sorted(tied, key=prefix_of)[:k - len(above)]
-    return np.concatenate([above, tied])
+        score = score + table[info[nodes, 2], eos]
+    k = min(np.flatnonzero(score == score.max()).tolist(), key=lambda x: spell(nodes[x]))
+    return spell(nodes[k]), float(score[k])

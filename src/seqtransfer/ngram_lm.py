@@ -286,8 +286,8 @@ def load_arpa(path) -> NgramLM:
     order = max(declared)
 
     # first pass: collect token-form entries per section
-    sections: dict[int, list[tuple[float, tuple[str, ...], float | None]]] = {}
-    k = None
+    sections: dict[int, list[tuple[float, list[str], float | None]]] = {}
+    k = entries = None
     for line in raw[pos:]:
         s = line.strip()
         if not s:
@@ -302,7 +302,7 @@ def load_arpa(path) -> NgramLM:
                 raise FormatError(f"{path}: bad section marker {s!r}") from None
             if k not in declared:
                 raise FormatError(f"{path}: section {k} was not declared")
-            sections[k] = []
+            entries = sections[k] = []
             continue
         if k is None:
             raise FormatError(f"{path}: entry outside any section: {s!r}")
@@ -315,15 +315,15 @@ def load_arpa(path) -> NgramLM:
         except ValueError:
             raise FormatError(f"{path}: non-numeric field in {k}-gram entry {s!r}") from None
         # -inf is a zero probability or backoff weight; NaN and +inf mean nothing
-        if not all(x < math.inf for x in (lp, bo) if x is not None):
+        if not lp < math.inf or (bo is not None and not bo < math.inf):
             raise FormatError(f"{path}: NaN or +inf field in {k}-gram entry {s!r}")
         # a backoff weight may exceed 1, a probability may not
         if lp > 0.0:
             raise FormatError(f"{path}: positive log10 probability in {k}-gram entry {s!r}")
-        toks = tuple(fields[1].split(" "))
+        toks = fields[1].split(" ")
         if len(toks) != k:
             raise FormatError(f"{path}: {k}-gram entry has {len(toks)} tokens: {s!r}")
-        sections[k].append((lp, toks, bo))
+        entries.append((lp, toks, bo))
 
     for k in declared:
         got = len(sections.get(k, []))
@@ -332,8 +332,7 @@ def load_arpa(path) -> NgramLM:
                 f"{path}: {k}-grams section has {got} entries, header declared {declared[k]}")
 
     chars = set()
-    for lp, toks, bo in sections.get(1, []):
-        t = toks[0]
+    for lp, (t,), bo in sections.get(1, []):
         if t in (BOS_TOKEN, EOS_TOKEN):
             continue
         c = _TOKEN_UNESCAPES.get(t, t)
@@ -344,30 +343,25 @@ def load_arpa(path) -> NgramLM:
         raise FormatError(f"{path}: unigram section declares no characters")
     vocab = Vocabulary(chars)
 
-    def id_of_token(t: str, k: int) -> int:
-        if t == BOS_TOKEN:
-            return vocab.bos_id
-        if t == EOS_TOKEN:
-            return vocab.eos_id
-        c = _TOKEN_UNESCAPES.get(t, t)
-        if c not in vocab:
-            raise FormatError(f"{path}: token {t!r} in the {k}-grams section "
-                              "never appeared as a unigram")
-        return vocab.id_of(c)
-
+    # second pass: every token through one dict
+    bos = vocab.bos_id
+    ids = {_CHAR_ESCAPES.get(c, c): vocab.id_of(c) for c in vocab.chars}
+    ids.update({BOS_TOKEN: bos, EOS_TOKEN: vocab.eos_id})
     probs: dict[tuple[int, ...], float] = {}
     backoffs: dict[tuple[int, ...], float] = {}
-    seen: set[tuple[int, ...]] = set()
     for k, entries in sections.items():
         for lp, toks, bo in entries:
-            gram = tuple(id_of_token(t, k) for t in toks)
-            if gram in seen:
+            try:
+                gram = tuple(map(ids.__getitem__, toks))
+            except KeyError as e:
+                raise FormatError(f"{path}: token {e.args[0]!r} in the {k}-grams section "
+                                  "never appeared as a unigram") from None
+            if gram in probs:
                 raise FormatError(f"{path}: {k}-gram {' '.join(toks)!r} appears twice")
-            seen.add(gram)
-            if not (gram == (vocab.bos_id,) and k == 1):
-                probs[gram] = lp
+            probs[gram] = lp
             if bo is not None:
                 backoffs[gram] = bo
+    probs.pop((bos,), None)  # BOS is never predicted; its unigram only carries a backoff
 
     for c in tuple(range(1, vocab.emit_size)) + (vocab.eos_id,):
         if (c,) not in probs:

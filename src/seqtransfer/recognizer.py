@@ -150,12 +150,13 @@ def _scan_grad(deltas: np.ndarray, states: list, hs: list, w: np.ndarray, u: np.
         yield dl.T @ h, dl.T @ prev, dl.sum(axis=0), dl @ w
 
 
-def forward(model: Recognizer, frames):
+def forward(model: Recognizer, frames, aux: bool = True):
     """Run the model over a T x D frame matrix: the batch of one of
     forward_batch.  Returns (aux, main, cache): the two log-posterior
-    matrices and the intermediate activations that backward reads."""
-    aux, main, cache = forward_batch(model, [frames])
-    return aux[0], main[0], cache
+    matrices (aux is None when aux is False) and the intermediate
+    activations that backward reads."""
+    auxs, mains, cache = forward_batch(model, [frames], aux)
+    return auxs[0] if aux else None, mains[0], cache
 
 
 def forward_batch(model: Recognizer, frames: list, aux: bool = True):

@@ -218,7 +218,7 @@ def make_pseudo_label(model: Recognizer, frames, lm: NgramLM | None,
                       priors, dcfg: DecoderConfig) -> tuple[int, ...] | None:
     """Beam-decode the main head into a label sequence; None marks an empty
     decode, the signal to leave this sample out of the batch."""
-    _, main, _ = forward(model, frames)
+    _, main, _ = forward(model, frames, aux=False)
     ids, _ = lm_beam_decode(main, lm, priors, dcfg)
     return ids if ids else None
 

@@ -41,6 +41,20 @@ def ctc_loss_bruteforce(post, labels) -> float:
     return max(0.0, -float(total))
 
 
+def edit_distance_reference(a: str, b: str) -> int:
+    """Levenshtein distance by the textbook O(|a| * |b|) dynamic program,
+    one table row at a time."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i] + [0] * len(b)
+        for j, cb in enumerate(b, start=1):
+            cur[j] = min(prev[j] + 1,
+                         cur[j - 1] + 1,
+                         prev[j - 1] + (ca != cb))
+        prev = cur
+    return prev[len(b)]
+
+
 def arpa_cond_reference(lm, next_id, context_ids) -> float:
     """Natural-log p(next_id | context_ids) by the ARPA backoff rule, one
     scalar lookup at a time and independent of NgramLM's own walk: the

@@ -266,16 +266,10 @@ def test_realistic_decodes_match_recorded_output():
 # -- the array-native search against the scalar reference ----------------------------
 
 REFERENCE_LMS = [build_lm(["abcab", "cab", "bca a", "aab c"], order=order, discount=0.1)
-                 for order in (1, 3)]
+                 for order in (1, 3, 5)]
 
 
-@settings(max_examples=300, deadline=None)
-@given(T=st.integers(1, 20), beam=st.sampled_from([1, 2, 3, 8, 64]),
-       lm=st.sampled_from([None] + REFERENCE_LMS),
-       rows=st.sampled_from(["peaked", "flat", "-inf", "uniform"]),
-       w=st.sampled_from([0.0, 0.4, 1.0]), alpha=st.sampled_from([0.0, 0.5]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_decoder_equals_scalar_reference(T, beam, lm, rows, w, alpha, seed):
+def _reference_case(T, lm, rows, w, alpha, beam, seed):
     rng = np.random.default_rng(seed)
     L = REFERENCE_LMS[0].vocab.emit_size
     logits = rng.normal(0.0, 0.3 if rows == "flat" else 4.0, (T, L))
@@ -287,11 +281,56 @@ def test_decoder_equals_scalar_reference(T, beam, lm, rows, w, alpha, seed):
         logits[dead] = -math.inf
     post = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
     priors = estimate_priors([post])
-    cfg = DecoderConfig(emission_weight=w, prior_scale=alpha, beam_width=beam)
+    return post, priors, DecoderConfig(emission_weight=w, prior_scale=alpha, beam_width=beam)
+
+
+# narrow beams over long inputs, where prefixes leave the beam and come back
+_SHAPES = st.one_of(st.tuples(st.integers(1, 60), st.sampled_from([1, 2, 3])),
+                    st.tuples(st.integers(1, 20), st.sampled_from([8, 64])))
+_ROWS = st.sampled_from(["peaked", "flat", "-inf", "uniform"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=_SHAPES, lm=st.sampled_from([None] + REFERENCE_LMS), rows=_ROWS,
+       w=st.sampled_from([0.0, 0.4, 1.0]), alpha=st.sampled_from([0.0, 0.5]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_decoder_equals_scalar_reference(shape, lm, rows, w, alpha, seed):
+    T, beam = shape
+    post, priors, cfg = _reference_case(T, lm, rows, w, alpha, beam, seed)
     ids, score = lm_beam_decode(post, lm, priors, cfg)
     want_ids, want_score = beam_decode_reference(post, lm, priors, cfg)
     assert ids == want_ids
     assert score == want_score
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=_SHAPES, lm=st.sampled_from(REFERENCE_LMS), rows=_ROWS,
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_decode_queries_each_lm_state_once(shape, lm, rows, seed):
+    T, beam = shape
+    post, priors, cfg = _reference_case(T, lm, rows, 0.4, 0.5, beam, seed)
+    query = lm.next_log_probs
+    keep = lm.order - 1
+
+    def states_queried(decode):
+        seen = []
+
+        def counted(ctx):
+            seen.append(tuple(ctx)[-keep:] if keep else ())
+            return query(ctx)
+
+        lm.next_log_probs = counted
+        try:
+            decode(post, lm, priors, cfg)
+        finally:
+            del lm.next_log_probs
+        return seen
+
+    seen = states_queried(lm_beam_decode)
+    # one query per distinct state, and exactly the states of the prefixes
+    # the reference search held in its beam
+    assert len(seen) == len(set(seen))
+    assert set(seen) == set(states_queried(beam_decode_reference))
 
 
 def test_zero_emission_weight_keeps_impossible_labels_out():

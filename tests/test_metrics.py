@@ -1,12 +1,19 @@
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqtransfer import cer, edit_distance, write_report
+from conftest import edit_distance_reference
 
 texts = st.text(alphabet=string.ascii_lowercase, max_size=12)
+# short and long strings over a small alphabet with non-ASCII characters (so
+# that matches are common), and short strings over any characters
+_FEW = "ab\u00e9\u20ac\U0001f600 "
+oracle_texts = st.one_of(st.text(alphabet=_FEW, max_size=20),
+                         st.text(alphabet=_FEW, min_size=60, max_size=200),
+                         st.text(max_size=12))
 
 
 def test_identical_strings():
@@ -25,6 +32,17 @@ def test_kitten_sitting():
 
 def test_single_substitution():
     assert edit_distance("abcd", "abxd") == 1
+
+
+@settings(max_examples=400)
+@given(oracle_texts, oracle_texts)
+@example("", "")
+@example("", "\u00e9" * 70)
+@example("a" * 64, "a" * 63 + "b")
+@example("ab" * 40, "ba" * 33)
+@example("x" * 130, "")
+def test_edit_distance_equals_dynamic_program(a, b):
+    assert edit_distance(a, b) == edit_distance_reference(a, b)
 
 
 @given(texts, texts)

@@ -324,6 +324,71 @@ def test_arpa_count_mismatch(tmp_path):
         load_arpa(tmp_path / "bad.arpa")
 
 
+_SMALL_ARPA = """\\data\\
+ngram 1=4
+ngram 2=1
+
+\\1-grams:
+-0.5\ta
+-0.6\tb
+-0.7\t</s>
+-99\t<s>\t-0.3
+
+\\2-grams:
+-0.2\ta b
+
+\\end\\
+"""
+
+# One malformed file per load_arpa check: (replace this, with that, the
+# start of the message).  Each edit of _SMALL_ARPA breaks exactly one rule.
+ARPA_FAULTS = {
+    "no_header": ("\\data\\\n", "", "missing \\data\\ header"),
+    "header_prefix": ("ngram 2=1", "ngrams 2=1", "bad header line 'ngrams 2=1'"),
+    "header_number": ("ngram 2=1", "ngram 2=x", "bad header line 'ngram 2=x'"),
+    "header_gap": ("ngram 2=1", "ngram 3=1", "header must declare orders 1..N"),
+    "section_marker": ("\\2-grams:", "\\two-grams:", "bad section marker '\\\\two-grams:'"),
+    "section_undeclared": ("\\end\\", "\\3-grams:\n\\end\\", "section 3 was not declared"),
+    "outside_section": ("\\end\\\n", "\\end\\\n-0.1\ta\n",
+                        "entry outside any section: '-0.1\\ta'"),
+    "field_count": ("-0.2\ta b", "-0.2\ta b\t-0.1\t0", "2-gram entry needs 2 or 3 fields"),
+    "non_numeric": ("-0.2\ta b", "x\ta b", "non-numeric field in 2-gram entry"),
+    "nan_backoff": ("<s>\t-0.3", "<s>\tnan", "NaN or +inf field in 1-gram entry"),
+    "positive": ("-0.2\ta b", "0.2\ta b", "positive log10 probability in 2-gram entry"),
+    "token_count": ("-0.2\ta b", "-0.2\ta b a", "2-gram entry has 3 tokens"),
+    "entry_count": ("ngram 2=1", "ngram 2=2", "2-grams section has 1 entries, header declared 2"),
+    "long_unigram": ("-0.6\tb\n", "-0.6\tb\n-0.6\tbb\n",
+                     "unigram token 'bb' is not a single character"),
+    "no_characters": ("-0.5\ta\n-0.6\tb\n", "", "unigram section declares no characters"),
+    "unknown_token": ("-0.2\ta b", "-0.2\ta c",
+                      "token 'c' in the 2-grams section never appeared as a unigram"),
+    "duplicate": ("-0.2\ta b", "-0.2\ta b\n-0.3\ta b", "2-gram 'a b' appears twice"),
+    "missing_usable": ("-0.7\t</s>\n", "", "unigram section is missing a usable symbol"),
+}
+# the counts the header must declare after each edit, where it changed
+_FAULT_COUNTS = {"long_unigram": (5, 1), "no_characters": (2, 1), "duplicate": (4, 2),
+                 "missing_usable": (3, 1)}
+
+
+@pytest.mark.parametrize("case", sorted(ARPA_FAULTS))
+def test_arpa_fault_messages(tmp_path, case):
+    old, new, message = ARPA_FAULTS[case]
+    assert old in _SMALL_ARPA
+    text = _SMALL_ARPA.replace(old, new, 1)
+    if case in _FAULT_COUNTS:
+        n1, n2 = _FAULT_COUNTS[case]
+        text = text.replace("ngram 1=4\nngram 2=1", f"ngram 1={n1}\nngram 2={n2}", 1)
+    path = tmp_path / f"{case}.arpa"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError, match="^" + re.escape(f"{path}: {message}")):
+        load_arpa(path)
+
+
+def test_arpa_fault_table_base_file_loads(tmp_path):
+    (tmp_path / "m.arpa").write_text(_SMALL_ARPA, encoding="utf-8")
+    assert load_arpa(tmp_path / "m.arpa").order == 2
+
+
 def test_loaded_model_round_trips_again(tmp_path):
     lm = build_lm(["the the the"], order=3, discount=0.1)
     save_arpa(lm, tmp_path / "a.arpa")

@@ -89,6 +89,9 @@ def test_forward_is_deterministic(rng):
     a1, m1, _ = forward(m, frames)
     a2, m2, _ = forward(m, frames)
     assert np.array_equal(a1, a2) and np.array_equal(m1, m2)
+    # the forward-only decode paths skip the aux head; main is unchanged
+    a3, m3, _ = forward(m, frames, aux=False)
+    assert a3 is None and np.array_equal(m1, m3)
 
 
 def test_forward_rejects_bad_frames(rng):

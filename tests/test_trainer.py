@@ -220,9 +220,8 @@ def test_non_finite_loss_raises(rng, monkeypatch):
 def fixed_posterior_forward(main_rows):
     main = np.log(np.asarray(main_rows, dtype=np.float64))
 
-    def fake(model, frames):
-        aux = np.full_like(main, -np.log(main.shape[1]))
-        return aux, main, None
+    def fake(model, frames, aux=True):
+        return np.full_like(main, -np.log(main.shape[1])) if aux else None, main, None
 
     return fake
 

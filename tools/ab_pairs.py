@@ -1,0 +1,164 @@
+"""Paired benchmark runs of a parent commit against the working tree.
+
+    python3 tools/ab_pairs.py PARENT WORKLOAD [--pairs N] [--seed S]
+
+PARENT is any git revision of this repository.  The script extracts it with
+`git archive`, and copies the working tree (tracked and untracked files that
+git does not ignore), each into a temporary directory.  It then runs
+`perfbench/run.py --trace 0`, at its default run length, on each side in
+turn, N times, swapping which side goes first from one pair to the next.
+For every end-to-end metric that BENCHMARK.json declares, it prints both
+medians, the parent's interquartile range, the ratio of the medians and
+the number of pairs the working tree won.  It also says whether every
+output digest was the same on both sides, and lists failed calls.  Each
+pair's values go to stderr as the runs finish.  It writes nothing inside
+the repository; the temporary directory is removed at the end.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", help="git revision to compare against")
+    p.add_argument("workload")
+    p.add_argument("--pairs", type=int, default=5)
+    p.add_argument("--seed", type=int, default=1)
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be >= 1")
+    return args
+
+
+def extract(parent: str, dest: Path) -> None:
+    """The parent revision into dest/parent, the working tree into dest/change."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest / "parent", filter="data")
+    listed = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        capture_output=True, check=True).stdout.decode().split("\0")
+    for name in filter(None, listed):
+        src = ROOT / name
+        if src.is_file():  # a tracked file deleted in the working tree is skipped
+            (dest / "change" / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / "change" / name)
+
+
+def run_side(tree: Path, work: Path, args) -> dict:
+    """One perfbench run: {"record": ..., "result": ...} from its last two lines."""
+    argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", args.workload,
+            "--seed", str(args.seed), "--trace", "0", "--workdir", str(work)]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        raise RuntimeError(f"{tree.name}: run.py exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-500:]}")
+    return {"record": json.loads(lines[-2])["record"], "result": json.loads(lines[-1])}
+
+
+def iqr(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> list[dict]:
+    """One row per end-to-end metric over the paired runs (runs[side][i] is
+    pair i's run of that side)."""
+    rows = []
+    for spec in end_to_end:
+        name, higher = spec["name"], spec["better"] == "higher"
+        vals = {side: [r["result"]["metrics"][name]["value"] for r in runs[side]]
+                for side in SIDES}
+        parent_med, change_med = (statistics.median(vals[s]) for s in SIDES)
+        won = sum((c > p) if higher else (c < p) for p, c in zip(vals["parent"], vals["change"]))
+        gain = change_med - parent_med if higher else parent_med - change_med
+        rows.append({"metric": name, "unit": spec["unit"], "better": spec["better"],
+                     "parent": parent_med, "change": change_med,
+                     "parent_iqr": iqr(vals["parent"]),
+                     "ratio": change_med / parent_med if parent_med else float("nan"),
+                     "won": won, "pairs": len(vals["parent"]),
+                     "beyond_iqr": gain > iqr(vals["parent"])})
+    return rows
+
+
+def digest_mismatches(runs: dict[str, list[dict]]) -> list[str]:
+    """Digest keys whose values are not one and the same on both sides."""
+    values: dict[str, dict[str, set]] = {}
+    for side in SIDES:
+        for run in runs[side]:
+            for key, seen in run["record"]["digests"].items():
+                values.setdefault(key, {s: set() for s in SIDES})[side].update(seen)
+    return sorted(key for key, by_side in values.items()
+                  if len(by_side["parent"] | by_side["change"]) != 1
+                  or not by_side["parent"] or not by_side["change"])
+
+
+def report(runs: dict[str, list[dict]], end_to_end: list[dict]) -> str:
+    out = [f"{'metric':<14}{'parent':>12}{'change':>12}{'parent IQR':>12}"
+           f"{'ratio':>8}{'won':>8}  beyond IQR"]
+    for r in summarize(runs, end_to_end):
+        out.append(f"{r['metric']:<14}{r['parent']:>12.4g}{r['change']:>12.4g}"
+                   f"{r['parent_iqr']:>12.4g}{r['ratio']:>8.3f}{r['won']:>5}/{r['pairs']:<2}"
+                   f"  {'yes' if r['beyond_iqr'] else 'no'}  ({r['better']} is better)")
+    bad = digest_mismatches(runs)
+    out.append("digests: all equal between the sides" if not bad
+               else f"digests: differ for {', '.join(bad)}")
+    for side in SIDES:
+        failed = sum(r["result"]["failed"] for r in runs[side])
+        wrong = sum(not r["result"]["correct"] for r in runs[side])
+        if failed or wrong:
+            out.append(f"{side}: {failed} failed calls, {wrong} runs with problems")
+    return "\n".join(out)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    if args.workload not in {w["name"] for w in spec["workloads"]}:
+        print(f"error: unknown workload {args.workload!r}", file=sys.stderr)
+        return 2
+    tmp = Path(tempfile.mkdtemp(prefix="ab_pairs-"))
+    try:
+        extract(args.parent, tmp)
+        runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+        for i in range(args.pairs):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                runs[side].append(run_side(tmp / side, tmp / "work", args))
+            p, c = (runs[side][-1]["result"]["metrics"] for side in SIDES)
+            values = ", ".join(f"{n} {p[n]['value']:.6g} -> {c[n]['value']:.6g}"
+                               for n in (m["name"] for m in spec["end_to_end"]))
+            print(f"pair {i + 1}/{args.pairs}: {values}", file=sys.stderr)
+    except subprocess.CalledProcessError as e:
+        print(f"error: {' '.join(e.cmd)}: {e.stderr.decode().strip()}", file=sys.stderr)
+        return 1
+    except RuntimeError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs, "
+          f"{args.parent} -> working tree")
+    print(report(runs, spec["end_to_end"]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
