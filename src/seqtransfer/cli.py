@@ -189,12 +189,12 @@ def cmd_train_source(args) -> int:
     cfg = read_config(args.config) if args.config else {}
     tcfg = _train_config(args, cfg)
     vocab = Vocabulary.load(args.vocab)
-    train = load_manifest(args.data)
+    train = load_manifest(args.data, vocab=vocab)
     rcfg = RecognizerConfig(label_count=vocab.emit_size, seed=tcfg.seed,
                             input_dim=train[0].frames.shape[1],
                             **_given(RecognizerConfig, args, cfg))
     model = init_recognizer(rcfg, vocab)
-    val = load_manifest(args.val, rcfg.input_dim) if args.val else None
+    val = _load_val(args.val, rcfg.input_dim) if args.val else None
     res = train_source(model, train, tcfg, val)
     save_checkpoint(model, args.out_checkpoint)
     if args.metrics:
@@ -203,6 +203,14 @@ def cmd_train_source(args) -> int:
     print(f"wrote {args.out_checkpoint}: final train loss {last.loss:.4f}, "
           f"train CER {last.cer:.4f}, skipped {res.skipped}")
     return 0
+
+
+def _load_val(path, width: int):
+    """A validation manifest, which needs a labeled sample to score."""
+    val = load_manifest(path, width)
+    if not val.labeled():
+        raise FormatError(f"{path}: validation manifest has no labeled sample")
+    return val
 
 
 # -- hybrid -------------------------------------------------------------------
@@ -214,10 +222,10 @@ def cmd_hybrid(args) -> int:
     model = load_checkpoint(args.init_checkpoint)
     lm_path = args.lm or cfg.get("lm")
     lm = load_arpa(lm_path) if lm_path else None
-    source = load_manifest(_require(args, "source_data", cfg), model.cfg.input_dim)
+    source = load_manifest(_require(args, "source_data", cfg), model.cfg.input_dim, model.vocab)
     target = load_manifest(_require(args, "target_data", cfg), model.cfg.input_dim)
     val_path = args.val_data or cfg.get("val_data")
-    val = load_manifest(val_path, model.cfg.input_dim) if val_path else None
+    val = _load_val(val_path, model.cfg.input_dim) if val_path else None
     res = hybrid_train(model, source, target, lm, tcfg, dcfg, val)
     save_checkpoint(model, args.out_checkpoint)
     if args.metrics:

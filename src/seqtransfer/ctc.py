@@ -20,18 +20,42 @@ _NEG_INF = -np.inf
 
 
 def check_posteriors(mat) -> np.ndarray:
-    """Validate a T x L log-posterior matrix and return it as an ndarray."""
-    m = np.asarray(mat)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 2:
-        raise ValueError(f"posterior matrix must be T x L with T >= 1, L >= 2, got {m.shape}")
-    if not np.all(np.isfinite(m) | (m == _NEG_INF)):
-        raise ValueError("posterior matrix contains NaN or +inf entries")
-    with np.errstate(over="ignore"):
-        row_mass = np.logaddexp.reduce(m.astype(np.float64), axis=1)
-    if np.any(np.abs(row_mass) > 1e-6):
-        worst = int(np.argmax(np.abs(row_mass)))
-        raise ValueError(f"posterior row {worst} log-sum-exps to {row_mass[worst]:.3g}, not 0")
-    return m
+    """Validate a T x L log-posterior matrix and return it as an ndarray:
+    the batch of one of check_posteriors_batch."""
+    return check_posteriors_batch([mat])[0]
+
+
+def check_posteriors_batch(mats) -> list[np.ndarray]:
+    """Validate T x L log-posterior matrices of one label count L and
+    return them as ndarrays.  Every row must be free of NaN and +inf and
+    log-sum-exp to 0 within 1e-6; one pass checks the rows of all the
+    matrices together."""
+    ms = [np.asarray(m) for m in mats]
+    for i, m in enumerate(ms):
+        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 2:
+            raise ValueError(f"posterior matrix {i} must be T x L with T >= 1, L >= 2, "
+                             f"got {m.shape}")
+        if m.shape[1] != ms[0].shape[1]:
+            raise ValueError(f"posterior matrix {i} has {m.shape[1]} labels, matrix 0 "
+                             f"{ms[0].shape[1]}: a batch must be all of one label count")
+    if not ms:
+        return ms
+    # log-sum-exp shifted by the row max: NaN exactly where a row holds NaN
+    # or +inf; an all -inf row keeps shift 0 and sums to log 0 = -inf
+    rows = np.concatenate(ms, dtype=np.float64)
+    top = rows.max(axis=1)
+    top[top == _NEG_INF] = 0.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rows -= top[:, None]
+        mass = np.log(np.exp(rows, out=rows).sum(axis=1)) + top
+    worst = int(np.argmax(np.abs(mass)))  # argmax stops at the first NaN
+    if not abs(mass[worst]) <= 1e-6:
+        ends = np.cumsum([len(m) for m in ms])
+        i = int(np.searchsorted(ends, worst, side="right"))
+        where = f"posterior matrix {i} row {worst - ends[i] + len(ms[i])}"
+        raise ValueError(f"{where} contains NaN or +inf entries" if np.isnan(mass[worst])
+                         else f"{where} log-sum-exps to {mass[worst]:.3g}, not 0")
+    return ms
 
 
 def collapse(frame_labels: Sequence[int]) -> tuple[int, ...]:
@@ -53,9 +77,20 @@ def min_frames(labels: Sequence[int]) -> int:
 
 
 def greedy_decode(posteriors) -> tuple[int, ...]:
-    """Collapse of the per-frame argmax; ties go to the lowest label id."""
-    m = check_posteriors(posteriors)
-    return collapse(np.argmax(m, axis=1).tolist())
+    """Collapse of the per-frame argmax; ties go to the lowest label id.
+    The batch of one of greedy_decode_batch."""
+    return greedy_decode_batch([posteriors])[0]
+
+
+def greedy_decode_batch(mats) -> list[tuple[int, ...]]:
+    """greedy_decode of each posterior matrix, with one argmax over the
+    rows of all of them."""
+    ms = check_posteriors_batch(mats)
+    if not ms:
+        return []
+    best = np.argmax(np.concatenate(ms), axis=1).tolist()
+    bounds = np.cumsum([0] + [len(m) for m in ms]).tolist()
+    return [collapse(best[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _check_labels(labels: Sequence[int], label_count: int) -> tuple[int, ...]:
@@ -94,6 +129,18 @@ def _alpha(em: np.ndarray, z: np.ndarray) -> np.ndarray:
     return alpha
 
 
+def _occupancy(gamma: np.ndarray, z: np.ndarray, label_count: int) -> np.ndarray:
+    """T x N x label_count log occupancy of each label: the logaddexp of
+    gamma (T x N x S) over the label's positions in z (N x S), in order.
+    One position of every lattice at a time, whose labels sit in distinct
+    lanes; a padding position is a blank at -inf, which adds nothing."""
+    occ = np.full(gamma.shape[:2] + (label_count,), _NEG_INF, dtype=gamma.dtype)
+    lanes = np.arange(len(z))
+    for s in range(z.shape[1]):
+        occ[:, lanes, z[:, s]] = np.logaddexp(occ[:, lanes, z[:, s]], gamma[:, :, s])
+    return occ
+
+
 def ctc_loss(posteriors, labels: Sequence[int]) -> tuple[float, np.ndarray]:
     """Forward-backward CTC loss and its gradient with respect to logits:
     the batch of one of ctc_loss_batch.
@@ -110,17 +157,16 @@ def ctc_loss_batch(posteriors: Sequence, labels: Sequence[Sequence[int]]
     losses and an N x max(T) x L gradient array, zero past each matrix's T
     rows; padding with -inf, which logaddexp passes through exactly, keeps
     every result bit-identical to its batch of one."""
-    posts, ys = [], []
-    for mat, lab in zip(posteriors, labels, strict=True):
-        post = check_posteriors(mat)
+    posts = check_posteriors_batch(posteriors)
+    if not posts:
+        raise ValueError("a batch needs at least one posterior matrix, all of one label count")
+    ys = []
+    for post, lab in zip(posts, labels, strict=True):
         y = _check_labels(lab, post.shape[1])
         if post.shape[0] < min_frames(y):
             raise ValueError(f"{post.shape[0]} frames cannot align {len(y)} labels "
                              f"(need at least {min_frames(y)})")
-        posts.append(post)
         ys.append(y)
-    if not posts or any(p.shape[1] != posts[0].shape[1] for p in posts):
-        raise ValueError("a batch needs at least one posterior matrix, all of one label count")
     n, L = len(posts), posts[0].shape[1]
     T, S = np.array([len(p) for p in posts]), np.array([2 * len(y) + 1 for y in ys])
 
@@ -150,10 +196,7 @@ def ctc_loss_batch(posteriors: Sequence, labels: Sequence[Sequence[int]]
         gamma -= em
     gamma[em == _NEG_INF] = _NEG_INF
     del em
-    # occupancy of each label: logaddexp over its positions in z, in order
-    # (a padding position is a blank at -inf, which adds nothing)
-    occ = np.full((T.max(), n, L), _NEG_INF)
-    np.logaddexp.at(occ, (slice(None), lanes[:, None], zz[:n]), gamma)
+    occ = _occupancy(gamma, zz[:n], L)
     del alpha, gamma
     occ -= log_p[:, None]
     grads = np.full((n, T.max(), L), _NEG_INF)

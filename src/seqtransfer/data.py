@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
+from .vocab import Vocabulary
 
 FRAME_MAGIC = b"FRM1"
 
@@ -92,8 +93,10 @@ def write_manifest(dataset: Dataset, manifest_path) -> Path:
     return manifest_path
 
 
-def load_manifest(manifest_path, width: int | None = None) -> Dataset:
-    """Every sample's frames must be width wide, by default the first's."""
+def load_manifest(manifest_path, width: int | None = None,
+                  vocab: Vocabulary | None = None) -> Dataset:
+    """Every sample's frames must be width wide, by default the first's;
+    given a vocabulary, every transcription must use only its characters."""
     manifest_path = Path(manifest_path)
     samples = []
     with open(manifest_path, encoding="utf-8") as f:
@@ -111,6 +114,10 @@ def load_manifest(manifest_path, width: int | None = None) -> Dataset:
             if frames.shape[1] != width:
                 raise FormatError(f"{manifest_path}:{lineno}: sample {sample_id} has "
                                   f"{frames.shape[1]}-wide frames, expected {width}")
+            unknown = [c for c in text if c not in vocab] if vocab is not None else []
+            if unknown:
+                raise FormatError(f"{manifest_path}:{lineno}: sample {sample_id} has "
+                                  f"character {unknown[0]!r}, which is not in the vocabulary")
             samples.append(Sample(sample_id, frames, text if text else None))
     if not samples:
         raise FormatError(f"{manifest_path}: manifest has no rows")

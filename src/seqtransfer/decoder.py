@@ -37,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ctc import check_posteriors
+from .ctc import check_posteriors, check_posteriors_batch
 from .errors import NumericError
 from .ngram_lm import NgramLM
 from .vocab import BLANK_ID
@@ -74,21 +74,13 @@ def estimate_priors(posterior_batches: Iterable[np.ndarray],
                     floor: float = DecoderConfig.prior_floor) -> np.ndarray:
     """Mean of exp(log-posterior rows) over every frame of every matrix,
     floored and renormalized."""
-    total = None
-    frames = 0
-    for mat in posterior_batches:
-        m = check_posteriors(mat)
-        s = np.exp(m.astype(np.float64)).sum(axis=0)
-        if total is None:
-            total = s
-        elif total.shape != s.shape:
-            raise ValueError("posterior matrices disagree on label count")
-        else:
-            total += s
-        frames += m.shape[0]
-    if total is None or frames == 0:
+    mats = check_posteriors_batch(posterior_batches)
+    if not mats:
         raise ValueError("no posterior rows to estimate priors from")
-    return floor_and_renorm(total / frames, floor)
+    total = np.exp(mats[0].astype(np.float64)).sum(axis=0)
+    for m in mats[1:]:
+        total += np.exp(m.astype(np.float64)).sum(axis=0)
+    return floor_and_renorm(total / sum(len(m) for m in mats), floor)
 
 
 def check_priors(priors, label_count: int) -> np.ndarray:

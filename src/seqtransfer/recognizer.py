@@ -29,7 +29,7 @@ CHECKPOINT_MAGIC = b"SEQREC1\x00"
 @dataclass(frozen=True)
 class RecognizerConfig:
     label_count: int
-    input_dim: int = 16
+    input_dim: int
     context_radius: int = 2
     feature_dim: int = 64
     recurrent_dim: int = 32
@@ -110,44 +110,56 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _pad(rows, dtype) -> np.ndarray:
-    """Time-major, zero-padded max(T) x B x 1 x C stack of T_b x C matrices."""
-    out = np.zeros((max(map(len, rows)), len(rows), 1, rows[0].shape[1]), dtype=dtype)
-    for b, r in enumerate(rows):
-        out[:len(r), b, 0] = r
+def _pad(groups, dtype) -> np.ndarray:
+    """Time-major, zero-padded max(T) x K x B x 1 x C stack of K groups of
+    B T_b x C matrices each."""
+    out = np.zeros((max(len(r) for g in groups for r in g), len(groups), len(groups[0]), 1,
+                    groups[0][0].shape[1]), dtype=dtype)
+    for k, rows in enumerate(groups):
+        for b, r in enumerate(rows):
+            out[:len(r), k, b, 0] = r
     return out
 
 
 def _scan(drives: list, u: np.ndarray) -> list:
-    """States of the tanh recurrence s_i = tanh(drive_i + u s_{i-1}) from a
-    zero initial state, one row per row of each drive matrix.  All drives
-    step together as stacked (B, 1, R) @ (R, R) matvecs, which give the
-    same bits as one row at a time."""
-    drive = _pad(drives, drives[0].dtype)
+    """States of the two tanh recurrences s_i = tanh(drive_i + u[k] s_{i-1})
+    from a zero initial state, one row per row of each drive matrix:
+    drives[k] lists recurrence k's drive matrix per sample.  Everything
+    steps together as stacked (2, B, 1, R) @ (2, 1, R, R) matvecs, which
+    give the same bits as one recurrence and one row at a time."""
+    drive = _pad(drives, drives[0][0].dtype)
     states = np.empty_like(drive)
-    state, ut = np.zeros_like(drive[0]), u.T
+    state, ut = np.zeros_like(drive[0]), u.transpose(0, 2, 1)[:, None]
     for i in range(len(drive)):
         state = np.tanh(drive[i] + state @ ut, out=states[i])
-    return [states[:len(d), b, 0] for b, d in enumerate(drives)]
+    return [[states[:len(d), k, b, 0] for b, d in enumerate(ds)]
+            for k, ds in enumerate(drives)]
 
 
-def _scan_grad(deltas: np.ndarray, states: list, hs: list, w: np.ndarray, u: np.ndarray):
-    """Backpropagate through _scan driven by h @ w.T + b, for each sample's
-    states and h in scan order.  deltas (laid out as _pad, overwritten)
-    holds the loss gradient reaching each state from outside the recurrence,
-    each sample reversed from step 0 so that all carries step back together.
-    Yields per sample the gradients for w, u and b and the one reaching h."""
-    keep = _pad([1.0 - s[::-1].astype(np.float64) ** 2 for s in states], np.float64)
+def _scan_grad(deltas: np.ndarray, states: list, hs: list, w: list, u: np.ndarray):
+    """Backpropagate through _scan, recurrence k driven by hs[k] @ w[k].T + b,
+    for each sample's states and h in scan order.  deltas (laid out as
+    _pad, overwritten) holds the loss gradient reaching each state from
+    outside the recurrences, each sample reversed from step 0 so that all
+    carries step back together.  Yields per sample, in order, one tuple per
+    recurrence: the gradients for w, u and b and the one reaching h."""
+    keep = _pad([[1.0 - s[::-1].astype(np.float64) ** 2 for s in ss] for ss in states],
+                np.float64)
+    u = u.astype(np.float64)[:, None]
     carry = np.zeros_like(keep[0])  # d loss / d state[i] from step i+1
     for i in range(len(keep)):
         deltas[i] += carry
         deltas[i] *= keep[i]
         carry = deltas[i] @ u
     del keep
-    for b, (s, h) in enumerate(zip(states, hs)):
-        dl = np.ascontiguousarray(deltas[len(s) - 1::-1, b, 0])
-        prev = np.concatenate([np.zeros_like(s[:1]), s[:-1]])
-        yield dl.T @ h, dl.T @ prev, dl.sum(axis=0), dl @ w
+    for b in range(len(hs[0])):
+        out = []
+        for k in range(len(hs)):
+            s, h = states[k][b], hs[k][b]
+            dl = np.ascontiguousarray(deltas[len(s) - 1::-1, k, b, 0])
+            prev = np.concatenate([np.zeros_like(s[:1]), s[:-1]])
+            out.append((dl.T @ h, dl.T @ prev, dl.sum(axis=0), dl @ w[k]))
+        yield out
 
 
 def forward(model: Recognizer, frames, aux: bool = True):
@@ -177,9 +189,10 @@ def forward_batch(model: Recognizer, frames: list, aux: bool = True):
           for x in xs]
     auxs = [_log_softmax(h @ p["aux_w"].T + p["aux_b"]) for h in hs] if aux else None
 
-    fwd = _scan([h @ p["fwd_w"].T + p["fwd_b"] for h in hs], p["fwd_u"])
     # the backward recurrence is the same scan over time-flipped drives
-    bwd = _scan([(h @ p["bwd_w"].T + p["bwd_b"])[::-1] for h in hs], p["bwd_u"])
+    fwd, bwd = _scan([[h @ p["fwd_w"].T + p["fwd_b"] for h in hs],
+                      [(h @ p["bwd_w"].T + p["bwd_b"])[::-1] for h in hs]],
+                     np.stack([p["fwd_u"], p["bwd_u"]]))
     gs = [np.concatenate([f, b[::-1]], axis=1) for f, b in zip(fwd, bwd)]
     mains = [_log_softmax(g @ p["main_w"].T + p["main_b"]) for g in gs]
     return auxs, mains, {"x": xs, "h": hs, "g": gs}
@@ -202,20 +215,20 @@ def backward(model: Recognizer, cache: dict, aux_grad,
         raise ValueError("head gradients must match the posterior shapes")
 
     # the gradient reaching each recurrence's states, reversed per sample
-    d_fwd, d_bwd = np.zeros((2, shape[1], len(hs), 1, rd))
+    d = np.zeros((shape[1], 2, len(hs), 1, rd))
     for b, h in enumerate(hs):
         dg = gm[b, :len(h)] @ p["main_w"]
-        d_fwd[:len(h), b, 0], d_bwd[:len(h), b, 0] = dg[::-1, :rd], dg[:, rd:]
-    fwd = _scan_grad(d_fwd, [g[:, :rd] for g in gs], hs, p["fwd_w"], p["fwd_u"])
-    bwd = _scan_grad(d_bwd, [g[::-1, rd:] for g in gs], [h[::-1] for h in hs],
-                     p["bwd_w"], p["bwd_u"])
+        d[:len(h), 0, b, 0], d[:len(h), 1, b, 0] = dg[::-1, :rd], dg[:, rd:]
+    rec = _scan_grad(d, [[g[:, :rd] for g in gs], [g[::-1, rd:] for g in gs]],
+                     [hs, [h[::-1] for h in hs]], [p["fwd_w"], p["bwd_w"]],
+                     np.stack([p["fwd_u"], p["bwd_u"]]))
     for b, (x, h, g) in enumerate(zip(cache["x"], hs, gs)):
         ga_b, gm_b = ga[b, :len(h)], gm[b, :len(h)]
         grads = {"main_w": gm_b.T @ g, "main_b": gm_b.sum(axis=0),
                  "aux_w": ga_b.T @ h, "aux_b": ga_b.sum(axis=0)}
         dh = ga_b @ p["aux_w"]
-        grads["fwd_w"], grads["fwd_u"], grads["fwd_b"], dh_fwd = next(fwd)
-        grads["bwd_w"], grads["bwd_u"], grads["bwd_b"], dh_bwd = next(bwd)
+        ((grads["fwd_w"], grads["fwd_u"], grads["fwd_b"], dh_fwd),
+         (grads["bwd_w"], grads["bwd_u"], grads["bwd_b"], dh_bwd)) = next(rec)
         dh += dh_fwd
         dh += dh_bwd[::-1]
         delta1 = dh * (1.0 - h.astype(np.float64) ** 2)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ctc import ctc_loss_batch, greedy_decode, min_frames
+from .ctc import ctc_loss_batch, greedy_decode_batch, min_frames
 from .data import Dataset, Sample
 from .decoder import DecoderConfig, estimate_priors, lm_beam_decode
 from .errors import NumericError
@@ -155,9 +155,9 @@ def greedy_eval(model: Recognizer, samples: Sequence[Sample],
             raise ValueError(f"sample {s.sample_id} has no transcription to score against")
     hyps = []
     for lo in range(0, len(samples), batch_size):
-        chunk = [s.frames for s in samples[lo:lo + batch_size]]
-        hyps += [model.vocab.decode(greedy_decode(m))
-                 for m in forward_batch(model, chunk, aux=False)[1]]
+        mains = forward_batch(model, [s.frames for s in samples[lo:lo + batch_size]],
+                              aux=False)[1]
+        hyps += [model.vocab.decode(ids) for ids in greedy_decode_batch(mains)]
     return cer([s.transcription for s in samples], hyps).cer
 
 

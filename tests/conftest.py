@@ -21,6 +21,68 @@ def uniform_priors(label_count: int) -> np.ndarray:
     return np.full(label_count, 1.0 / label_count)
 
 
+def check_posteriors_reference(mat) -> np.ndarray:
+    """The posterior check one matrix at a time, with a sequential
+    np.logaddexp.reduce for each row's mass: the oracle for
+    check_posteriors_batch."""
+    m = np.asarray(mat)
+    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 2:
+        raise ValueError(f"posterior matrix must be T x L with T >= 1, L >= 2, got {m.shape}")
+    if not np.all(np.isfinite(m) | (m == -np.inf)):
+        raise ValueError("posterior matrix contains NaN or +inf entries")
+    with np.errstate(over="ignore"):
+        row_mass = np.logaddexp.reduce(m.astype(np.float64), axis=1)
+    if np.any(np.abs(row_mass) > 1e-6):
+        raise ValueError("posterior row does not log-sum-exp to 0")
+    return m
+
+
+def occupancy_reference(gamma, z, label_count) -> np.ndarray:
+    """Label occupancy by one unbuffered np.logaddexp.at over every
+    (frame, lattice, position) of gamma: the oracle for ctc._occupancy."""
+    occ = np.full(gamma.shape[:2] + (label_count,), -np.inf, dtype=gamma.dtype)
+    np.logaddexp.at(occ, (slice(None), np.arange(len(z))[:, None], z), gamma)
+    return occ
+
+
+def _pad_reference(rows, dtype) -> np.ndarray:
+    out = np.zeros((max(map(len, rows)), len(rows), 1, rows[0].shape[1]), dtype=dtype)
+    for b, r in enumerate(rows):
+        out[:len(r), b, 0] = r
+    return out
+
+
+def scan_reference(drives, u) -> list:
+    """One tanh recurrence s_i = tanh(drive_i + u s_{i-1}) over every
+    sample's drive, stacked as (B, 1, R) @ (R, R) matvecs: the oracle that
+    runs each of recognizer._scan's two recurrences on its own."""
+    drive = _pad_reference(drives, drives[0].dtype)
+    states = np.empty_like(drive)
+    state, ut = np.zeros_like(drive[0]), u.T
+    for i in range(len(drive)):
+        state = np.tanh(drive[i] + state @ ut, out=states[i])
+    return [states[:len(d), b, 0] for b, d in enumerate(drives)]
+
+
+def scan_grad_reference(deltas, states, hs, w, u):
+    """Backpropagation through one scan_reference recurrence, deltas laid
+    out as _pad_reference (overwritten): per sample, the gradients for w,
+    u and b and the one reaching h.  The oracle for one recurrence of
+    recognizer._scan_grad."""
+    keep = _pad_reference([1.0 - s[::-1].astype(np.float64) ** 2 for s in states], np.float64)
+    carry = np.zeros_like(keep[0])
+    for i in range(len(keep)):
+        deltas[i] += carry
+        deltas[i] *= keep[i]
+        carry = deltas[i] @ u
+    out = []
+    for b, (s, h) in enumerate(zip(states, hs)):
+        dl = np.ascontiguousarray(deltas[len(s) - 1::-1, b, 0])
+        prev = np.concatenate([np.zeros_like(s[:1]), s[:-1]])
+        out.append((dl.T @ h, dl.T @ prev, dl.sum(axis=0), dl @ w))
+    return out
+
+
 def ctc_loss_bruteforce(post, labels) -> float:
     """Reference CTC loss by explicit path enumeration.
 

@@ -64,3 +64,57 @@ def test_failed_calls_are_reported():
     runs = _runs()
     runs["change"][1] = _run(160, 40.9, failed=2)
     assert "change: 2 failed calls, 1 runs with problems" in ab_pairs.report(runs, END_TO_END)
+
+
+DECLARED = ["decode_lm", "train_source", "adapt"]
+
+
+def test_all_selects_every_workload_in_declared_order():
+    assert ab_pairs.select_workloads(["all"], DECLARED) == DECLARED
+    assert ab_pairs.select_workloads(["adapt", "decode_lm"], DECLARED) == ["decode_lm", "adapt"]
+    assert ab_pairs.select_workloads(["adapt", "adapt"], DECLARED) == ["adapt"]
+    with pytest.raises(ValueError, match="unknown workload 'nope'"):
+        ab_pairs.select_workloads(["adapt", "nope"], DECLARED)
+
+
+def test_unknown_workload_exits_two_before_any_run(monkeypatch, capsys):
+    monkeypatch.setattr(ab_pairs, "extract", lambda *a: pytest.fail("extracted"))
+    assert ab_pairs.main(["HEAD", "train_source", "nope"]) == 2
+    assert "unknown workload 'nope'" in capsys.readouterr().err
+
+
+def test_each_pair_runs_every_workload_alternating_sides(capsys):
+    calls = []
+
+    def run(side, workload):
+        calls.append((side, workload))
+        return _run(100 + len(calls), 40.0)
+
+    runs = ab_pairs.run_pairs(["decode_lm", "adapt"], 3, run, ["frames_per_s"])
+    assert calls == [("parent", "decode_lm"), ("change", "decode_lm"),
+                     ("parent", "adapt"), ("change", "adapt"),
+                     ("change", "decode_lm"), ("parent", "decode_lm"),
+                     ("change", "adapt"), ("parent", "adapt"),
+                     ("parent", "decode_lm"), ("change", "decode_lm"),
+                     ("parent", "adapt"), ("change", "adapt")]
+    fps = [[r["result"]["metrics"]["frames_per_s"]["value"] for r in runs["adapt"][side]]
+           for side in ab_pairs.SIDES]
+    assert fps == [[103, 108, 111], [104, 107, 112]]
+    err = capsys.readouterr().err.splitlines()
+    assert err[1] == "pair 1/3 adapt: frames_per_s 103 -> 104"
+    assert len(err) == 6
+
+
+def test_main_reports_each_workload(monkeypatch, capsys):
+    monkeypatch.setattr(ab_pairs, "extract", lambda parent, dest: None)
+    def run_side(tree, work, workload, seed):
+        run = _run(100, 40.0)
+        run["result"]["metrics"]["setup_s"] = {"value": 1.0, "unit": "s"}
+        return run
+
+    monkeypatch.setattr(ab_pairs, "run_side", run_side)
+    assert ab_pairs.main(["HEAD", "all", "--pairs", "2", "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    for w in DECLARED:
+        assert f"{w}, seed 7, 2 pairs, HEAD -> working tree" in out
+    assert out.count("digests: all equal between the sides") == 3

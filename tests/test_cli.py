@@ -297,6 +297,47 @@ def test_hybrid_checks_target_width_before_training(pipe, narrow, tmp_path, monk
     assert not ck.exists()
 
 
+@pytest.mark.parametrize("command", ["train-source", "hybrid"])
+def test_val_without_labeled_sample_exits_two_before_training(pipe, tmp_path, monkeypatch,
+                                                              capsys, command):
+    monkeypatch.setattr(cli, {"train-source": "train_source", "hybrid": "hybrid_train"}[command],
+                        _refuse)
+    val = pipe["data"] / "target" / "train" / "manifest.tsv"  # unlabeled
+    source = str(pipe["data"] / "source" / "train" / "manifest.tsv")
+    ck = tmp_path / "c.ckpt"
+    argv = (["train-source", "--data", source, "--val", str(val),
+             "--vocab", str(pipe["data"] / "vocab.json")] if command == "train-source" else
+            ["hybrid", "--source-data", source, "--target-data", str(val), "--val-data", str(val),
+             "--init-checkpoint", str(pipe["ck"])])
+    assert cli.main(argv + ["--out-checkpoint", str(ck)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {val}: validation manifest has no labeled sample\n"
+    assert not ck.exists()
+
+
+@pytest.mark.parametrize("command", ["train-source", "hybrid"])
+def test_training_transcription_outside_vocabulary_exits_two(pipe, tmp_path, monkeypatch,
+                                                             capsys, command):
+    monkeypatch.setattr(cli, {"train-source": "train_source", "hybrid": "hybrid_train"}[command],
+                        _refuse)
+    source = pipe["data"] / "source" / "train" / "manifest.tsv"
+    rows = [line.split("\t") for line in source.read_text(encoding="utf-8").splitlines()]
+    rows[1][2] = rows[1][2][:1] + "\u03a9" + rows[1][2][1:]
+    bad = tmp_path / "manifest.tsv"
+    bad.write_text("".join(f"{sid}\t{source.parent / rel}\t{text}\n" for sid, rel, text in rows),
+                   encoding="utf-8")
+    ck = tmp_path / "c.ckpt"
+    argv = (["train-source", "--data", str(bad), "--vocab", str(pipe["data"] / "vocab.json")]
+            if command == "train-source" else
+            ["hybrid", "--source-data", str(bad), "--init-checkpoint", str(pipe["ck"]),
+             "--target-data", str(pipe["data"] / "target" / "train" / "manifest.tsv")])
+    assert cli.main(argv + ["--out-checkpoint", str(ck)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {bad}:2: sample {rows[1][0]} has character '\u03a9', "
+                   f"which is not in the vocabulary\n")
+    assert not ck.exists()
+
+
 def test_numeric_failure_exits_three(pipe, tmp_path, monkeypatch, capsys):
     def blow_up(*a, **kw):
         raise NumericError("loss went non-finite")

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtransfer import (BLANK_ID, collapse, ctc_loss, ctc_loss_batch, greedy_decode,
-                         min_frames)
-from conftest import ctc_loss_bruteforce, random_log_posteriors
+from seqtransfer import (BLANK_ID, check_posteriors_batch, collapse, ctc_loss, ctc_loss_batch,
+                         estimate_priors, greedy_decode, greedy_decode_batch, min_frames)
+from seqtransfer.ctc import _occupancy
+from conftest import (check_posteriors_reference, ctc_loss_bruteforce, occupancy_reference,
+                      random_log_posteriors)
 
 
 def log_rows(*rows):
@@ -235,6 +237,110 @@ def test_batch_rejects_empty_and_mixed_label_counts(rng):
     with pytest.raises(ValueError, match="all of one label count"):
         ctc_loss_batch([random_log_posteriors(rng, 3, 3), random_log_posteriors(rng, 3, 4)],
                        [[1], [1]])
+
+
+# -- one pass per batch, against the per-matrix kernels it replaced ------------
+
+def _ragged_posteriors(rng, B, L, dtype):
+    mats = []
+    for _ in range(B):
+        logits = rng.normal(0.0, 2.0, (int(rng.integers(1, 60)), L))
+        logits[:, 1:][rng.random((len(logits), L - 1)) < 0.1] = -np.inf
+        mats.append((logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)).astype(dtype))
+    return mats
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("B", [1, 2, 8, 128])
+def test_batch_check_and_greedy_equal_per_matrix_oracles(rng, B, dtype):
+    mats = _ragged_posteriors(rng, B, 7, dtype)
+    got = check_posteriors_batch(mats)
+    assert [g.tobytes() for g in got] == [check_posteriors_reference(m).tobytes() for m in mats]
+    assert greedy_decode_batch(mats) == [collapse(np.argmax(m, axis=1).tolist()) for m in mats]
+    assert greedy_decode_batch(mats) == [greedy_decode(m) for m in mats]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("B", [1, 2, 8, 128])
+def test_occupancy_equals_logaddexp_at(rng, B, dtype):
+    L, T = 5, 30
+    counts = rng.integers(1, 8, size=B)
+    z = np.zeros((B, 2 * counts.max() + 1), dtype=np.int64)
+    gamma = rng.normal(-3.0, 2.0, (T, B, z.shape[1])).astype(dtype)
+    gamma[rng.random(gamma.shape) < 0.2] = -np.inf
+    for i, n in enumerate(counts):
+        z[i, 1:2 * n + 1:2] = rng.integers(1, L, size=n)  # L = 5 makes repeats common
+        gamma[:, i, 2 * n + 1:] = -np.inf  # padding positions
+        gamma[int(rng.integers(1, T + 1)):, i] = -np.inf  # padding frames
+    got = _occupancy(gamma, z, L)
+    assert got.dtype == dtype
+    assert got.tobytes() == occupancy_reference(gamma, z, L).tobytes()
+
+
+def _oracle_rejects(m) -> bool:
+    try:
+        check_posteriors_reference(m)
+    except ValueError:
+        return True
+    return False
+
+
+_DAMAGE = ["none"] * 6 + ["nan", "posinf", "all_neg_inf_row", "unnormalized", "bad_shape",
+                          "other_label_count"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_batch_check_rejects_exactly_when_an_oracle_rejects(data):
+    """A batch fails when the per-matrix oracle rejects one of its matrices
+    or its matrices disagree on the label count, and only then."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    L = data.draw(st.integers(2, 5))
+    mats = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        T = data.draw(st.integers(1, 6))
+        kind = data.draw(st.sampled_from(_DAMAGE))
+        m = random_log_posteriors(rng, T, L + (kind == "other_label_count"))
+        m[:, 1:][rng.random((T, m.shape[1] - 1)) < 0.2] = -np.inf
+        m -= np.logaddexp.reduce(m, axis=1, keepdims=True)
+        t, c = int(rng.integers(T)), int(rng.integers(L))
+        if kind in ("nan", "posinf"):
+            m[t, c] = np.nan if kind == "nan" else np.inf
+        elif kind == "all_neg_inf_row":
+            m[t] = -np.inf
+        elif kind == "unnormalized":
+            m[t] += data.draw(st.sampled_from([-1.0, -1e-3, 2e-5, 0.5]))
+        elif kind == "bad_shape":
+            m = data.draw(st.sampled_from([m[:0], m[:, :1], m[0], m[None]]))
+        mats.append(m.astype(data.draw(st.sampled_from([np.float32, np.float64]))))
+    rejected = (any(map(_oracle_rejects, mats))
+                or len({m.shape[1] for m in mats}) > 1)
+    for check in (check_posteriors_batch, greedy_decode_batch, estimate_priors):
+        if rejected:
+            with pytest.raises(ValueError):
+                check(mats)
+        else:
+            check(mats)
+
+
+def test_batch_check_names_the_matrix_and_row(rng):
+    ok = random_log_posteriors(rng, 4, 3)
+    bad = ok.copy()
+    bad[2] += 0.5
+    with pytest.raises(ValueError, match=r"^posterior matrix 2 row 2 log-sum-exps to 0.5, not 0$"):
+        check_posteriors_batch([ok, ok, bad])
+    bad = ok.copy()
+    bad[3] = -np.inf  # an all -inf row has no mass at all
+    with pytest.raises(ValueError, match=r"^posterior matrix 1 row 3 log-sum-exps to -inf"):
+        check_posteriors_batch([ok, bad, ok])
+    bad = ok.copy()
+    bad[1, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^posterior matrix 1 row 1 contains NaN or \+inf"):
+        check_posteriors_batch([ok, bad])
+    with pytest.raises(ValueError, match=r"^posterior matrix 1 must be T x L"):
+        check_posteriors_batch([ok, ok[:, :1]])
+    assert check_posteriors_batch([]) == []
+    assert greedy_decode_batch([]) == []
 
 
 # -- collapse / greedy --------------------------------------------------------

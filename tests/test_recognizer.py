@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from seqtransfer import (FormatError, Recognizer, RecognizerConfig, Vocabulary, backward,
                          ctc_loss, forward, forward_batch, init_recognizer, load_checkpoint,
                          param_shapes, save_checkpoint)
-from seqtransfer.recognizer import CHECKPOINT_MAGIC
+from seqtransfer.recognizer import CHECKPOINT_MAGIC, _scan, _scan_grad
+from conftest import scan_grad_reference, scan_reference
 
 VOCAB = Vocabulary("ab")
 
@@ -51,15 +52,15 @@ def test_weight_bounds_per_matrix():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        RecognizerConfig(label_count=1)
+        RecognizerConfig(label_count=1, input_dim=16)
     with pytest.raises(ValueError):
-        RecognizerConfig(label_count=3, feature_dim=0)
+        RecognizerConfig(label_count=3, input_dim=16, feature_dim=0)
     with pytest.raises(ValueError):
-        RecognizerConfig(label_count=3, context_radius=-1)
+        RecognizerConfig(label_count=3, input_dim=16, context_radius=-1)
 
 
 def test_label_count_tied_to_vocab():
-    cfg = RecognizerConfig(label_count=5)
+    cfg = RecognizerConfig(label_count=5, input_dim=16)
     with pytest.raises(ValueError):
         Recognizer(cfg, VOCAB, init_recognizer(
             RecognizerConfig(label_count=3, input_dim=16), VOCAB).params)
@@ -219,6 +220,33 @@ def test_forward_batch_matches_batch_of_one(dtype, lengths, seed):
         aux1, main1, _ = forward(m, f)
         assert aux.dtype == aux1.dtype and aux.tobytes() == aux1.tobytes()
         assert main.tobytes() == main1.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("B", [1, 2, 8, 128])
+def test_joint_scans_equal_one_scan_per_recurrence(rng, B, dtype):
+    """Both recurrences in one scan, forward and backward, give the bits of
+    each recurrence scanned on its own, on ragged batches."""
+    R, H = 8, 6
+    lengths = rng.integers(1, 40, size=B)
+    drives = [[rng.normal(0, 1, (t, R)).astype(dtype) for t in lengths] for _ in range(2)]
+    u = rng.uniform(-0.6, 0.6, (2, R, R)).astype(dtype)
+    states = _scan(drives, u)
+    alone = [scan_reference(drives[k], u[k]) for k in range(2)]
+    for k in range(2):
+        assert [s.tobytes() for s in states[k]] == [s.tobytes() for s in alone[k]]
+
+    hs = [[rng.normal(0, 1, (t, H)).astype(dtype) for t in lengths] for _ in range(2)]
+    w = [rng.uniform(-0.6, 0.6, (R, H)).astype(dtype) for _ in range(2)]
+    deltas = np.zeros((lengths.max(), 2, B, 1, R))
+    for k in range(2):
+        for b, t in enumerate(lengths):
+            deltas[:t, k, b, 0] = rng.normal(0, 1, (t, R))
+    want = [scan_grad_reference(deltas[:, k].copy(), states[k], hs[k], w[k], u[k])
+            for k in range(2)]
+    for b, per_recurrence in enumerate(_scan_grad(deltas, states, hs, w, u)):
+        for k, got in enumerate(per_recurrence):
+            assert [g.tobytes() for g in got] == [g.tobytes() for g in want[k][b]]
 
 
 def test_backward_shape_mismatch(rng):

@@ -1,18 +1,21 @@
 """Paired benchmark runs of a parent commit against the working tree.
 
-    python3 tools/ab_pairs.py PARENT WORKLOAD [--pairs N] [--seed S]
+    python3 tools/ab_pairs.py PARENT WORKLOAD [WORKLOAD ...] [--pairs N] [--seed S]
 
-PARENT is any git revision of this repository.  The script extracts it with
-`git archive`, and copies the working tree (tracked and untracked files that
-git does not ignore), each into a temporary directory.  It then runs
-`perfbench/run.py --trace 0`, at its default run length, on each side in
-turn, N times, swapping which side goes first from one pair to the next.
-For every end-to-end metric that BENCHMARK.json declares, it prints both
-medians, the parent's interquartile range, the ratio of the medians and
-the number of pairs the working tree won.  It also says whether every
-output digest was the same on both sides, and lists failed calls.  Each
-pair's values go to stderr as the runs finish.  It writes nothing inside
-the repository; the temporary directory is removed at the end.
+PARENT is any git revision of this repository.  WORKLOAD names a workload
+of BENCHMARK.json; `all` stands for every one of them.  The script
+extracts PARENT with `git archive`, and copies the working tree (tracked
+and untracked files that git does not ignore), each into a temporary
+directory.  It then runs `perfbench/run.py --trace 0`, at its default run
+length, N times per workload on each side.  Pair i runs every workload in
+turn, each on both sides, and swaps which side goes first from one pair to
+the next.  For every workload and every end-to-end metric that
+BENCHMARK.json declares, it prints both medians, the parent's
+interquartile range, the ratio of the medians and the number of pairs the
+working tree won.  It also says whether every output digest was the same
+on both sides, and lists failed calls.  Each pair's values go to stderr as
+the runs finish.  It writes nothing inside the repository; the temporary
+directory is removed at the end.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ SIDES = ("parent", "change")
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", help="git revision to compare against")
-    p.add_argument("workload")
+    p.add_argument("workloads", nargs="+", metavar="WORKLOAD",
+                   help="workload names, or all for every workload")
     p.add_argument("--pairs", type=int, default=5)
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
@@ -60,10 +64,35 @@ def extract(parent: str, dest: Path) -> None:
             shutil.copy2(src, dest / "change" / name)
 
 
-def run_side(tree: Path, work: Path, args) -> dict:
+def select_workloads(names: list[str], declared: list[str]) -> list[str]:
+    """The named workloads in declared order; `all` names every one.
+    Raises ValueError on a name BENCHMARK.json does not declare."""
+    unknown = sorted(set(names) - set(declared) - {"all"})
+    if unknown:
+        raise ValueError(f"unknown workload {unknown[0]!r}")
+    return [w for w in declared if "all" in names or w in names]
+
+
+def run_pairs(workloads: list[str], pairs: int, run, metrics: list[str]) -> dict:
+    """runs[workload][side][i] is run(side, workload) of pair i.  Each pair
+    runs every workload on both sides, parent first in even pairs and the
+    working tree first in odd ones, and prints the named metrics of each
+    workload to stderr."""
+    runs = {w: {side: [] for side in SIDES} for w in workloads}
+    for i in range(pairs):
+        for w in workloads:
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                runs[w][side].append(run(side, w))
+            p, c = (runs[w][side][-1]["result"]["metrics"] for side in SIDES)
+            values = ", ".join(f"{n} {p[n]['value']:.6g} -> {c[n]['value']:.6g}" for n in metrics)
+            print(f"pair {i + 1}/{pairs} {w}: {values}", file=sys.stderr)
+    return runs
+
+
+def run_side(tree: Path, work: Path, workload: str, seed: int) -> dict:
     """One perfbench run: {"record": ..., "result": ...} from its last two lines."""
-    argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", args.workload,
-            "--seed", str(args.seed), "--trace", "0", "--workdir", str(work)]
+    argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+            "--seed", str(seed), "--trace", "0", "--workdir", str(work)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -132,20 +161,17 @@ def report(runs: dict[str, list[dict]], end_to_end: list[dict]) -> str:
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    if args.workload not in {w["name"] for w in spec["workloads"]}:
-        print(f"error: unknown workload {args.workload!r}", file=sys.stderr)
+    try:
+        workloads = select_workloads(args.workloads, [w["name"] for w in spec["workloads"]])
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
     tmp = Path(tempfile.mkdtemp(prefix="ab_pairs-"))
     try:
         extract(args.parent, tmp)
-        runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-        for i in range(args.pairs):
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                runs[side].append(run_side(tmp / side, tmp / "work", args))
-            p, c = (runs[side][-1]["result"]["metrics"] for side in SIDES)
-            values = ", ".join(f"{n} {p[n]['value']:.6g} -> {c[n]['value']:.6g}"
-                               for n in (m["name"] for m in spec["end_to_end"]))
-            print(f"pair {i + 1}/{args.pairs}: {values}", file=sys.stderr)
+        runs = run_pairs(workloads, args.pairs,
+                         lambda side, w: run_side(tmp / side, tmp / "work", w, args.seed),
+                         [m["name"] for m in spec["end_to_end"]])
     except subprocess.CalledProcessError as e:
         print(f"error: {' '.join(e.cmd)}: {e.stderr.decode().strip()}", file=sys.stderr)
         return 1
@@ -154,9 +180,9 @@ def main(argv=None) -> int:
         return 1
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs, "
-          f"{args.parent} -> working tree")
-    print(report(runs, spec["end_to_end"]))
+    for w in workloads:
+        print(f"{w}, seed {args.seed}, {args.pairs} pairs, {args.parent} -> working tree")
+        print(report(runs[w], spec["end_to_end"]))
     return 0
 
 
