@@ -270,7 +270,7 @@ def _decode_all(model, dataset, lm, dcfgs) -> list[list[str]]:
     for all configs, which share one prior_floor."""
     mains = [forward(model, s.frames, aux=False)[1] for s in dataset]
     if lm is None:
-        return [[model.vocab.decode(greedy_decode(m)) for m in mains]] * len(dcfgs)
+        return [[model.vocab.decode(greedy_decode([m])[0]) for m in mains]] * len(dcfgs)
     priors = estimate_priors(mains, floor=dcfgs[0].prior_floor)
     return [[model.vocab.decode(lm_beam_decode(m, lm, priors, d)[0]) for m in mains]
             for d in dcfgs]
@@ -286,13 +286,12 @@ def _write_out(args, lines: list[str]) -> None:
 
 def cmd_decode(args) -> int:
     model, dataset, lm, dcfg = _load_decode_inputs(args)
+    if args.report and len(dataset.labeled()) != len(dataset):
+        raise ValueError("--report needs a fully labeled manifest")
     hyps, = _decode_all(model, dataset, lm, [dcfg])
     _write_out(args, [f"{s.sample_id}\t{h}" for s, h in zip(dataset, hyps)])
     if args.report:
-        labeled = dataset.labeled()
-        if len(labeled) != len(dataset):
-            raise ValueError("--report needs a fully labeled manifest")
-        report = cer([s.transcription for s in labeled], hyps)
+        report = cer([s.transcription for s in dataset], hyps)
         write_report(report, args.report)
         print(f"cer\t{report.cer:.6f}")
     return 0

@@ -5,7 +5,8 @@ rows each log-sum-exp to zero.  Label id 0 is the blank.  The loss is the
 negative log of the total probability of all frame paths that collapse
 (merge adjacent repeats, then delete blanks) to the given labels, and the
 gradient is taken with respect to the pre-softmax logits: softmax minus
-the alignment posterior, row by row.
+the alignment posterior, row by row.  The public functions take a
+sequence of such matrices, a batch, and check them all in one pass.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from .vocab import BLANK_ID
 _NEG_INF = -np.inf
 
 
-def check_posteriors(mat) -> np.ndarray:
-    """Validate a T x L log-posterior matrix and return it as an ndarray:
-    the batch of one of check_posteriors_batch."""
-    return check_posteriors_batch([mat])[0]
-
-
-def check_posteriors_batch(mats) -> list[np.ndarray]:
+def check_posteriors(mats) -> list[np.ndarray]:
     """Validate T x L log-posterior matrices of one label count L and
     return them as ndarrays.  Every row must be free of NaN and +inf and
     log-sum-exp to 0 within 1e-6; one pass checks the rows of all the
@@ -76,16 +71,10 @@ def min_frames(labels: Sequence[int]) -> int:
     return len(labels) + reps
 
 
-def greedy_decode(posteriors) -> tuple[int, ...]:
-    """Collapse of the per-frame argmax; ties go to the lowest label id.
-    The batch of one of greedy_decode_batch."""
-    return greedy_decode_batch([posteriors])[0]
-
-
-def greedy_decode_batch(mats) -> list[tuple[int, ...]]:
-    """greedy_decode of each posterior matrix, with one argmax over the
-    rows of all of them."""
-    ms = check_posteriors_batch(mats)
+def greedy_decode(mats) -> list[tuple[int, ...]]:
+    """Collapse of each posterior matrix's per-frame argmax, ties going to
+    the lowest label id, with one argmax over the rows of all of them."""
+    ms = check_posteriors(mats)
     if not ms:
         return []
     best = np.argmax(np.concatenate(ms), axis=1).tolist()
@@ -141,23 +130,15 @@ def _occupancy(gamma: np.ndarray, z: np.ndarray, label_count: int) -> np.ndarray
     return occ
 
 
-def ctc_loss(posteriors, labels: Sequence[int]) -> tuple[float, np.ndarray]:
-    """Forward-backward CTC loss and its gradient with respect to logits:
-    the batch of one of ctc_loss_batch.
-
-    Returns (loss, grad) with grad shaped like the posterior matrix."""
-    losses, grads = ctc_loss_batch([posteriors], [labels])
-    return losses[0], grads[0]
-
-
-def ctc_loss_batch(posteriors: Sequence, labels: Sequence[Sequence[int]]
-                   ) -> tuple[list[float], np.ndarray]:
-    """ctc_loss of every (posterior matrix, label sequence) pair in one
+def ctc_loss(posteriors: Sequence, labels: Sequence[Sequence[int]]
+             ) -> tuple[list[float], np.ndarray]:
+    """Forward-backward CTC loss of every (posterior matrix, label
+    sequence) pair, and its gradient with respect to the logits, in one
     recursion over all their lattices, forward and reversed.  Returns the
     losses and an N x max(T) x L gradient array, zero past each matrix's T
     rows; padding with -inf, which logaddexp passes through exactly, keeps
     every result bit-identical to its batch of one."""
-    posts = check_posteriors_batch(posteriors)
+    posts = check_posteriors(posteriors)
     if not posts:
         raise ValueError("a batch needs at least one posterior matrix, all of one label count")
     ys = []

@@ -73,7 +73,10 @@ def read_frames(path) -> np.ndarray:
     expect = 12 + 4 * t * d
     if len(blob) != expect:
         raise FormatError(f"{path}: payload is {len(blob)} bytes, expected {expect}")
-    return np.frombuffer(blob, dtype="<f4", offset=12).reshape(t, d).copy()
+    frames = np.frombuffer(blob, dtype="<f4", offset=12).reshape(t, d).copy()
+    if not np.isfinite(frames).all():
+        raise FormatError(f"{path}: frames contain NaN or inf")
+    return frames
 
 
 def write_manifest(dataset: Dataset, manifest_path) -> Path:

@@ -37,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ctc import check_posteriors, check_posteriors_batch
+from .ctc import check_posteriors
 from .errors import NumericError
 from .ngram_lm import NgramLM
 from .vocab import BLANK_ID
@@ -74,7 +74,7 @@ def estimate_priors(posterior_batches: Iterable[np.ndarray],
                     floor: float = DecoderConfig.prior_floor) -> np.ndarray:
     """Mean of exp(log-posterior rows) over every frame of every matrix,
     floored and renormalized."""
-    mats = check_posteriors_batch(posterior_batches)
+    mats = check_posteriors(posterior_batches)
     if not mats:
         raise ValueError("no posterior rows to estimate priors from")
     total = np.exp(mats[0].astype(np.float64)).sum(axis=0)
@@ -97,7 +97,7 @@ def lm_beam_decode(posteriors, lm: NgramLM | None, priors,
     """Decode one posterior matrix.  Returns (character ids, score of the
     winning hypothesis).  Ties in score break toward the lexicographically
     smaller id sequence."""
-    post = check_posteriors(posteriors).astype(np.float64)
+    post = check_posteriors([posteriors])[0].astype(np.float64)
     T, L = post.shape
     prior = check_priors(priors, L)
     if lm is not None and lm.vocab.emit_size != L:

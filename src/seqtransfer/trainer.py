@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ctc import ctc_loss_batch, greedy_decode_batch, min_frames
+from .ctc import ctc_loss, greedy_decode, min_frames
 from .data import Dataset, Sample
 from .decoder import DecoderConfig, estimate_priors, lm_beam_decode
 from .errors import NumericError
@@ -94,6 +94,8 @@ class TrainConfig:
                      "train_pass_batches", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -118,7 +120,7 @@ def composite_loss(model: Recognizer, frames: Sequence, labels: Sequence[Sequenc
     w = aux_loss_weight
     n = len(frames)
     aux, main, cache = forward_batch(model, frames)
-    losses, grads = ctc_loss_batch(aux + main, list(labels) * 2)
+    losses, grads = ctc_loss(aux + main, list(labels) * 2)
     del aux, main  # not needed by backward; frees them before its peak
     loss = 0.0
     for aux_l, main_l in zip(losses[:n], losses[n:]):
@@ -157,7 +159,7 @@ def greedy_eval(model: Recognizer, samples: Sequence[Sample],
     for lo in range(0, len(samples), batch_size):
         mains = forward_batch(model, [s.frames for s in samples[lo:lo + batch_size]],
                               aux=False)[1]
-        hyps += [model.vocab.decode(ids) for ids in greedy_decode_batch(mains)]
+        hyps += [model.vocab.decode(ids) for ids in greedy_decode(mains)]
     return cer([s.transcription for s in samples], hyps).cer
 
 

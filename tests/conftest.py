@@ -24,7 +24,7 @@ def uniform_priors(label_count: int) -> np.ndarray:
 def check_posteriors_reference(mat) -> np.ndarray:
     """The posterior check one matrix at a time, with a sequential
     np.logaddexp.reduce for each row's mass: the oracle for
-    check_posteriors_batch."""
+    check_posteriors."""
     m = np.asarray(mat)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 2:
         raise ValueError(f"posterior matrix must be T x L with T >= 1, L >= 2, got {m.shape}")

@@ -40,7 +40,7 @@ def test_criterion_1_ctc_oracle_equivalence():
         if T < min_frames(labels):
             continue
         post = random_log_posteriors(rng, T, L)
-        loss, _ = ctc_loss(post, labels)
+        (loss,), _ = ctc_loss([post], [labels])
         ref = ctc_loss_bruteforce(post, labels)
         worst = max(worst, abs(loss - ref) / max(abs(ref), 1e-12))
         checked += 1
@@ -61,15 +61,15 @@ def test_criterion_2_gradient_checks():
 
     def loss_value(frames, labels):
         aux, main, _ = forward(model, frames)
-        return 0.25 * ctc_loss(aux, labels)[0] + 0.75 * ctc_loss(main, labels)[0]
+        return 0.25 * ctc_loss([aux], [labels])[0][0] + 0.75 * ctc_loss([main], [labels])[0][0]
 
     worst = 0.0
     n_params = 0
     for labels in ((1, 2), (2, 1, 2)):
         frames = rng.normal(0.0, 1.0, (6, 3))
         aux, main, cache = forward(model, frames)
-        _, g_aux = ctc_loss(aux, labels)
-        _, g_main = ctc_loss(main, labels)
+        _, (g_aux,) = ctc_loss([aux], [labels])
+        _, (g_main,) = ctc_loss([main], [labels])
         grads = backward(model, cache, 0.25 * g_aux, 0.75 * g_main)
         h = 1e-5
         for name, p in model.params.items():
@@ -175,7 +175,7 @@ def accent_stats(model, vocab, samples):
     emitted = hits = total = 0
     for s in samples:
         _, main, _ = forward(model, s.frames)
-        hyp = vocab.decode(greedy_decode(main))
+        hyp = vocab.decode(greedy_decode([main])[0])
         for ch in ACCENTS:
             n_hyp = hyp.count(ch)
             n_ref = s.transcription.count(ch)

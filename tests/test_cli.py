@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from seqtransfer import (NumericError, Vocabulary, build_lm, cli, forward, load_arpa,
-                         load_checkpoint, load_manifest, perplexity, save_checkpoint)
+                         load_checkpoint, load_manifest, perplexity, save_checkpoint,
+                         write_frames)
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +339,56 @@ def test_training_transcription_outside_vocabulary_exits_two(pipe, tmp_path, mon
     assert not ck.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--data", np.nan), ("--val", np.inf),
+                                         ("--target-data", -np.inf)])
+def test_non_finite_frame_value_exits_two_at_load(pipe, tmp_path, monkeypatch, capsys,
+                                                  flag, value):
+    monkeypatch.setattr(cli, "train_source", _refuse)
+    monkeypatch.setattr(cli, "hybrid_train", _refuse)
+    data = pipe["data"]
+    given = {"--data": data / "source" / "train" / "manifest.tsv",
+             "--val": data / "source" / "val" / "manifest.tsv",
+             "--target-data": data / "target" / "train" / "manifest.tsv"}[flag]
+    rows = [line.split("\t") for line in given.read_text(encoding="utf-8").splitlines()]
+    frames = load_manifest(given)[1].frames
+    frames[len(frames) // 2, 3] = value
+    frm = tmp_path / "bad.frm"
+    write_frames(frm, frames)
+    rows[1][1] = str(frm)
+    bad = tmp_path / "manifest.tsv"
+    bad.write_text("".join(f"{sid}\t{given.parent / rel}\t{text}\n" for sid, rel, text in rows),
+                   encoding="utf-8")
+    ck, metrics = tmp_path / "c.ckpt", tmp_path / "m.tsv"
+    source = str(data / "source" / "train" / "manifest.tsv")
+    argv = (["hybrid", "--source-data", source, "--init-checkpoint", str(pipe["ck"])]
+            if flag == "--target-data" else
+            ["train-source", "--vocab", str(data / "vocab.json")]
+            + (["--data", source] if flag == "--val" else []))
+    argv += [flag, str(bad), "--out-checkpoint", str(ck), "--metrics", str(metrics)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {frm}: frames contain NaN or inf\n"
+    assert not ck.exists() and not metrics.exists()
+
+
+@pytest.mark.parametrize("command", ["train-source", "hybrid"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_negative_seed_exits_two_before_loading_anything(tmp_path, capsys, command, via):
+    missing = str(tmp_path / "missing")  # loading any file would fail differently
+    argv = (["train-source", "--data", missing, "--vocab", missing] if command == "train-source"
+            else ["hybrid", "--source-data", missing, "--target-data", missing,
+                  "--init-checkpoint", missing])
+    if via == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("seed = -1\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    ck = tmp_path / "c.ckpt"
+    assert cli.main(argv + ["--out-checkpoint", str(ck)]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not ck.exists()
+
+
 def test_numeric_failure_exits_three(pipe, tmp_path, monkeypatch, capsys):
     def blow_up(*a, **kw):
         raise NumericError("loss went non-finite")
@@ -428,6 +479,16 @@ def test_decode_stdout_and_report(pipe, tmp_path, capsys):
     out = capsys.readouterr().out
     assert re.search(r"^cer\t\d\.\d{6}$", out.splitlines()[-1])
     assert report.read_text(encoding="utf-8").splitlines()[0] == "ref\thyp\tedits"
+
+
+def test_decode_report_on_unlabeled_manifest_exits_two_before_decoding(pipe, tmp_path, capsys):
+    out, report = tmp_path / "hyps.tsv", tmp_path / "report.tsv"
+    rc = cli.main(["decode", "--checkpoint", str(pipe["ck"]),
+                   "--data", str(pipe["data"] / "target" / "train" / "manifest.tsv"),
+                   "--out", str(out), "--report", str(report)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --report needs a fully labeled manifest\n"
+    assert not out.exists() and not report.exists()
 
 
 def test_eval_prints_pooled_cer(pipe, capsys):

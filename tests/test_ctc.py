@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtransfer import (BLANK_ID, check_posteriors_batch, collapse, ctc_loss, ctc_loss_batch,
-                         estimate_priors, greedy_decode, greedy_decode_batch, min_frames)
+from seqtransfer import (BLANK_ID, check_posteriors, collapse, ctc_loss, estimate_priors,
+                         greedy_decode, min_frames)
 from seqtransfer.ctc import _occupancy
 from conftest import (check_posteriors_reference, ctc_loss_bruteforce, occupancy_reference,
                       random_log_posteriors)
@@ -22,20 +22,20 @@ def log_rows(*rows):
 def test_single_frame_single_label():
     # one frame, the only alignment is the label itself
     post = log_rows([0.5, 0.5])
-    loss, _ = ctc_loss(post, [1])
+    (loss,), _ = ctc_loss([post], [[1]])
     assert loss == pytest.approx(-math.log(0.5), abs=1e-12)
 
 
 def test_two_frames_one_label_sums_three_alignments():
     # paths aa, a-, -a out of 4; total mass 0.75
     post = log_rows([0.5, 0.5], [0.5, 0.5])
-    loss, _ = ctc_loss(post, [1])
+    (loss,), _ = ctc_loss([post], [[1]])
     assert loss == pytest.approx(-math.log(0.75), abs=1e-12)
 
 
 def test_two_frames_two_labels_single_alignment():
     post = log_rows([0.25] * 4, [0.25] * 4)
-    loss, _ = ctc_loss(post, [1, 2])
+    (loss,), _ = ctc_loss([post], [[1, 2]])
     assert loss == pytest.approx(-math.log(0.0625), abs=1e-12)
 
 
@@ -45,7 +45,7 @@ def test_loss_never_negative():
     post = np.full((3, 2), -np.inf)
     post[0, 1] = post[2, 1] = 0.0
     post[1, 0] = 0.0
-    loss, _ = ctc_loss(post, [1, 1])
+    (loss,), _ = ctc_loss([post], [[1, 1]])
     assert loss == 0.0
 
 
@@ -53,33 +53,33 @@ def test_loss_never_negative():
 
 def test_rejects_empty_labels():
     with pytest.raises(ValueError):
-        ctc_loss(log_rows([0.5, 0.5]), [])
+        ctc_loss([log_rows([0.5, 0.5])], [[]])
 
 
 def test_rejects_blank_in_labels():
     with pytest.raises(ValueError):
-        ctc_loss(log_rows([0.5, 0.5]), [BLANK_ID])
+        ctc_loss([log_rows([0.5, 0.5])], [[BLANK_ID]])
 
 
 def test_rejects_out_of_range_label():
     with pytest.raises(ValueError):
-        ctc_loss(log_rows([0.5, 0.5]), [2])
+        ctc_loss([log_rows([0.5, 0.5])], [[2]])
 
 
 def test_rejects_too_few_frames():
     with pytest.raises(ValueError):
-        ctc_loss(log_rows([0.25] * 4), [1, 2])
+        ctc_loss([log_rows([0.25] * 4)], [[1, 2]])
 
 
 def test_repeat_needs_separating_blank():
     assert min_frames([1, 1]) == 3
     with pytest.raises(ValueError):
-        ctc_loss(random_log_posteriors(np.random.default_rng(0), 2, 3), [1, 1])
+        ctc_loss([random_log_posteriors(np.random.default_rng(0), 2, 3)], [[1, 1]])
 
 
 def test_rejects_unnormalized_rows():
     with pytest.raises(ValueError):
-        ctc_loss(np.zeros((2, 3)), [1])
+        ctc_loss([np.zeros((2, 3))], [[1]])
 
 
 # -- brute-force oracle -------------------------------------------------------
@@ -96,9 +96,9 @@ def test_bruteforce_matches_on_random_instances():
         want = ctc_loss_bruteforce(post, labels)
         if math.isinf(want):
             with pytest.raises(ValueError):
-                ctc_loss(post, labels)
+                ctc_loss([post], [labels])
             continue
-        got, _ = ctc_loss(post, labels)
+        (got,), _ = ctc_loss([post], [labels])
         assert got == pytest.approx(want, rel=1e-9)
         checked += 1
 
@@ -134,11 +134,11 @@ def test_gradient_matches_finite_differences():
 
         def loss_of(lg):
             post = lg - np.logaddexp.reduce(lg, axis=1, keepdims=True)
-            return ctc_loss(post, labels)[0]
+            return ctc_loss([post], [labels])[0][0]
 
         try:
             base_post = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
-            _, grad = ctc_loss(base_post, labels)
+            _, (grad,) = ctc_loss([base_post], [labels])
         except ValueError:
             continue  # unalignable draw
         for t in range(T):
@@ -151,7 +151,7 @@ def test_gradient_matches_finite_differences():
 
 def test_gradient_shape_matches_posteriors():
     post = random_log_posteriors(np.random.default_rng(8), 5, 4)
-    _, grad = ctc_loss(post, [1, 3])
+    _, (grad,) = ctc_loss([post], [[1, 3]])
     assert grad.shape == (5, 4)
 
 
@@ -180,7 +180,7 @@ def test_ctc_matches_recorded_output():
                 logits[t, c] = -np.inf
         post = logits - np.logaddexp.reduce(logits, axis=1, keepdims=True)
         assert np.isinf(post).sum() == n_inf
-        loss, grad = ctc_loss(post, labels)
+        (loss,), (grad,) = ctc_loss([post], [labels])
         assert loss == want_loss, labels
         assert hashlib.sha256(grad.tobytes()).hexdigest()[:16] == want_grad, labels
 
@@ -206,14 +206,14 @@ def test_batch_matches_each_lattice_alone(data):
         posts.append(post.astype(data.draw(st.sampled_from([np.float32, np.float64]))))
         labels.append(labs)
     try:
-        alone = [ctc_loss(post, labs) for post, labs in zip(posts, labels)]
+        alone = [ctc_loss([post], [labs]) for post, labs in zip(posts, labels)]
     except ValueError:  # an infeasible lattice: the batch must fail the same way
         with pytest.raises(ValueError, match="no feasible alignment"):
-            ctc_loss_batch(posts, labels)
+            ctc_loss(posts, labels)
         return
-    losses, grads = ctc_loss_batch(posts, labels)
+    losses, grads = ctc_loss(posts, labels)
     assert grads.shape == (len(posts), max(map(len, posts)), L)
-    for (loss, grad), got_loss, got_grad in zip(alone, losses, grads):
+    for ((loss,), (grad,)), got_loss, got_grad in zip(alone, losses, grads):
         assert got_loss == loss
         assert got_grad[:len(grad)].tobytes() == grad.tobytes()
         assert not np.any(got_grad[len(grad):])
@@ -224,19 +224,19 @@ def test_batch_with_one_infeasible_lattice_raises_like_it_alone(rng):
     bad = np.log(np.array([[0.5, 0.5, 1.0]] * 3))
     bad[:, 2] = -np.inf
     with pytest.raises(ValueError) as alone:
-        ctc_loss(bad, [2])
+        ctc_loss([bad], [[2]])
     ok = random_log_posteriors(rng, 5, 3)
     with pytest.raises(ValueError) as batch:
-        ctc_loss_batch([ok, bad, ok], [[1], [2], [1, 2]])
+        ctc_loss([ok, bad, ok], [[1], [2], [1, 2]])
     assert str(batch.value) == str(alone.value)
 
 
 def test_batch_rejects_empty_and_mixed_label_counts(rng):
     with pytest.raises(ValueError, match="at least one posterior matrix"):
-        ctc_loss_batch([], [])
+        ctc_loss([], [])
     with pytest.raises(ValueError, match="all of one label count"):
-        ctc_loss_batch([random_log_posteriors(rng, 3, 3), random_log_posteriors(rng, 3, 4)],
-                       [[1], [1]])
+        ctc_loss([random_log_posteriors(rng, 3, 3), random_log_posteriors(rng, 3, 4)],
+                 [[1], [1]])
 
 
 # -- one pass per batch, against the per-matrix kernels it replaced ------------
@@ -254,10 +254,10 @@ def _ragged_posteriors(rng, B, L, dtype):
 @pytest.mark.parametrize("B", [1, 2, 8, 128])
 def test_batch_check_and_greedy_equal_per_matrix_oracles(rng, B, dtype):
     mats = _ragged_posteriors(rng, B, 7, dtype)
-    got = check_posteriors_batch(mats)
+    got = check_posteriors(mats)
     assert [g.tobytes() for g in got] == [check_posteriors_reference(m).tobytes() for m in mats]
-    assert greedy_decode_batch(mats) == [collapse(np.argmax(m, axis=1).tolist()) for m in mats]
-    assert greedy_decode_batch(mats) == [greedy_decode(m) for m in mats]
+    assert greedy_decode(mats) == [collapse(np.argmax(m, axis=1).tolist()) for m in mats]
+    assert greedy_decode(mats) == [greedy_decode([m])[0] for m in mats]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -315,7 +315,7 @@ def test_batch_check_rejects_exactly_when_an_oracle_rejects(data):
         mats.append(m.astype(data.draw(st.sampled_from([np.float32, np.float64]))))
     rejected = (any(map(_oracle_rejects, mats))
                 or len({m.shape[1] for m in mats}) > 1)
-    for check in (check_posteriors_batch, greedy_decode_batch, estimate_priors):
+    for check in (check_posteriors, greedy_decode, estimate_priors):
         if rejected:
             with pytest.raises(ValueError):
                 check(mats)
@@ -328,19 +328,32 @@ def test_batch_check_names_the_matrix_and_row(rng):
     bad = ok.copy()
     bad[2] += 0.5
     with pytest.raises(ValueError, match=r"^posterior matrix 2 row 2 log-sum-exps to 0.5, not 0$"):
-        check_posteriors_batch([ok, ok, bad])
+        check_posteriors([ok, ok, bad])
     bad = ok.copy()
     bad[3] = -np.inf  # an all -inf row has no mass at all
     with pytest.raises(ValueError, match=r"^posterior matrix 1 row 3 log-sum-exps to -inf"):
-        check_posteriors_batch([ok, bad, ok])
+        check_posteriors([ok, bad, ok])
     bad = ok.copy()
     bad[1, 0] = np.nan
     with pytest.raises(ValueError, match=r"^posterior matrix 1 row 1 contains NaN or \+inf"):
-        check_posteriors_batch([ok, bad])
+        check_posteriors([ok, bad])
     with pytest.raises(ValueError, match=r"^posterior matrix 1 must be T x L"):
-        check_posteriors_batch([ok, ok[:, :1]])
-    assert check_posteriors_batch([]) == []
-    assert greedy_decode_batch([]) == []
+        check_posteriors([ok, ok[:, :1]])
+    assert check_posteriors([]) == []
+    assert greedy_decode([]) == []
+
+
+@pytest.mark.parametrize("T, L", [(1, 2), (2, 2), (5, 3), (30, 7)])
+@pytest.mark.parametrize("as_list", [False, True])
+def test_bare_matrix_is_not_a_batch_of_its_rows(rng, T, L, as_list):
+    """A T x L matrix passed where a batch belongs is rejected as matrix 0
+    with the row shape it found, never decoded or scored row by row."""
+    post = random_log_posteriors(rng, T, L)
+    bare = post.tolist() if as_list else post
+    for call in (check_posteriors, greedy_decode, estimate_priors,
+                 lambda m: ctc_loss(m, [[1]] * T)):
+        with pytest.raises(ValueError, match=rf"^posterior matrix 0 must be T x L .*got \({L},\)$"):
+            call(bare)
 
 
 # -- collapse / greedy --------------------------------------------------------
@@ -367,9 +380,9 @@ def test_collapse_output_has_no_blanks(path):
 
 def test_greedy_decode_examples():
     post = log_rows([0.1, 0.8, 0.1], [0.1, 0.8, 0.1], [0.8, 0.1, 0.1], [0.1, 0.1, 0.8])
-    assert greedy_decode(post) == (1, 2)
+    assert greedy_decode([post]) == [(1, 2)]
     all_blank = log_rows([0.8, 0.1, 0.1], [0.8, 0.1, 0.1])
-    assert greedy_decode(all_blank) == ()
+    assert greedy_decode([all_blank]) == [()]
 
 
 def test_greedy_decode_one_hot_with_blanks():
@@ -379,12 +392,12 @@ def test_greedy_decode_one_hot_with_blanks():
         row = np.full(4, eps)
         row[hot] = 1.0 - 3 * eps
         rows.append(row)
-    assert greedy_decode(np.log(rows)) == (1, 2, 3)
+    assert greedy_decode([np.log(rows)]) == [(1, 2, 3)]
 
 
 def test_greedy_tie_breaks_to_lowest_id():
     post = log_rows([0.25, 0.25, 0.25, 0.25])
-    assert greedy_decode(post) == ()  # blank is id 0
+    assert greedy_decode([post]) == [()]  # blank is id 0
 
 
 def test_min_frames():

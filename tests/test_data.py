@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -47,6 +48,16 @@ def test_frame_degenerate_shape(tmp_path):
     p = tmp_path / "x.frm"
     p.write_bytes(FRAME_MAGIC + struct.pack("<II", 0, 4))
     with pytest.raises(FormatError):
+        read_frames(p)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_frame_non_finite_value_names_the_file(tmp_path, value):
+    frames = np.zeros((3, 4), dtype=np.float32)
+    frames[2, 1] = value
+    p = tmp_path / "x.frm"
+    write_frames(p, frames)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: frames contain NaN or inf$"):
         read_frames(p)
 
 

@@ -384,7 +384,7 @@ def test_lm_overrides_transposed_characters():
     post = np.log(rows)
     priors = uniform_priors(4)
 
-    assert v.decode(greedy_decode(post)) == "teh"  # emissions alone prefer the transposition
+    assert v.decode(greedy_decode([post])[0]) == "teh"  # emissions alone prefer the transposition
 
     cfg = DecoderConfig(emission_weight=0.4, prior_scale=0.0, beam_width=64)
     ids, _ = lm_beam_decode(post, lm, priors, cfg)

@@ -122,8 +122,8 @@ def test_last_frame_reaches_main_but_not_aux_at_frame_one(rng):
 
 def composite(model, frames, labels, lam):
     aux, main, cache = forward(model, frames)
-    la, ga = ctc_loss(aux, labels)
-    lm_, gm = ctc_loss(main, labels)
+    (la,), (ga,) = ctc_loss([aux], [labels])
+    (lm_,), (gm,) = ctc_loss([main], [labels])
     grads = backward(model, cache, lam * ga, (1 - lam) * gm)
     return lam * la + (1 - lam) * lm_, grads
 
@@ -196,7 +196,7 @@ def test_aux_only_loss_skips_recurrence_and_main_head(rng):
     m = tiny_model()
     frames = rng.normal(0, 1, (4, 3))
     aux, _, cache = forward(m, frames)
-    _, ga = ctc_loss(aux, (1,))
+    _, (ga,) = ctc_loss([aux], [(1,)])
     grads = backward(m, cache, ga, np.zeros_like(ga))
     for name in ("fwd_w", "fwd_u", "fwd_b", "bwd_w", "bwd_u", "bwd_b", "main_w", "main_b"):
         assert np.all(grads[name] == 0.0), name

@@ -28,7 +28,7 @@ def tiny_model(seed=0, dtype=np.float64):
 
 def head_losses(model, frames, labels):
     aux, main, _ = forward(model, frames)
-    return ctc_loss(aux, labels)[0], ctc_loss(main, labels)[0]
+    return ctc_loss([aux], [labels])[0][0], ctc_loss([main], [labels])[0][0]
 
 
 # -- composite loss ------------------------------------------------------------
