@@ -118,9 +118,15 @@ def _read_lines(path) -> list[str]:
 # -- gen-data --------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    for name in ("n_train", "n_val", "n_test"):
-        if getattr(args, name) < 1:
-            raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
+    for name, low in (("n_train", 1), ("n_val", 1), ("n_test", 1), ("input_dim", 1),
+                      ("base_seed", 0), ("unrelated_lines", 0)):
+        if getattr(args, name) < low:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= {low}, "
+                             f"got {getattr(args, name)}")
+    for name in ("style_strength", "noise_sigma"):
+        if not 0.0 <= getattr(args, name) < np.inf:
+            raise UsageError(f"--{name.replace('_', '-')} must be finite and >= 0, "
+                             f"got {getattr(args, name)}")
     try:
         lo, hi = (int(x) for x in args.text_len.split(","))
     except ValueError:
@@ -270,7 +276,7 @@ def _decode_all(model, dataset, lm, dcfgs) -> list[list[str]]:
     for all configs, which share one prior_floor."""
     mains = [forward(model, s.frames, aux=False)[1] for s in dataset]
     if lm is None:
-        return [[model.vocab.decode(greedy_decode([m])[0]) for m in mains]] * len(dcfgs)
+        return [list(map(model.vocab.decode, greedy_decode(mains)))] * len(dcfgs)
     priors = estimate_priors(mains, floor=dcfgs[0].prior_floor)
     return [[model.vocab.decode(lm_beam_decode(m, lm, priors, d)[0]) for m in mains]
             for d in dcfgs]

@@ -28,7 +28,12 @@ are the beam_width best candidates by (-score, prefix): np.partition finds
 the cutoff score, and only the candidates tied at the cutoff spell out
 their id sequences.  An LM state is the last order-1 ids of BOS + prefix
 (as KenLM keys its states); each state seen in a decode gets an id and one
-next_log_probs row of a table, so the beam's LM rows are one gather."""
+row of a table, so the beam's LM rows are one gather.
+
+Where LM rows come from: the table row of a state is a copy of
+lm.next_log_probs(state), asked once per state per decode.  The NgramLM
+builds the row of each context it stores once and keeps it, so decodes
+that share a model share those rows, and a copy costs no backoff walk."""
 
 from __future__ import annotations
 
@@ -120,19 +125,24 @@ def lm_beam_decode(posteriors, lm: NgramLM | None, priors,
     info[0, 0] = -1
     child: dict[int, int] = {}
     if lm is not None:  # LM states, their ids, and one LM row per state id
-        eos, keep = lm.vocab.eos_id, lm.order - 1
+        keep = lm.order - 1
         states = [(lm.vocab.bos_id,) if keep else ()]
         state_id = {states[0]: 0}
-        table = np.empty((16, lm.vocab.size))
-        table[0] = lm.next_log_probs(states[0])
+        # a row keeps the L emitted ids, with the EOS log probability in
+        # column 0: the blank carries no LM mass, and column 0 of a frame's
+        # candidates is the unextended prefix, whose score the LM never touches
+        cols = np.r_[lm.vocab.eos_id, 1:L]
+        table = np.empty((16, L))
+        lm.next_log_probs(states[0]).take(cols, out=table[0])
 
     def node_of(p: int, c: int) -> int:
-        nonlocal info, table
+        nonlocal info, pos, table
         node = child.get(p * L + c)
         if node is None:
             node = child[p * L + c] = len(child) + 1
-            if node == len(info):
+            if node + 1 == len(info):  # pos's last entry stays free for the parent -1
                 info = np.concatenate([info, np.empty_like(info)])
+                pos = np.full(len(info), -1, dtype=np.intp)
             sid = 0
             if lm is not None:
                 state = (states[info[p, 2]] + (c,))[-keep:] if keep else ()
@@ -140,7 +150,7 @@ def lm_beam_decode(posteriors, lm: NgramLM | None, priors,
                 if sid == len(states):
                     if sid == len(table):
                         table = np.concatenate([table, np.empty_like(table)])
-                    table[sid] = lm.next_log_probs(state)
+                    lm.next_log_probs(state).take(cols, out=table[sid])
                     states.append(state)
             info[node] = p, c, sid
         return node
@@ -153,57 +163,68 @@ def lm_beam_decode(posteriors, lm: NgramLM | None, priors,
         return tuple(ids[::-1])
 
     # the beam: node ids, and log scores of their paths ending in blank (pb)
-    # and in a non-blank (pnb)
+    # and in a non-blank (pnb).  pos maps a node to its beam slot during a
+    # frame and is -1 elsewhere, in the last entry too, which the empty
+    # prefix's parent -1 reads
     nodes = np.zeros(1, dtype=np.intp)
     pb, pnb = np.zeros(1), np.full(1, _NEG_INF)
-    labels, width = np.arange(1, L), cfg.beam_width
+    pos = np.full(len(info), -1, dtype=np.intp)
+    width = cfg.beam_width
     for t in range(T):
         n = len(nodes)
-        parent, last, sid = info[nodes].T
+        slots = np.arange(n)
+        parent, last, sid = info.take(nodes, axis=0).T
         tot = np.logaddexp(pb, pnb)
         blank = tot + emis[t, BLANK_ID]
         # repeating the last id keeps the prefix (the empty prefix has pnb = -inf)
         rep = pnb + emis[t, last]
-        # extending with the last id needs a blank gap, so only pb counts
-        base = np.where(labels == last[:, None], pb[:, None], tot[:, None])
         # candidate (j, c) is beam prefix j itself for c = 0 and its extension
-        # by id c otherwise; nb holds its non-blank log score
-        nb = np.empty((n, L))
-        ext = nb[:, 1:]
-        np.add(base, emis[t, 1:] if lm is None else emis[t, 1:] + table[sid, 1:L], out=ext)
-        # extension (j, c) is beam prefix i when j is i's parent and c its
-        # last id; pos maps a node to its beam slot and is -1 elsewhere, in
-        # the last entry too, which the empty prefix's parent -1 reads
-        pos = np.full(len(child) + 2, -1, dtype=np.intp)
-        pos[nodes] = np.arange(n)
+        # by id c otherwise; live holds its non-blank log score.  An extension
+        # starts from tot, or from pb when c repeats the last id, which needs
+        # a blank gap.  Column 0 is filled last.  Row n of nb is scratch
+        nb = np.empty((n + 1, L))
+        live = nb[:n]
+        live[:] = tot[:, None]
+        live[slots, last] = pb
+        dead = live == _NEG_INF  # an extension no path reaches
+        if lm is None:
+            live += emis[t]
+        else:
+            add = table.take(sid, axis=0)
+            add += emis[t]
+            live += add
+        # extension (j, last[i]) is beam prefix i when j is the beam slot of
+        # i's parent, and -1 (the scratch row) when the parent is not in the beam
+        pos[nodes] = slots
         j = pos[parent]
-        kid = j >= 0
-        j, c = j[kid], last[kid]
-        rep[kid] = np.logaddexp(rep[kid], nb[j, c])
+        pos[nodes] = -1
+        np.logaddexp(rep, nb[j, last], out=rep, where=j >= 0)
         # an extension that does not exist is NaN, and never survives
-        ext[base == _NEG_INF] = np.nan
-        nb[j, c] = np.nan
-        nb[:, 0] = rep
-        neg = -nb.ravel()
+        live[dead] = np.nan
+        nb[j, last] = np.nan
+        live[:, 0] = rep
+        neg = -live.ravel()
         neg[::L] = -np.logaddexp(blank, rep)
 
         # survivors: the beam_width best by (-score, prefix)
         k = min(width, len(neg))
         cut = np.partition(neg, k - 1)[k - 1]
         # NaNs sort last, so a NaN cutoff means every live candidate fits
-        chosen = np.flatnonzero(neg <= cut if cut == cut else neg == neg)
+        chosen = (neg <= cut if cut == cut else neg == neg).nonzero()[0]
         if len(chosen) > width:  # only the candidates tied at the cutoff compare prefixes
             tied = chosen[neg[chosen] == cut].tolist()
             tied.sort(key=lambda x: spell(nodes[x // L]) + ((x % L,) if x % L else ()))
             chosen = np.concatenate([chosen[neg[chosen] < cut], tied])[:width]
         src, c = np.divmod(chosen, L)
-        nodes, grown = nodes[src], np.flatnonzero(c)
-        pb, pnb = blank[src], nb.ravel()[chosen]
+        nodes, grown = nodes[src], c.nonzero()[0]
+        pb, pnb = blank[src], live.ravel()[chosen]
+        if not len(grown):
+            continue
         pb[grown] = _NEG_INF
         nodes[grown] = [node_of(p, x) for p, x in zip(nodes[grown].tolist(), c[grown].tolist())]
 
     score = np.logaddexp(pb, pnb)
     if lm is not None:
-        score = score + table[info[nodes, 2], eos]
+        score = score + table[info[nodes, 2], 0]
     k = min(np.flatnonzero(score == score.max()).tolist(), key=lambda x: spell(nodes[x]))
     return spell(nodes[k]), float(score[k])

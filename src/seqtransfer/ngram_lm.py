@@ -20,12 +20,20 @@ backoff weight means log 1, and a stored weight applies even when h has no
 stored continuations.  One walk implements the rule for every query, and a
 model loaded from its ARPA serialization answers queries identically to
 the model that wrote it.
+
+Where LM rows come from: next_log_probs answers with a dense, read-only row.
+The walk builds the row of a stored context (one with a backoff weight or a
+continuation) when it is first asked for and keeps it, so kept rows never
+outnumber stored contexts and every caller shares them; any other context
+gets its longest stored suffix's row plus log 1, built afresh.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
+from itertools import compress, count, groupby, repeat, zip_longest
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,6 +46,7 @@ EOS_TOKEN = "</s>"
 # Single characters that would collide with ARPA field separators.
 _CHAR_ESCAPES = {" ": "<sp>", "\t": "<tab>"}
 _TOKEN_UNESCAPES = {v: k for k, v in _CHAR_ESCAPES.items()}
+_LN10 = math.log(10.0)
 
 
 class NgramLM:
@@ -61,16 +70,17 @@ class NgramLM:
 
     def _finalize(self):
         # usable symbols: every character plus EOS
-        self._usable = tuple(range(1, self.vocab.emit_size)) + (self.vocab.eos_id,)
+        usable = list(range(1, self.vocab.emit_size)) + [self.vocab.eos_id]
         base = np.full(self.vocab.size, -np.inf)
-        for c in self._usable:
-            base[c] = self.probs[(c,)]
-        self._base = base
-        cont: dict[tuple[int, ...], list[tuple[int, float]]] = {}
-        for gram, lp in self.probs.items():
-            if len(gram) > 1:
-                cont.setdefault(gram[:-1], []).append((gram[-1], lp))
-        self._cont = cont
+        base[usable] = [self.probs[(c,)] for c in usable]
+        base.setflags(write=False)
+        self._rows = {(): base}  # context -> its row, for stored contexts only
+        # the n-gram keys by length, sorted, so that a context's continuations
+        # are one bisected run; both producers insert the keys length by length
+        by_len: dict[int, list[tuple[int, ...]]] = {}
+        for k, grams in groupby(self.probs, len):
+            by_len.setdefault(k, []).extend(grams)
+        self._grams = {k: sorted(grams) for k, grams in by_len.items()}
 
     # -- queries ---------------------------------------------------------
 
@@ -101,21 +111,28 @@ class NgramLM:
         return self._cond(self.vocab.eos_id, ids)
 
     def next_log_probs(self, context_ids: Sequence[int]) -> np.ndarray:
-        """Dense vector of natural-log p(id | context_ids) over the full id
-        space.  Blank and BOS entries are -inf.  Callers must not mutate the
-        returned array; it may be shared."""
+        """Dense, read-only vector of natural-log p(id | context_ids) over the
+        full id space.  Blank and BOS entries are -inf.  Rows of stored
+        contexts are shared by every caller."""
         h = tuple(context_ids)[-(self.order - 1):] if self.order > 1 else ()
         return self._dense(h)
 
     def _dense(self, h: tuple[int, ...]) -> np.ndarray:
         """The backoff walk: back off to h' at weight gamma(h) (log 1 when
-        h stores none), then let h's own continuations override."""
-        if not h:
-            return self._base
-        v = self._dense(h[1:]) + self.backoffs.get(h, 0.0)
-        for c, lp in self._cont.get(h, ()):
-            v[c] = lp
-        return v
+        h stores none), then let h's own continuations override.  The row
+        of a stored h is kept."""
+        row = self._rows.get(h)
+        if row is None:
+            row = self._dense(h[1:]) + self.backoffs.get(h, 0.0)
+            grams = self._grams.get(len(h) + 1, ())
+            lo = bisect_left(grams, h)
+            hi = bisect_left(grams, h + (self.vocab.size,), lo)  # ids are below size
+            for g in grams[lo:hi]:
+                row[g[-1]] = self.probs[g]
+            row.setflags(write=False)
+            if lo < hi or h in self.backoffs:
+                self._rows[h] = row
+        return row
 
     def sequence_log_prob(self, text: str) -> float:
         """Natural-log probability of the full line, terminal EOS included."""
@@ -257,12 +274,68 @@ def save_arpa(lm: NgramLM, path) -> None:
         f.write("\n\\end\\\n")
 
 
+def _check_entry(path, k: int, line: str) -> None:
+    """The checks of one k-gram entry line that need no vocabulary, in
+    order; raises FormatError at the first that fails."""
+    s = line.strip()
+    fields = line.split("\t")
+    if len(fields) not in (2, 3):
+        raise FormatError(f"{path}: {k}-gram entry needs 2 or 3 fields: {s!r}")
+    try:
+        lp = float(fields[0]) * _LN10
+        bo = float(fields[2]) * _LN10 if len(fields) == 3 else None
+    except ValueError:
+        raise FormatError(f"{path}: non-numeric field in {k}-gram entry {s!r}") from None
+    # -inf is a zero probability or backoff weight; NaN and +inf mean nothing
+    if not lp < math.inf or (bo is not None and not bo < math.inf):
+        raise FormatError(f"{path}: NaN or +inf field in {k}-gram entry {s!r}")
+    # a backoff weight may exceed 1, a probability may not
+    if lp > 0.0:
+        raise FormatError(f"{path}: positive log10 probability in {k}-gram entry {s!r}")
+    toks = fields[1].split(" ")
+    if len(toks) != k:
+        raise FormatError(f"{path}: {k}-gram entry has {len(toks)} tokens: {s!r}")
+
+
+def _parse_section(path, k: int, lines: list[str]):
+    """The k-grams section's entry lines, checked and parsed a column at a
+    time: log probabilities, every entry's k tokens in one list, which entries
+    carry a backoff weight, and those weights.  When a column check fails,
+    _check_entry reports the first failing entry."""
+    if not lines:
+        return [], [], [], []
+    fields = list(map(str.split, lines, repeat("\t")))
+    try:
+        if not set(map(len, fields)) <= {2, 3}:
+            raise ValueError
+        lp_col, tok_col, bo_col = (list(zip_longest(*fields)) + [()])[:3]
+        # a tab never occurs inside a field, so it marks the end of an entry's
+        # tokens; every entry has k of them when the marks fall every k + 1
+        toks = " \t ".join(tok_col).split(" ")
+        if len(toks) != len(lines) * (k + 1) - 1 or \
+                toks[k::k + 1].count("\t") != len(lines) - 1:
+            raise ValueError
+        del toks[k::k + 1]
+        has_bo = [x is not None for x in bo_col]
+        with np.errstate(over="ignore"):
+            lps = np.array(list(map(float, lp_col))) * _LN10
+            weights = np.array(list(map(float, compress(bo_col, has_bo)))) * _LN10
+        if not ((lps < math.inf).all() and (weights < math.inf).all()) or (lps > 0.0).any():
+            raise ValueError
+    except ValueError:
+        for line in lines:
+            _check_entry(path, k, line)
+        raise AssertionError("a column check failed on entries that each pass") from None
+    return lps.tolist(), toks, has_bo, weights.tolist()
+
+
 def load_arpa(path) -> NgramLM:
     """Parse ARPA text back into a queryable model whose probability and
-    backoff tables answer every query the writing model could."""
-    ln10 = math.log(10.0)
+    backoff tables answer every query the writing model could.  Each
+    section is parsed in bulk, a column at a time; a file that fails a check
+    is reported at its first offending line, as a line-by-line reader would."""
     with open(path, encoding="utf-8") as f:
-        raw = [line.rstrip("\n") for line in f]
+        raw = f.read().split("\n")
 
     pos = 0
     while pos < len(raw) and raw[pos].strip() == "":
@@ -285,54 +358,39 @@ def load_arpa(path) -> NgramLM:
         raise FormatError(f"{path}: header must declare orders 1..N")
     order = max(declared)
 
-    # first pass: collect token-form entries per section
-    sections: dict[int, list[tuple[float, list[str], float | None]]] = {}
-    k = entries = None
-    for line in raw[pos:]:
-        s = line.strip()
-        if not s:
-            continue
-        if s == "\\end\\":
+    # the body is cut into blocks at section markers and \end\; a block's
+    # non-blank lines are the entries of the section its marker opens
+    body = raw[pos:]
+    stripped = list(map(str.strip, body))
+    cuts = [i for i in compress(count(), map(str.startswith, stripped, repeat("\\")))
+            if stripped[i] == "\\end\\" or stripped[i].endswith("-grams:")]
+    sections = {}
+    k = None
+    for lo, hi in zip([-1] + cuts, cuts + [len(body)]):
+        if lo >= 0 and stripped[lo] == "\\end\\":
             k = None
-            continue
-        if s.startswith("\\") and s.endswith("-grams:"):
+        elif lo >= 0:
+            s = stripped[lo]
             try:
                 k = int(s[1:-len("-grams:")])
             except ValueError:
                 raise FormatError(f"{path}: bad section marker {s!r}") from None
             if k not in declared:
                 raise FormatError(f"{path}: section {k} was not declared")
-            entries = sections[k] = []
-            continue
-        if k is None:
-            raise FormatError(f"{path}: entry outside any section: {s!r}")
-        fields = line.split("\t")
-        if len(fields) not in (2, 3):
-            raise FormatError(f"{path}: {k}-gram entry needs 2 or 3 fields: {s!r}")
-        try:
-            lp = float(fields[0]) * ln10
-            bo = float(fields[2]) * ln10 if len(fields) == 3 else None
-        except ValueError:
-            raise FormatError(f"{path}: non-numeric field in {k}-gram entry {s!r}") from None
-        # -inf is a zero probability or backoff weight; NaN and +inf mean nothing
-        if not lp < math.inf or (bo is not None and not bo < math.inf):
-            raise FormatError(f"{path}: NaN or +inf field in {k}-gram entry {s!r}")
-        # a backoff weight may exceed 1, a probability may not
-        if lp > 0.0:
-            raise FormatError(f"{path}: positive log10 probability in {k}-gram entry {s!r}")
-        toks = fields[1].split(" ")
-        if len(toks) != k:
-            raise FormatError(f"{path}: {k}-gram entry has {len(toks)} tokens: {s!r}")
-        entries.append((lp, toks, bo))
+        lines = list(compress(body[lo + 1:hi], stripped[lo + 1:hi]))
+        if k is not None:
+            sections[k] = _parse_section(path, k, lines)
+        elif lines:
+            raise FormatError(f"{path}: entry outside any section: {lines[0].strip()!r}")
 
     for k in declared:
-        got = len(sections.get(k, []))
+        got = len(sections[k][0]) if k in sections else 0
         if got != declared[k]:
             raise FormatError(
                 f"{path}: {k}-grams section has {got} entries, header declared {declared[k]}")
 
     chars = set()
-    for lp, (t,), bo in sections.get(1, []):
+    for t in sections.get(1, ((), ()))[1]:
         if t in (BOS_TOKEN, EOS_TOKEN):
             continue
         c = _TOKEN_UNESCAPES.get(t, t)
@@ -343,24 +401,32 @@ def load_arpa(path) -> NgramLM:
         raise FormatError(f"{path}: unigram section declares no characters")
     vocab = Vocabulary(chars)
 
-    # second pass: every token through one dict
+    # every token through one dict, a section at a time
     bos = vocab.bos_id
     ids = {_CHAR_ESCAPES.get(c, c): vocab.id_of(c) for c in vocab.chars}
     ids.update({BOS_TOKEN: bos, EOS_TOKEN: vocab.eos_id})
     probs: dict[tuple[int, ...], float] = {}
     backoffs: dict[tuple[int, ...], float] = {}
-    for k, entries in sections.items():
-        for lp, toks, bo in entries:
-            try:
-                gram = tuple(map(ids.__getitem__, toks))
-            except KeyError as e:
-                raise FormatError(f"{path}: token {e.args[0]!r} in the {k}-grams section "
-                                  "never appeared as a unigram") from None
-            if gram in probs:
-                raise FormatError(f"{path}: {k}-gram {' '.join(toks)!r} appears twice")
-            probs[gram] = lp
-            if bo is not None:
-                backoffs[gram] = bo
+    for k, (lps, toks, has_bo, weights) in sections.items():
+        try:
+            grams = list(zip(*[map(ids.__getitem__, toks)] * k))
+        except KeyError:
+            grams = []
+        before = len(probs)
+        probs.update(zip(grams, lps))
+        if len(probs) - before != len(lps):  # an unknown token or a repeated n-gram
+            seen = set()
+            for i in range(0, len(toks), k):
+                try:
+                    gram = tuple(map(ids.__getitem__, toks[i:i + k]))
+                except KeyError as e:
+                    raise FormatError(f"{path}: token {e.args[0]!r} in the {k}-grams "
+                                      "section never appeared as a unigram") from None
+                if gram in seen:
+                    raise FormatError(f"{path}: {k}-gram {' '.join(toks[i:i + k])!r} "
+                                      "appears twice")
+                seen.add(gram)
+        backoffs.update(zip(compress(grams, has_bo), weights))
     probs.pop((bos,), None)  # BOS is never predicted; its unigram only carries a backoff
 
     for c in tuple(range(1, vocab.emit_size)) + (vocab.eos_id,):

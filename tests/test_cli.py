@@ -119,6 +119,21 @@ def test_gen_data_rejects_bad_text_len(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--base-seed", "-1"), ("--unrelated-lines", "-3"), ("--input-dim", "0"),
+    ("--style-strength", "nan"), ("--style-strength", "-1"), ("--style-strength", "inf"),
+    ("--noise-sigma", "nan"), ("--noise-sigma", "-1"),
+])
+def test_gen_data_bad_numeric_flag_is_a_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "x"
+    rc = cli.main(["gen-data", "--out", str(out), "--n-train", "2", "--n-val", "1",
+                   "--n-test", "1", "--text-len", "2,3", flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # -- train-lm ----------------------------------------------------------------
 
 def test_trained_lm_is_loadable(pipe):

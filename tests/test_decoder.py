@@ -263,6 +263,24 @@ def test_realistic_decodes_match_recorded_output():
         assert (lm.vocab.decode(ids), score) == (text, want)
 
 
+@pytest.mark.parametrize("beam", [1, 16, 64])
+def test_shared_lm_rows_do_not_make_decoding_order_dependent(beam):
+    # an NgramLM keeps the rows it builds; decoding with it warm, in either
+    # order, must give what a fresh model gives each matrix
+    lm, mats = _realistic_cases()
+    cfg = DecoderConfig(beam_width=beam)
+    priors = estimate_priors(mats)
+
+    def decode(i, model):
+        return lm_beam_decode(mats[i], model, priors, cfg)
+
+    fresh = [decode(i, _realistic_cases()[0]) for i in range(len(mats))]
+    forward = [decode(i, lm) for i in range(len(mats))]
+    backward = [decode(i, lm) for i in reversed(range(len(mats)))][::-1]
+    assert forward == fresh
+    assert backward == fresh
+
+
 # -- the array-native search against the scalar reference ----------------------------
 
 REFERENCE_LMS = [build_lm(["abcab", "cab", "bca a", "aab c"], order=order, discount=0.1)

@@ -389,6 +389,137 @@ def test_arpa_fault_table_base_file_loads(tmp_path):
     assert load_arpa(tmp_path / "m.arpa").order == 2
 
 
+# -- load_arpa edge cases --------------------------------------------------------
+
+def _load_text(tmp_path, text, name="m.arpa"):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))  # no newline translation on the way out
+    return load_arpa(path)
+
+
+def _signed(table):
+    """A table with the sign of every value, so that -0.0 and 0.0 differ."""
+    return {g: (v, math.copysign(1.0, v)) for g, v in table.items()}
+
+
+def _tables(lm):
+    return lm.vocab.chars, lm.order, _signed(lm.probs), _signed(lm.backoffs)
+
+
+def _descending(text):
+    head, one, two = re.split(r"(?=\\[12]-grams:)", text)
+    body, end = two.split("\\end\\")
+    return head + body + one + "\\end\\" + end
+
+
+# Edits of _SMALL_ARPA that load to exactly the tables of _SMALL_ARPA.
+ARPA_SAME_TABLES = {
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "lone_cr": lambda t: t.replace("\n", "\r"),
+    "blank_lines_in_section": lambda t: t.replace("-0.6\tb\n", "\n-0.6\tb\n \t\n\n"),
+    "spaced_section_markers": lambda t: t.replace("\\1-grams:", "  \\1-grams:\t")
+                                         .replace("\\2-grams:", "\t\\2-grams: "),
+    "spaced_header_and_end": lambda t: t.replace("\\data\\", " \\data\\ ")
+                                        .replace("ngram 1=4", "\tngram 1=4 ")
+                                        .replace("\\end\\", "\\end\\  "),
+    "space_after_backoff": lambda t: t.replace("<s>\t-0.3", "<s>\t-0.3 "),
+    "space_before_probability": lambda t: t.replace("-0.5\ta", "  -0.5\ta"),
+    "descending_sections": _descending,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARPA_SAME_TABLES))
+def test_arpa_layout_variants_load_the_same_tables(tmp_path, case):
+    want = _tables(_load_text(tmp_path, _SMALL_ARPA, "base.arpa"))
+    text = ARPA_SAME_TABLES[case](_SMALL_ARPA)
+    assert text != _SMALL_ARPA
+    assert _tables(_load_text(tmp_path, text)) == want
+
+
+def test_arpa_section_mixing_two_and_three_fields(tmp_path):
+    text = _SMALL_ARPA.replace("ngram 2=1", "ngram 2=3").replace(
+        "-0.2\ta b\n", "-0.2\ta b\t-0.1\n-0.4\tb a\n-0.3\t<s> b\t-0.25\n")
+    lm = _load_text(tmp_path, text)
+    a, b, bos = lm.vocab.id_of("a"), lm.vocab.id_of("b"), lm.vocab.bos_id
+    ln10 = math.log(10.0)
+    assert lm.probs[(a, b)] == -0.2 * ln10
+    assert lm.probs[(b, a)] == -0.4 * ln10
+    assert lm.probs[(bos, b)] == -0.3 * ln10
+    assert lm.backoffs == {(bos,): -0.3 * ln10, (a, b): -0.1 * ln10, (bos, b): -0.25 * ln10}
+
+
+def test_arpa_backslash_character_token(tmp_path):
+    text = _SMALL_ARPA.replace("ngram 1=4\nngram 2=1", "ngram 1=5\nngram 2=2").replace(
+        "-0.6\tb\n", "-0.6\tb\n-0.65\t\\\n").replace("-0.2\ta b\n", "-0.2\ta b\n-0.1\t\\ a\n")
+    lm = _load_text(tmp_path, text)
+    assert lm.vocab.chars == ("\\", "a", "b")
+    slash, a = lm.vocab.id_of("\\"), lm.vocab.id_of("a")
+    assert lm.probs[(slash,)] == -0.65 * math.log(10.0)
+    assert lm.next_log_probs((slash,))[a] == -0.1 * math.log(10.0)
+
+
+def test_arpa_negative_zero_log_probability(tmp_path):
+    # -0 is log10 of 1, kept with its sign; an unstored context backs off at
+    # log 1, and -0.0 + 0.0 is +0.0
+    text = _SMALL_ARPA.replace("-0.6\tb", "-0\tb").replace("-0.2\ta b", "-0\ta b")
+    lm = _load_text(tmp_path, text)
+    a, b = lm.vocab.id_of("a"), lm.vocab.id_of("b")
+    assert _signed(lm.probs)[(b,)] == (0.0, -1.0)
+    assert _signed(lm.probs)[(a, b)] == (0.0, -1.0)
+    assert np.signbit(lm.next_log_probs(())[b])
+    assert np.signbit(lm.next_log_probs((a,))[b])
+    assert lm.next_log_probs((b,))[b] == 0.0 and not np.signbit(lm.next_log_probs((b,))[b])
+
+
+# Files with a layout fault or two faults: (edit of _SMALL_ARPA, the one
+# message load_arpa reports).
+ARPA_PINNED_FAULTS = {
+    "trailing_space_on_entry": (("-0.2\ta b", "-0.2\ta b "),
+                                "2-gram entry has 3 tokens: '-0.2\\ta b'"),
+    "trailing_tab_on_entry": (("-0.2\ta b", "-0.2\ta b\t"),
+                              "non-numeric field in 2-gram entry '-0.2\\ta b'"),
+    # an entry checked in the first pass beats an unknown token seen earlier
+    "unknown_token_then_bad_number": (
+        ("ngram 2=1", "ngram 2=2", "-0.2\ta b", "-0.2\ta c\nx\tb a"),
+        "non-numeric field in 2-gram entry 'x\\tb a'"),
+    # the first faulty entry in file order, whichever check it fails
+    "token_count_then_field_count": (
+        ("-0.5\ta", "-0.5\ta a", "-0.7\t</s>", "-0.7"),
+        "1-gram entry has 2 tokens: '-0.5\\ta a'"),
+    # two faults in one entry: the check order decides
+    "nan_and_token_count": (("-0.2\ta b", "nan\ta b c"),
+                            "NaN or +inf field in 2-gram entry 'nan\\ta b c'"),
+    "duplicate_then_unknown_token": (
+        ("ngram 2=1", "ngram 2=3", "-0.2\ta b", "-0.2\ta b\n-0.3\ta b\n-0.4\ta c"),
+        "2-gram 'a b' appears twice"),
+    "unknown_token_then_duplicate": (
+        ("ngram 2=1", "ngram 2=3", "-0.2\ta b", "-0.4\ta c\n-0.2\ta b\n-0.3\ta b"),
+        "token 'c' in the 2-grams section never appeared as a unigram"),
+    # the entry counts are checked before any token is looked up
+    "count_mismatch_and_unknown_token": (
+        ("ngram 2=1", "ngram 2=2", "-0.2\ta b", "-0.2\ta c"),
+        "2-grams section has 1 entries, header declared 2"),
+    "bad_entry_then_outside_section": (
+        ("-0.6\tb", "-0.6\tb\t", "\\end\\\n", "\\end\\\n-0.1\ta\n"),
+        "non-numeric field in 1-gram entry '-0.6\\tb'"),
+    "outside_section_then_bad_marker": (
+        ("\\1-grams:\n", "-0.1\ta\n\\1-grams:\n", "\\2-grams:", "\\two-grams:"),
+        "entry outside any section: '-0.1\\ta'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARPA_PINNED_FAULTS))
+def test_arpa_pinned_fault_messages(tmp_path, case):
+    edits, message = ARPA_PINNED_FAULTS[case]
+    text = _SMALL_ARPA
+    for old, new in zip(edits[::2], edits[1::2]):
+        assert old in text
+        text = text.replace(old, new, 1)
+    with pytest.raises(FormatError) as err:
+        _load_text(tmp_path, text)
+    assert str(err.value) == f"{tmp_path / 'm.arpa'}: {message}"
+
+
 def test_loaded_model_round_trips_again(tmp_path):
     lm = build_lm(["the the the"], order=3, discount=0.1)
     save_arpa(lm, tmp_path / "a.arpa")
@@ -536,6 +667,42 @@ def test_hand_written_arpa_follows_backoff_rule(tmp_path, case):
     rc = cli.main(["decode", "--checkpoint", str(ckpt), "--data", str(manifest),
                    "--lm", str(path), "--out", str(tmp_path / "hyp.tsv")])
     assert rc == 0
+
+
+def test_rows_are_read_only():
+    lm = build_lm(["the cat", "a hat"], order=3, discount=0.1)
+    t, bos = lm.vocab.id_of("t"), lm.vocab.bos_id
+    # the unigram row, stored contexts, and an unstored one
+    for h in [(), (t,), (bos, t), (t, t)]:
+        row = lm.next_log_probs(h)
+        assert not row.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            row[1] = 0.0
+
+
+def _fresh_model(tmp_path, case):
+    """A new model: built from a small corpus, or loaded from a hand-written file."""
+    if case == "built":
+        return build_lm(["abcab", "cab a", "bca", "aab cc", "c"], order=4, discount=0.15)
+    return _load_text(tmp_path, ARPA_CASES[case][0], f"{case}.arpa")
+
+
+@pytest.mark.parametrize("case", ["built"] + sorted(ARPA_CASES))
+def test_memoized_rows_equal_fresh_rows(tmp_path, case):
+    warm = _fresh_model(tmp_path, case)
+    rng = np.random.default_rng(11)
+    ids = list(range(1, warm.vocab.emit_size)) + [warm.vocab.bos_id, warm.vocab.eos_id]
+    contexts = stored_contexts(warm) + [
+        tuple(int(x) for x in rng.choice(ids, size=int(rng.integers(0, warm.order + 2))))
+        for _ in range(60)]
+    for h in contexts + contexts[::-1]:
+        warm.next_log_probs(h)
+    for h in contexts:
+        fresh = _fresh_model(tmp_path, case)
+        assert warm.next_log_probs(h).tobytes() == fresh.next_log_probs(h).tobytes(), h
+    assert_follows_reference(warm, contexts)
+    # only stored contexts keep a row, so the memory is bounded by the model
+    assert set(warm._rows) <= set(stored_contexts(warm))
 
 
 @pytest.fixture(scope="module")
