@@ -27,7 +27,7 @@ from .decoder import DecoderConfig, estimate_priors, lm_beam_decode
 from .errors import FormatError, NumericError
 from .metrics import cer, write_report
 from .ngram_lm import build_lm, load_arpa, perplexity, save_arpa
-from .recognizer import RecognizerConfig, forward, init_recognizer, load_checkpoint, \
+from .recognizer import RecognizerConfig, forward_chunks, init_recognizer, load_checkpoint, \
     save_checkpoint
 from .synth_data import STOCK_SHARED_CHARS, STOCK_TARGET_EXTRA, generate_dataset, \
     make_language_pair, sample_corpus
@@ -274,9 +274,11 @@ def _decode_all(model, dataset, lm, dcfgs) -> list[list[str]]:
     decoding when an LM is present, greedy otherwise.  The posteriors, and
     the label priors beam decoding estimates from them, are computed once
     for all configs, which share one prior_floor."""
-    mains = [forward(model, s.frames, aux=False)[1] for s in dataset]
+    frames, size = [s.frames for s in dataset], TrainConfig.batch_size
     if lm is None:
-        return [list(map(model.vocab.decode, greedy_decode(mains)))] * len(dcfgs)
+        hyps = forward_chunks(model, frames, size, greedy_decode)
+        return [list(map(model.vocab.decode, hyps))] * len(dcfgs)
+    mains = forward_chunks(model, frames, size)
     priors = estimate_priors(mains, floor=dcfgs[0].prior_floor)
     return [[model.vocab.decode(lm_beam_decode(m, lm, priors, d)[0]) for m in mains]
             for d in dcfgs]
@@ -348,84 +350,94 @@ def _knob(parser, flag: str, help: str, dest: str | None = None):
                         help=f"{help} (default: {default})")
 
 
-def build_parser() -> _Parser:
+COMMANDS = ("gen-data", "train-lm", "train-source", "hybrid", "decode", "eval")
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand, or only of the one command names (one
+    of COMMANDS), whose help and errors read the same either way."""
     p = _Parser(prog="seqtransfer",
                 description="Train a dual-head CTC recognizer on a synthetic source "
                             "language and adapt it to an unlabeled target language by "
                             "LM-fused pseudo-label bootstrapping.")
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
+    if command in (None, "gen-data"):
+        g = sub.add_parser("gen-data", help="generate a synthetic language pair",
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        g.add_argument("--out", required=True, help="output directory")
+        g.add_argument("--base-seed", type=int, default=7, help="root seed for the pair")
+        g.add_argument("--n-train", type=int, default=320, help="training samples per language")
+        g.add_argument("--n-val", type=int, default=64, help="validation samples per language")
+        g.add_argument("--n-test", type=int, default=96, help="test samples per language")
+        g.add_argument("--shared-chars", default=STOCK_SHARED_CHARS,
+                       help="characters both languages share")
+        g.add_argument("--source-extra", default="", help="source-only characters")
+        g.add_argument("--target-extra", default=STOCK_TARGET_EXTRA, help="target-only characters")
+        g.add_argument("--style-strength", type=float, default=0.5,
+                       help="target rendering-style perturbation scale")
+        g.add_argument("--noise-sigma", type=float, default=0.3, help="frame noise sigma")
+        g.add_argument("--text-len", default="6,12", help="min,max transcription length")
+        g.add_argument("--input-dim", type=int, default=16, help="frame feature dimension")
+        g.add_argument("--unrelated-lines", type=int, default=0,
+                       help="lines in the held-out corpus (0 means n-train)")
+        g.set_defaults(func=cmd_gen_data)
 
-    g = sub.add_parser("gen-data", help="generate a synthetic language pair",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    g.add_argument("--out", required=True, help="output directory")
-    g.add_argument("--base-seed", type=int, default=7, help="root seed for the pair")
-    g.add_argument("--n-train", type=int, default=320, help="training samples per language")
-    g.add_argument("--n-val", type=int, default=64, help="validation samples per language")
-    g.add_argument("--n-test", type=int, default=96, help="test samples per language")
-    g.add_argument("--shared-chars", default=STOCK_SHARED_CHARS,
-                   help="characters both languages share")
-    g.add_argument("--source-extra", default="", help="source-only characters")
-    g.add_argument("--target-extra", default=STOCK_TARGET_EXTRA, help="target-only characters")
-    g.add_argument("--style-strength", type=float, default=0.5,
-                   help="target rendering-style perturbation scale")
-    g.add_argument("--noise-sigma", type=float, default=0.3, help="frame noise sigma")
-    g.add_argument("--text-len", default="6,12", help="min,max transcription length")
-    g.add_argument("--input-dim", type=int, default=16, help="frame feature dimension")
-    g.add_argument("--unrelated-lines", type=int, default=0,
-                   help="lines in the held-out corpus (0 means n-train)")
-    g.set_defaults(func=cmd_gen_data)
+    if command in (None, "train-lm"):
+        t = sub.add_parser("train-lm", help="build a character n-gram LM as ARPA text",
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        t.add_argument("--corpus", required=True, help="training text, one line per sequence")
+        t.add_argument("--out", required=True, help="output ARPA path")
+        t.add_argument("--order", type=int, default=10, help="n-gram order")
+        t.add_argument("--discount", type=float, default=0.1, help="absolute discount in (0,1)")
+        t.add_argument("--vocab", help="fixed vocabulary JSON (union file from gen-data)")
+        t.add_argument("--extra-chars", default="", help="characters to add to the vocabulary")
+        t.add_argument("--perplexity-on", help="also report perplexity on this text file")
+        t.set_defaults(func=cmd_train_lm)
 
-    t = sub.add_parser("train-lm", help="build a character n-gram LM as ARPA text",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    t.add_argument("--corpus", required=True, help="training text, one line per sequence")
-    t.add_argument("--out", required=True, help="output ARPA path")
-    t.add_argument("--order", type=int, default=10, help="n-gram order")
-    t.add_argument("--discount", type=float, default=0.1, help="absolute discount in (0,1)")
-    t.add_argument("--vocab", help="fixed vocabulary JSON (union file from gen-data)")
-    t.add_argument("--extra-chars", default="", help="characters to add to the vocabulary")
-    t.add_argument("--perplexity-on", help="also report perplexity on this text file")
-    t.set_defaults(func=cmd_train_lm)
+    if command in (None, "train-source"):
+        s = sub.add_parser("train-source", help="supervised training from scratch")
+        s.add_argument("--data", required=True, help="labeled training manifest")
+        s.add_argument("--val", help="labeled validation manifest")
+        s.add_argument("--vocab", required=True, help="vocabulary JSON from gen-data")
+        s.add_argument("--out-checkpoint", required=True, help="checkpoint to write")
+        s.add_argument("--metrics", help="append per-epoch metrics TSV here")
+        s.add_argument("--config", help="experiment config file (key = value lines)")
+        _knob(s, "--epochs", "training epochs")
+        _knob(s, "--lambda", "auxiliary-head loss weight", dest="lambda_")
+        _knob(s, "--batch-size", "minibatch size")
+        _knob(s, "--lr", "Adam learning rate")
+        _knob(s, "--seed", "run seed")
+        s.set_defaults(func=cmd_train_source)
 
-    s = sub.add_parser("train-source", help="supervised training from scratch")
-    s.add_argument("--data", required=True, help="labeled training manifest")
-    s.add_argument("--val", help="labeled validation manifest")
-    s.add_argument("--vocab", required=True, help="vocabulary JSON from gen-data")
-    s.add_argument("--out-checkpoint", required=True, help="checkpoint to write")
-    s.add_argument("--metrics", help="append per-epoch metrics TSV here")
-    s.add_argument("--config", help="experiment config file (key = value lines)")
-    _knob(s, "--epochs", "training epochs")
-    _knob(s, "--lambda", "auxiliary-head loss weight", dest="lambda_")
-    _knob(s, "--batch-size", "minibatch size")
-    _knob(s, "--lr", "Adam learning rate")
-    _knob(s, "--seed", "run seed")
-    s.set_defaults(func=cmd_train_source)
-
-    h = sub.add_parser("hybrid", help="adapt a checkpoint to unlabeled target data")
-    h.add_argument("--source-data", help="labeled source manifest")
-    h.add_argument("--target-data", help="unlabeled target manifest")
-    h.add_argument("--val-data", help="labeled target validation manifest")
-    h.add_argument("--init-checkpoint", required=True, help="starting model")
-    h.add_argument("--lm", help="ARPA LM; omit for the uniform-LM condition")
-    h.add_argument("--out-checkpoint", required=True, help="checkpoint to write")
-    h.add_argument("--metrics", help="append per-iteration metrics TSV here")
-    h.add_argument("--priors-log", help="write per-iteration label priors TSV here")
-    h.add_argument("--config", help="experiment config file (key = value lines)")
-    _knob(h, "--outer-iters", "outer iterations")
-    _knob(h, "--prior-pass-batches", "minibatches per prior pass")
-    _knob(h, "--train-pass-batches", "update steps per training pass")
-    _knob(h, "--rho", "source fraction of each minibatch")
-    _knob(h, "--lambda", "auxiliary-head loss weight", dest="lambda_")
-    _knob(h, "--batch-size", "minibatch size")
-    _knob(h, "--lr", "Adam learning rate")
-    _knob(h, "--w", "decoder emission weight")
-    _knob(h, "--alpha", "decoder prior scale")
-    _knob(h, "--beam", "decoder beam width")
-    _knob(h, "--prior-floor", "label prior floor")
-    _knob(h, "--seed", "run seed")
-    h.set_defaults(func=cmd_hybrid)
+    if command in (None, "hybrid"):
+        h = sub.add_parser("hybrid", help="adapt a checkpoint to unlabeled target data")
+        h.add_argument("--source-data", help="labeled source manifest")
+        h.add_argument("--target-data", help="unlabeled target manifest")
+        h.add_argument("--val-data", help="labeled target validation manifest")
+        h.add_argument("--init-checkpoint", required=True, help="starting model")
+        h.add_argument("--lm", help="ARPA LM; omit for the uniform-LM condition")
+        h.add_argument("--out-checkpoint", required=True, help="checkpoint to write")
+        h.add_argument("--metrics", help="append per-iteration metrics TSV here")
+        h.add_argument("--priors-log", help="write per-iteration label priors TSV here")
+        h.add_argument("--config", help="experiment config file (key = value lines)")
+        _knob(h, "--outer-iters", "outer iterations")
+        _knob(h, "--prior-pass-batches", "minibatches per prior pass")
+        _knob(h, "--train-pass-batches", "update steps per training pass")
+        _knob(h, "--rho", "source fraction of each minibatch")
+        _knob(h, "--lambda", "auxiliary-head loss weight", dest="lambda_")
+        _knob(h, "--batch-size", "minibatch size")
+        _knob(h, "--lr", "Adam learning rate")
+        _knob(h, "--w", "decoder emission weight")
+        _knob(h, "--alpha", "decoder prior scale")
+        _knob(h, "--beam", "decoder beam width")
+        _knob(h, "--prior-floor", "label prior floor")
+        _knob(h, "--seed", "run seed")
+        h.set_defaults(func=cmd_hybrid)
 
     for name, fn, extra in (("decode", cmd_decode, "write hypotheses"),
                             ("eval", cmd_eval, "report pooled CER")):
+        if command not in (None, name):
+            continue
         d = sub.add_parser(name, help=f"run the decoder and {extra}",
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         d.add_argument("--checkpoint", required=True, help="model checkpoint")
@@ -445,22 +457,14 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, NumericError, ValueError, OSError) as e:  # FormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except NumericError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, UsageError) else 3 if isinstance(e, NumericError) else 2
 
 
 if __name__ == "__main__":

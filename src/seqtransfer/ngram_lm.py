@@ -162,11 +162,7 @@ def build_lm(corpus: Iterable[str], order: int, discount: float,
         raise ValueError(f"discount must be in (0, 1), got {discount}")
 
     if vocab is None:
-        seen = set()
-        for line in lines:
-            seen.update(line)
-        seen.update(extra_chars)
-        vocab = Vocabulary(seen)
+        vocab = Vocabulary(set().union(*lines, extra_chars))
     else:
         for line in lines:
             for c in line:
@@ -243,11 +239,9 @@ def save_arpa(lm: NgramLM, path) -> None:
     by_len: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(1, lm.order + 1)}
     for gram in lm.probs:
         by_len[len(gram)].append(gram)
-    # the unigram section also carries BOS so its backoff weight has a home
-    ln10 = math.log(10.0)
 
     def fmt(x: float) -> str:
-        return f"{x / ln10:.12g}"
+        return f"{x / _LN10:.12g}"
 
     with open(path, "w", encoding="utf-8") as f:
         f.write("\\data\\\n")
@@ -257,7 +251,7 @@ def save_arpa(lm: NgramLM, path) -> None:
         for k in range(1, lm.order + 1):
             f.write(f"\n\\{k}-grams:\n")
             grams = sorted(by_len[k])
-            if k == 1:
+            if k == 1:  # the unigram section also carries BOS, a home for its backoff weight
                 grams = grams + [(lm.vocab.bos_id,)]
             for gram in grams:
                 toks = " ".join(_token_of(lm.vocab, i) for i in gram)
@@ -377,6 +371,8 @@ def load_arpa(path) -> NgramLM:
                 raise FormatError(f"{path}: bad section marker {s!r}") from None
             if k not in declared:
                 raise FormatError(f"{path}: section {k} was not declared")
+            if k in sections:
+                raise FormatError(f"{path}: repeated section marker {s!r}")
         lines = list(compress(body[lo + 1:hi], stripped[lo + 1:hi]))
         if k is not None:
             sections[k] = _parse_section(path, k, lines)

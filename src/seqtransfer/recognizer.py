@@ -166,7 +166,7 @@ def forward(model: Recognizer, frames, aux: bool = True):
     """Run the model over a T x D frame matrix: the batch of one of
     forward_batch.  Returns (aux, main, cache): the two log-posterior
     matrices (aux is None when aux is False) and the intermediate
-    activations that backward reads."""
+    activations that backward reads.  Only tests and perfbench call it."""
     auxs, mains, cache = forward_batch(model, [frames], aux)
     return auxs[0] if aux else None, mains[0], cache
 
@@ -196,6 +196,19 @@ def forward_batch(model: Recognizer, frames: list, aux: bool = True):
     gs = [np.concatenate([f, b[::-1]], axis=1) for f, b in zip(fwd, bwd)]
     mains = [_log_softmax(g @ p["main_w"].T + p["main_b"]) for g in gs]
     return auxs, mains, {"x": xs, "h": hs, "g": gs}
+
+
+def forward_chunks(model: Recognizer, frames: list, size: int, each=None) -> list:
+    """Main-head log-posteriors of each frame matrix, in input order, from
+    forward_batch over length-sorted chunks of size matrices: less padding,
+    the same bits.  each, if given, turns a chunk's posteriors into one
+    result per sample as soon as the chunk is forwarded."""
+    order = sorted(range(len(frames)), key=lambda i: len(frames[i]))
+    got = []
+    for lo in range(0, len(order), size):
+        mains = forward_batch(model, [frames[i] for i in order[lo:lo + size]], aux=False)[1]
+        got += each(mains) if each else mains
+    return [got[j] for j in np.argsort(order)]  # the inverse permutation
 
 
 def backward(model: Recognizer, cache: dict, aux_grad,

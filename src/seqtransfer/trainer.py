@@ -25,8 +25,7 @@ from .decoder import DecoderConfig, estimate_priors, lm_beam_decode
 from .errors import NumericError
 from .metrics import cer
 from .ngram_lm import NgramLM
-from .recognizer import Recognizer, backward, forward, forward_batch
-from .vocab import Vocabulary
+from .recognizer import Recognizer, backward, forward_batch, forward_chunks
 
 
 @dataclass(frozen=True)
@@ -113,15 +112,14 @@ def write_metrics(rows: Sequence[MetricsRow], path) -> None:
             f.write(f"{r.iteration}\t{r.split}\t{r.loss:.10g}\t{r.cer:.10g}\n")
 
 
-def composite_loss(model: Recognizer, frames: Sequence, labels: Sequence[Sequence[int]],
+def composite_loss(model: Recognizer, aux: list, main: list, cache: dict, labels: Sequence,
                    aux_loss_weight: float) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean weighted two-head CTC loss over a batch of frame matrices and
-    label sequences, and its mean parameter gradients."""
+    """Mean weighted two-head CTC loss, and its mean parameter gradients, over a
+    batch from the (aux, main, cache) forward_batch returned; empties aux and main."""
     w = aux_loss_weight
-    n = len(frames)
-    aux, main, cache = forward_batch(model, frames)
+    n = len(main)
     losses, grads = ctc_loss(aux + main, list(labels) * 2)
-    del aux, main  # not needed by backward; frees them before its peak
+    del aux[:], main[:]  # frees the posteriors before backward's peak, whoever holds the lists
     loss = 0.0
     for aux_l, main_l in zip(losses[:n], losses[n:]):
         loss += w * aux_l + (1.0 - w) * main_l
@@ -134,38 +132,18 @@ def composite_loss(model: Recognizer, frames: Sequence, labels: Sequence[Sequenc
 
 
 def _usable(frames: np.ndarray, label_ids: tuple[int, ...]) -> bool:
-    return len(label_ids) > 0 and frames.shape[0] >= min_frames(label_ids)
-
-
-def _batch_update(model: Recognizer, batch, cfg: TrainConfig, state: AdamState) -> float:
-    """Mean composite loss and gradient over (frames, label_ids) pairs,
-    followed by one Adam step."""
-    frames, label_ids = zip(*batch)
-    loss, grads = composite_loss(model, list(frames), list(label_ids), cfg.aux_loss_weight)
-    if not math.isfinite(loss):
-        raise NumericError(f"non-finite training loss {loss}")
-    adam_step(model.params, grads, state, cfg.adam)
-    return loss
+    return bool(label_ids) and frames.shape[0] >= min_frames(label_ids)
 
 
 def greedy_eval(model: Recognizer, samples: Sequence[Sample],
                 batch_size: int = TrainConfig.batch_size) -> float:
     """Pooled CER of greedy decodes against the stored transcriptions,
-    forwarding batch_size samples at a time."""
+    forwarding and decoding batch_size samples at a time."""
     for s in samples:
         if s.transcription is None:
             raise ValueError(f"sample {s.sample_id} has no transcription to score against")
-    hyps = []
-    for lo in range(0, len(samples), batch_size):
-        mains = forward_batch(model, [s.frames for s in samples[lo:lo + batch_size]],
-                              aux=False)[1]
-        hyps += [model.vocab.decode(ids) for ids in greedy_decode(mains)]
-    return cer([s.transcription for s in samples], hyps).cer
-
-
-def _encode_labeled(samples: Sequence[Sample], vocab: Vocabulary):
-    """(frames, label ids) of each sample of a Dataset.labeled() list."""
-    return [(s.frames, vocab.encode(s.transcription)) for s in samples]
+    hyps = forward_chunks(model, [s.frames for s in samples], batch_size, greedy_decode)
+    return cer([s.transcription for s in samples], list(map(model.vocab.decode, hyps))).cer
 
 
 @dataclass
@@ -185,7 +163,7 @@ def train_source(model: Recognizer, train_set: Dataset, cfg: TrainConfig,
     labeled = train_set.labeled()
     if not labeled:
         raise ValueError("training set has no labeled samples")
-    items = _encode_labeled(labeled, model.vocab)
+    items = [(s.frames, model.vocab.encode(s.transcription)) for s in labeled]
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5bc)))
     state = AdamState(model.params)
     rows: list[MetricsRow] = []
@@ -195,16 +173,12 @@ def train_source(model: Recognizer, train_set: Dataset, cfg: TrainConfig,
         order = rng.permutation(len(items))
         epoch_losses = []
         for lo in range(0, len(order), cfg.batch_size):
-            batch = []
-            for idx in order[lo:lo + cfg.batch_size]:
-                frames, ids = items[idx]
-                if _usable(frames, ids):
-                    batch.append((frames, ids))
-                else:
-                    skipped += 1
+            idx = order[lo:lo + cfg.batch_size]
+            batch = [items[i] for i in idx if _usable(*items[i])]
+            skipped += len(idx) - len(batch)
             if not batch:
                 continue
-            loss = _batch_update(model, batch, cfg, state)
+            loss, _ = _update(model, batch, cfg, state)
             epoch_losses.append(loss)
             step_losses.append(loss)
         mean_loss = float(np.mean(epoch_losses)) if epoch_losses else math.nan
@@ -216,11 +190,11 @@ def train_source(model: Recognizer, train_set: Dataset, cfg: TrainConfig,
     return TrainResult(model, rows, step_losses, skipped)
 
 
-def make_pseudo_label(model: Recognizer, frames, lm: NgramLM | None,
+def make_pseudo_label(model: Recognizer, main, lm: NgramLM | None,
                       priors, dcfg: DecoderConfig) -> tuple[int, ...] | None:
-    """Beam-decode the main head into a label sequence; None marks an empty
-    decode, the signal to leave this sample out of the batch."""
-    _, main, _ = forward(model, frames, aux=False)
+    """Beam-decode one main-head log-posterior matrix of the model into a
+    label sequence; None marks an empty decode, the signal to leave this
+    sample out of the batch."""
     ids, _ = lm_beam_decode(main, lm, priors, dcfg)
     return ids if ids else None
 
@@ -229,12 +203,31 @@ def prior_pass(model: Recognizer, samples: Sequence[Sample], cfg: TrainConfig,
                rng: np.random.Generator, floor: float) -> np.ndarray:
     """Forward-only pass over sampled target minibatches; returns fresh
     label priors and touches no parameter."""
-    mats = []
     n = len(samples)
-    for _ in range(cfg.prior_pass_batches):
-        idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
-        mats += forward_batch(model, [samples[i].frames for i in idx], aux=False)[1]
-    return estimate_priors(mats, floor=floor)
+    drawn = [samples[i].frames for _ in range(cfg.prior_pass_batches)
+             for i in rng.choice(n, size=min(cfg.batch_size, n), replace=False)]
+    return estimate_priors(forward_chunks(model, drawn, cfg.batch_size), floor=floor)
+
+
+def _update(model: Recognizer, batch, cfg: TrainConfig, state: AdamState, pseudo=()):
+    """One training step on (frames, label ids) slots: one forward over all
+    of them, a label for each slot whose ids are None from make_pseudo_label
+    (model, its main posteriors, *pseudo), and one Adam step on the usable
+    slots.  Returns the mean loss (None if no slot is usable) and the number dropped."""
+    aux, main, cache = forward_batch(model, [f for f, _ in batch])
+    labels = [make_pseudo_label(model, m, *pseudo) if ids is None else ids
+              for (_, ids), m in zip(batch, main)]
+    keep = [i for i, ((f, _), ids) in enumerate(zip(batch, labels)) if _usable(f, ids)]
+    if not keep:
+        return None, len(batch)
+    # rebinding releases the dropped slots' posteriors and activations before backward
+    aux, main, labels = ([x[i] for i in keep] for x in (aux, main, labels))
+    cache = {k: [v[i] for i in keep] for k, v in cache.items()}
+    loss, grads = composite_loss(model, aux, main, cache, labels, cfg.aux_loss_weight)
+    if not math.isfinite(loss):
+        raise NumericError(f"non-finite training loss {loss}")
+    adam_step(model.params, grads, state, cfg.adam)
+    return loss, len(batch) - len(keep)
 
 
 @dataclass
@@ -256,10 +249,10 @@ def hybrid_train(model: Recognizer, source_set: Dataset, target_set: Dataset,
     current posteriors on the target data, then runs mixed minibatch
     updates: round(source_fraction * batch_size) ground-truth source
     samples, placed first, and the rest target samples carrying beam
-    decodes as pseudo-labels.  Target samples whose decode comes back empty
-    are dropped; a step whose target slots all dropped proceeds source-only
-    and is counted."""
-    src = _encode_labeled(source_set.labeled(), model.vocab)
+    decodes as pseudo-labels, read off the step's one forward.  Target
+    samples whose decode is empty or unalignable are dropped; a step whose
+    target slots all dropped proceeds source-only and is counted."""
+    src = [(s.frames, model.vocab.encode(s.transcription)) for s in source_set.labeled()]
     tgt = list(target_set.samples)
     if not tgt:
         raise ValueError("target set is empty")
@@ -290,26 +283,20 @@ def hybrid_train(model: Recognizer, source_set: Dataset, target_set: Dataset,
         for _ in range(cfg.train_pass_batches):
             batch = []
             if n_src_per > 0:
-                take = min(n_src_per, len(src))
-                for idx in rng_src.choice(len(src), size=take, replace=False):
-                    frames, ids = src[idx]
-                    if _usable(frames, ids):
-                        batch.append((frames, ids))
+                picks = rng_src.choice(len(src), size=min(n_src_per, len(src)), replace=False)
+                batch = [src[i] for i in picks if _usable(*src[i])]
             n_from_src = len(batch)
             if n_tgt_per > 0:
-                take = min(n_tgt_per, len(tgt))
-                for idx in rng_tgt.choice(len(tgt), size=take, replace=False):
-                    s = tgt[idx]
-                    ids = make_pseudo_label(model, s.frames, lm, priors, dcfg)
-                    if ids is None or not _usable(s.frames, ids):
-                        skipped_decodes += 1
-                        continue
-                    batch.append((s.frames, ids))
-                if n_from_src and len(batch) == n_from_src:
-                    source_only_steps += 1
+                picks = rng_tgt.choice(len(tgt), size=min(n_tgt_per, len(tgt)), replace=False)
+                batch += [(tgt[i].frames, None) for i in picks]
             if not batch:
                 continue
-            loss = _batch_update(model, batch, cfg, state)
+            loss, dropped = _update(model, batch, cfg, state, (lm, priors, dcfg))
+            skipped_decodes += dropped
+            if n_from_src and dropped and dropped == len(batch) - n_from_src:
+                source_only_steps += 1
+            if loss is None:
+                continue
             iter_losses.append(loss)
             step_losses.append(loss)
 

@@ -6,7 +6,33 @@ import math
 import numpy as np
 import pytest
 
-from seqtransfer import BLANK_ID, collapse
+from seqtransfer import (BLANK_ID, AdamState, adam_step, backward, collapse, ctc_loss,
+                         estimate_priors, forward, forward_batch, lm_beam_decode, min_frames)
+
+
+# A complete 1-grams section, a 2-grams section, then a second complete
+# 1-grams section with other probabilities: a repeated section marker.
+REPEATED_SECTION_ARPA = """\\data\\
+ngram 1=4
+ngram 2=1
+
+\\1-grams:
+-0.1\ta
+-0.2\tb
+-0.3\t</s>
+-99\t<s>\t-0.3
+
+\\2-grams:
+-0.2\ta b
+
+\\1-grams:
+-0.5\ta
+-0.6\tb
+-0.7\t</s>
+-99\t<s>\t-0.3
+
+\\end\\
+"""
 
 
 def random_log_posteriors(rng: np.random.Generator, T: int, L: int) -> np.ndarray:
@@ -220,6 +246,86 @@ def beam_decode_reference(post, lm, priors, cfg):
                 (score == best_score and prefix < best_prefix):
             best_prefix, best_score = prefix, score
     return best_prefix, float(best_score)
+
+
+def prior_pass_reference(model, samples, cfg, rng, floor):
+    """prior_pass with one forward_batch per sampled minibatch, in draw
+    order: the oracle for the length-sorted chunked prior pass."""
+    mats = []
+    n = len(samples)
+    for _ in range(cfg.prior_pass_batches):
+        idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
+        mats += forward_batch(model, [samples[i].frames for i in idx], aux=False)[1]
+    return estimate_priors(mats, floor=floor)
+
+
+def composite_loss_reference(model, frames, labels, aux_loss_weight):
+    """composite_loss when it forwarded its own batch of frame matrices."""
+    w, n = aux_loss_weight, len(frames)
+    aux, main, cache = forward_batch(model, frames)
+    losses, grads = ctc_loss(aux + main, list(labels) * 2)
+    loss = 0.0
+    for aux_l, main_l in zip(losses[:n], losses[n:]):
+        loss += w * aux_l + (1.0 - w) * main_l
+    grads[:n] *= w
+    grads[n:] *= 1.0 - w
+    total = backward(model, cache, grads[:n], grads[n:])
+    for g in total.values():
+        g /= n
+    return loss / n, total
+
+
+def hybrid_train_reference(model, source_set, target_set, lm, cfg, dcfg,
+                           decode=lm_beam_decode):
+    """hybrid_train with two forwards per target slot: each target sample is
+    forwarded alone to be pseudo-labeled by decode, and the kept slots are
+    forwarded again, as a batch, for the update.  Same seeds and draws as
+    hybrid_train.  Returns (step_losses, prior_history, source_only_steps,
+    skipped_decodes); trains model in place.  The oracle for the one-forward
+    hybrid step."""
+    def usable(frames, ids):
+        return len(ids) > 0 and frames.shape[0] >= min_frames(ids)
+
+    src = [(s.frames, model.vocab.encode(s.transcription)) for s in source_set.labeled()]
+    tgt = list(target_set.samples)
+    n_src_per = round(cfg.source_fraction * cfg.batch_size)
+    n_tgt_per = cfg.batch_size - n_src_per
+    seq = np.random.SeedSequence((cfg.seed, 0x8d1))
+    rng_src, rng_tgt, rng_prior = (np.random.default_rng(s) for s in seq.spawn(3))
+    state = AdamState(model.params)
+    step_losses, prior_history = [], []
+    source_only_steps = skipped_decodes = 0
+    for _ in range(cfg.outer_iters):
+        priors = prior_pass_reference(model, tgt, cfg, rng_prior, dcfg.prior_floor)
+        prior_history.append(priors)
+        for _ in range(cfg.train_pass_batches):
+            batch = []
+            if n_src_per > 0:
+                take = min(n_src_per, len(src))
+                for idx in rng_src.choice(len(src), size=take, replace=False):
+                    frames, ids = src[idx]
+                    if usable(frames, ids):
+                        batch.append((frames, ids))
+            n_from_src = len(batch)
+            if n_tgt_per > 0:
+                take = min(n_tgt_per, len(tgt))
+                for idx in rng_tgt.choice(len(tgt), size=take, replace=False):
+                    frames = tgt[idx].frames
+                    ids, _ = decode(forward(model, frames, aux=False)[1], lm, priors, dcfg)
+                    if not ids or not usable(frames, ids):
+                        skipped_decodes += 1
+                        continue
+                    batch.append((frames, ids))
+                if n_from_src and len(batch) == n_from_src:
+                    source_only_steps += 1
+            if not batch:
+                continue
+            frames, ids = zip(*batch)
+            loss, grads = composite_loss_reference(model, list(frames), ids,
+                                                   cfg.aux_loss_weight)
+            adam_step(model.params, grads, state, cfg.adam)
+            step_losses.append(loss)
+    return step_losses, prior_history, source_only_steps, skipped_decodes
 
 
 @pytest.fixture

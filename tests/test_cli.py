@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from seqtransfer import (NumericError, Vocabulary, build_lm, cli, forward, load_arpa,
                          load_checkpoint, load_manifest, perplexity, save_checkpoint,
                          write_frames)
+from conftest import REPEATED_SECTION_ARPA
 
 
 @pytest.fixture(scope="module")
@@ -653,6 +654,69 @@ def test_checkpoint_vocabulary_not_a_char_list_exits_two(pipe, tmp_path, capsys,
                    "--data", str(pipe["data"] / "source" / "val" / "manifest.tsv")])
     assert rc == 2
     assert "vocabulary block" in capsys.readouterr().err
+
+
+def _parse_exit(parser, argv, capsys):
+    """What parsing argv prints and how it ends: (exit code or usage-error
+    message, stdout)."""
+    try:
+        parser.parse_args(argv)
+    except SystemExit as e:
+        return e.code, capsys.readouterr().out
+    except cli.UsageError as e:
+        return str(e), capsys.readouterr().out
+    raise AssertionError(f"{argv} parsed")
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_one_command_parser_reads_as_the_full_tree(command, capsys, monkeypatch):
+    full = cli.build_parser()
+    one = cli.build_parser(command)
+    for argv in ([command, "--help"], [command], [command, "--bogus", "1"]):
+        assert _parse_exit(one, argv, capsys) == _parse_exit(full, argv, capsys)
+    # main builds only the named subcommand's parser, and exits 1 on a
+    # missing required flag with the full tree's message
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda name=None: built.append(name) or real(name))
+    assert cli.main([command]) == 1
+    assert capsys.readouterr().err == f"error: {_parse_exit(full, [command], capsys)[0]}\n"
+    assert built == [command]
+    with pytest.raises(SystemExit) as e:
+        cli.main([command, "--help"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out == _parse_exit(full, [command, "--help"], capsys)[1]
+    other = next(c for c in cli.COMMANDS if c != command)
+    with pytest.raises(cli.UsageError, match=f"invalid choice: '{other}'"):
+        one.parse_args([other])
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["bogus"], ["--bogus"]])
+def test_no_command_or_an_unknown_one_builds_the_full_tree(argv, capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda name=None: built.append(name) or real(name))
+    try:
+        rc = cli.main(argv)
+    except SystemExit as e:
+        rc = e.code
+    out = capsys.readouterr()
+    assert built == [None]
+    code, full_out = _parse_exit(real(), argv, capsys)
+    if isinstance(code, int):  # help
+        assert (rc, out.out) == (code, full_out)
+        assert all(c in out.out for c in cli.COMMANDS)
+    else:
+        assert (rc, out.err) == (1, f"error: {code}\n")
+
+
+def test_repeated_arpa_section_exits_two(pipe, tmp_path, capsys):
+    bad = tmp_path / "repeated.arpa"
+    bad.write_text(REPEATED_SECTION_ARPA, encoding="utf-8")
+    rc = cli.main(["eval", "--checkpoint", str(pipe["ck"]), "--lm", str(bad),
+                   "--data", str(pipe["data"] / "source" / "val" / "manifest.tsv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {bad}: repeated section marker '\\\\1-grams:'\n"
 
 
 def test_hybrid_help_documents_defaults(capsys):

@@ -11,7 +11,7 @@ from seqtransfer import (Dataset, FormatError, RecognizerConfig, Sample, Vocabul
                          save_checkpoint, write_manifest)
 from seqtransfer.ngram_lm import BOS_TOKEN
 
-from conftest import arpa_cond_reference
+from conftest import REPEATED_SECTION_ARPA, arpa_cond_reference
 
 
 def mass_of(lm, context_ids):
@@ -382,6 +382,19 @@ def test_arpa_fault_messages(tmp_path, case):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(FormatError, match="^" + re.escape(f"{path}: {message}")):
         load_arpa(path)
+
+
+def test_arpa_repeated_section_marker_is_a_format_error(tmp_path):
+    path = tmp_path / "repeated.arpa"
+    path.write_text(REPEATED_SECTION_ARPA, encoding="utf-8")
+    with pytest.raises(FormatError) as e:
+        load_arpa(path)
+    assert str(e.value) == f"{path}: repeated section marker '\\\\1-grams:'"
+    # without the second 1-grams section the file loads, with the first's values
+    cut = REPEATED_SECTION_ARPA.rindex("\\1-grams:")
+    path.write_text(REPEATED_SECTION_ARPA[:cut] + "\\end\\\n", encoding="utf-8")
+    lm = load_arpa(path)
+    assert lm.probs[(lm.vocab.id_of("a"),)] == pytest.approx(-0.1 * math.log(10.0))
 
 
 def test_arpa_fault_table_base_file_loads(tmp_path):

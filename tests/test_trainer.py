@@ -7,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqtransfer.trainer as trainer_mod
-from seqtransfer import (AdamConfig, AdamState, Dataset, DecoderConfig, NumericError,
+from seqtransfer import (AdamConfig, AdamState, Dataset, DecoderConfig, NgramLM, NumericError,
                          RecognizerConfig, Sample, TrainConfig, Vocabulary, adam_step, build_lm,
-                         composite_loss, ctc_loss, forward, greedy_eval, hybrid_train,
-                         init_recognizer, make_language_pair, make_pseudo_label, min_frames,
-                         prior_pass, render, sample_corpus, sample_text, train_source,
+                         cer, cli, composite_loss, ctc_loss, estimate_priors, forward,
+                         forward_batch, forward_chunks, greedy_decode, greedy_eval, hybrid_train,
+                         init_recognizer, lm_beam_decode, make_language_pair, make_pseudo_label,
+                         min_frames, prior_pass, render, sample_corpus, sample_text, train_source,
                          write_metrics)
 from seqtransfer.synth_data import STOCK_SHARED_CHARS, STOCK_TARGET_EXTRA
 from seqtransfer.trainer import MetricsRow
-from conftest import oracle_best, uniform_priors
+from conftest import (hybrid_train_reference, oracle_best, prior_pass_reference,
+                      uniform_priors)
 
 VOCAB = Vocabulary("ab")
 
@@ -39,17 +41,17 @@ def test_composite_is_convex_combination(rng):
     labels = (1, 2)
     aux_l, main_l = head_losses(m, frames, labels)
     for lam in (0.0, 1.0, 0.25):
-        loss, _ = composite_loss(m, [frames], [labels], lam)
+        loss, _ = composite_loss(m, *forward_batch(m, [frames]), [labels], lam)
         assert loss == pytest.approx(lam * aux_l + (1 - lam) * main_l, rel=1e-12)
 
 
 def test_composite_grads_scale_with_lambda(rng):
     m = tiny_model()
     frames = rng.normal(0, 1, (5, 3))
-    _, g0 = composite_loss(m, [frames], [(1,)], 0.0)
+    _, g0 = composite_loss(m, *forward_batch(m, [frames]), [(1,)], 0.0)
     # with lambda 0 the aux head contributes nothing
     assert np.all(g0["aux_w"] == 0.0)
-    _, g1 = composite_loss(m, [frames], [(1,)], 1.0)
+    _, g1 = composite_loss(m, *forward_batch(m, [frames]), [(1,)], 1.0)
     assert np.all(g1["main_w"] == 0.0)
 
 
@@ -64,10 +66,10 @@ def test_batch_gradient_is_the_in_order_sum_of_sample_gradients(dtype, labels, e
     rng = np.random.default_rng(seed)
     frames = [rng.normal(0, 1, (min_frames(y) + e, 3)).astype(dtype)
               for y, e in zip(labels, extra)]
-    loss, grads = composite_loss(m, frames, labels, 0.25)
+    loss, grads = composite_loss(m, *forward_batch(m, frames), labels, 0.25)
     loss_sum, total = 0.0, None
     for f, y in zip(frames, labels):
-        one_loss, one = composite_loss(m, [f], [y], 0.25)
+        one_loss, one = composite_loss(m, *forward_batch(m, [f]), [y], 0.25)
         loss_sum += one_loss
         if total is None:
             total = one
@@ -206,7 +208,7 @@ def test_non_finite_loss_raises(rng, monkeypatch):
     m = tiny_model(dtype=np.float32)
     sample = Sample("g", rng.normal(0, 1, (6, 3)).astype(np.float32), "ab")
 
-    def bad_loss(model, frames, labels, lam):
+    def bad_loss(model, aux, main, cache, labels, lam):
         zeros = {k: np.zeros_like(v) for k, v in model.params.items()}
         return math.inf, zeros
 
@@ -217,38 +219,31 @@ def test_non_finite_loss_raises(rng, monkeypatch):
 
 # -- pseudo-labels ---------------------------------------------------------------------
 
-def fixed_posterior_forward(main_rows):
-    main = np.log(np.asarray(main_rows, dtype=np.float64))
-
-    def fake(model, frames, aux=True):
-        return np.full_like(main, -np.log(main.shape[1])) if aux else None, main, None
-
-    return fake
+def log_rows(rows):
+    return np.log(np.asarray(rows, dtype=np.float64))
 
 
-def test_pseudo_label_reads_off_clean_posteriors(rng, monkeypatch):
+def test_pseudo_label_reads_off_clean_posteriors():
     m = tiny_model()
     eps = 1e-9
     a = [1 - 2 * eps, eps, eps]
     rows = [[eps, 1 - 2 * eps, eps], [1 - 2 * eps, eps, eps], [eps, eps, 1 - 2 * eps]]
-    monkeypatch.setattr(trainer_mod, "forward", fixed_posterior_forward(rows))
     lm = build_lm(["ab", "ba", "aa", "bb"], order=2, discount=0.1)
-    ids = make_pseudo_label(m, rng.normal(0, 1, (3, 3)), lm,
+    ids = make_pseudo_label(m, log_rows(rows), lm,
                             uniform_priors(3), DecoderConfig(beam_width=16))
     assert ids == (1, 2)
 
 
-def test_pseudo_label_empty_decode_is_none(rng, monkeypatch):
+def test_pseudo_label_empty_decode_is_none():
     m = tiny_model()
     eps = 1e-9
     rows = [[1 - 2 * eps, eps, eps]] * 4
-    monkeypatch.setattr(trainer_mod, "forward", fixed_posterior_forward(rows))
-    ids = make_pseudo_label(m, rng.normal(0, 1, (4, 3)), None,
+    ids = make_pseudo_label(m, log_rows(rows), None,
                             uniform_priors(3), DecoderConfig(beam_width=16))
     assert ids is None
 
 
-def test_lm_resolves_accent_ambiguity(rng, monkeypatch):
+def test_lm_resolves_accent_ambiguity():
     # the emission head cannot separate the accented variant from its base
     # character, but an LM whose corpus uses the accent tips the decode
     vocab = Vocabulary("eé")
@@ -261,13 +256,53 @@ def test_lm_resolves_accent_ambiguity(rng, monkeypatch):
     row[0] = 0.2
     row[e_id] = 0.41  # base char marginally ahead
     row[acc_id] = 0.39
-    monkeypatch.setattr(trainer_mod, "forward", fixed_posterior_forward([row]))
     dcfg = DecoderConfig(emission_weight=0.4, prior_scale=0.0, beam_width=16)
-    ids = make_pseudo_label(m, rng.normal(0, 1, (1, 3)), lm, uniform_priors(3), dcfg)
+    ids = make_pseudo_label(m, log_rows([row]), lm, uniform_priors(3), dcfg)
     assert vocab.decode(ids) == "é"
     post = np.log(np.array([row]))
     want_seq, _ = oracle_best(post, lm, uniform_priors(3), 0.4, 0.0)
     assert vocab.decode(want_seq) == "é"
+
+
+# -- chunked forwards -----------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=20),
+       size=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_chunked_forwards_match_per_sample_and_arrival_order_loops(lengths, size, seed):
+    """forward_chunks returns each sample's main posteriors, in input order,
+    bit-identical to a one-at-a-time forward; greedy_eval, prior_pass and
+    cli._decode_all read exactly what their old loops read."""
+    m = tiny_model(seed % 7, dtype=np.float32)
+    rng = np.random.default_rng(seed)
+    frames = [rng.normal(0, 1, (t, 3)).astype(np.float32) for t in lengths]
+    alone = [forward(m, f, aux=False)[1] for f in frames]
+    got = forward_chunks(m, frames, size)
+    assert len(got) == len(frames)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, alone))
+    assert forward_chunks(m, frames, size, greedy_decode) == greedy_decode(alone)
+
+    texts = ["".join(rng.choice(list("ab"), int(rng.integers(1, 5)))) for _ in frames]
+    samples = [Sample(f"s{i}", f, t) for i, (f, t) in enumerate(zip(frames, texts))]
+    old_hyps = []
+    for lo in range(0, len(samples), size):  # arrival-order chunks
+        mains = forward_batch(m, frames[lo:lo + size], aux=False)[1]
+        old_hyps += [m.vocab.decode(ids) for ids in greedy_decode(mains)]
+    assert greedy_eval(m, samples, size) == cer(texts, old_hyps).cer
+
+    pcfg = TrainConfig(batch_size=size, prior_pass_batches=3)
+    priors = prior_pass(m, samples, pcfg, np.random.default_rng(seed), floor=1e-6)
+    want = prior_pass_reference(m, samples, pcfg, np.random.default_rng(seed), floor=1e-6)
+    assert priors.tobytes() == want.tobytes()
+
+    data = Dataset(samples)
+    dcfgs = [DecoderConfig(beam_width=4), DecoderConfig(beam_width=2, prior_scale=0.0)]
+    assert cli._decode_all(m, data, None, dcfgs) == [[m.vocab.decode(ids) for ids in
+                                                       greedy_decode(alone)]] * 2
+    lm = build_lm(["ab", "ba", "aab"], order=2, discount=0.1, vocab=m.vocab)
+    lm_priors = estimate_priors(alone, floor=dcfgs[0].prior_floor)
+    assert cli._decode_all(m, data, lm, dcfgs) == [
+        [m.vocab.decode(lm_beam_decode(a, lm, lm_priors, d)[0]) for a in alone] for d in dcfgs]
 
 
 # -- prior pass -----------------------------------------------------------------------
@@ -361,6 +396,72 @@ def test_hybrid_rejects_empty_target():
     model, src, _, lm, tcfg, dcfg = hybrid_fixture(lm_corpus=["ab"])
     with pytest.raises(ValueError):
         hybrid_train(model, src, Dataset([]), lm, tcfg, dcfg)
+
+
+def _ragged_targets(seed, lengths=(2, 3, 6, 4, 7, 2, 8, 3)):
+    rng = np.random.default_rng(seed)
+    return Dataset([Sample(f"t{i}", rng.normal(0, 1, (t, 16)).astype(np.float32), None)
+                    for i, t in enumerate(lengths)])
+
+
+def _long_label_below_five_frames(post, lm, priors, dcfg):
+    """lm_beam_decode, except that a posterior of fewer than 5 frames gets
+    four repeats of one id, which need 7 frames: a label too long for its
+    target."""
+    ids, score = lm_beam_decode(post, lm, priors, dcfg)
+    return ((1, 1, 1, 1) if len(post) < 5 else ids), score
+
+
+@pytest.mark.parametrize("case", ["lm", "no_lm", "uniform_lm", "blank_bias", "too_short",
+                                  "rho_zero", "rho_one"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_forward_hybrid_step_matches_two_forward_reference(monkeypatch, case, seed):
+    """Pseudo-labels read off each step's one forward, and the kept slots'
+    slice of its cache, train exactly as when every target slot was
+    forwarded alone to be labeled and the kept ones again to train."""
+    rho = {"rho_zero": 0.0, "rho_one": 1.0}.get(case, 0.5)
+    corpus = None if case in ("no_lm", "uniform_lm", "blank_bias") else ["ab", "ba"]
+    decode = _long_label_below_five_frames if case == "too_short" else lm_beam_decode
+    kept = []  # slots per update
+    real_loss = trainer_mod.composite_loss
+
+    def spy(model, aux, main, cache, labels, w):
+        kept.append(len(main))
+        return real_loss(model, aux, main, cache, labels, w)
+
+    runs = []
+    for side in ("change", "reference"):
+        model, src, _, lm, _, dcfg = hybrid_fixture(seed=seed, rho=rho, lm_corpus=corpus)
+        tgt = _ragged_targets(seed + 50)
+        tcfg = TrainConfig(batch_size=5, source_fraction=rho, outer_iters=2,
+                           prior_pass_batches=2, train_pass_batches=10, seed=seed)
+        if case == "uniform_lm":  # every character and EOS equally likely everywhere
+            usable = list(range(1, model.vocab.emit_size)) + [model.vocab.eos_id]
+            lm = NgramLM(model.vocab, 1, {(c,): -math.log(len(usable)) for c in usable}, {})
+        if case == "blank_bias":  # a mix of empty and non-empty decodes, no LM
+            model.params["main_b"][0] = 6.0
+        if side == "change":
+            with monkeypatch.context() as mp:
+                mp.setattr(trainer_mod, "lm_beam_decode", decode)
+                mp.setattr(trainer_mod, "composite_loss", spy)
+                res = hybrid_train(model, src, tgt, lm, tcfg, dcfg)
+            runs.append((res.step_losses, res.prior_history, res.source_only_steps,
+                         res.skipped_decodes, param_digest(model)))
+        else:
+            runs.append(hybrid_train_reference(model, src, tgt, lm, tcfg, dcfg, decode)
+                        + (param_digest(model),))
+    (losses, priors, source_only, skipped, digest), want = runs
+    assert losses and losses == want[0]
+    assert [p.tobytes() for p in priors] == [p.tobytes() for p in want[1]]
+    assert (source_only, skipped, digest) == want[2:]
+    if case == "too_short":
+        # 2 source and 3 target slots a step: some steps keep a part of the
+        # target slots, and some none
+        assert source_only > 0 and {3, 4} & set(kept)
+    if case in ("uniform_lm", "blank_bias"):
+        assert skipped > 0  # empty decodes
+    if case == "rho_one":
+        assert skipped == 0
 
 
 def param_digest(model):
