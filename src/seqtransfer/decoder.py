@@ -10,8 +10,8 @@ weight.  The character LM adds log p(c | prefix) exactly when a hypothesis
 extends by a character, and a terminal EOS factor when the final
 hypotheses are ranked.  The LM itself carries weight one; emission_weight
 sets the relative weight of the recognizer evidence.  Passing lm=None
-treats every character sequence as equally likely, which removes the LM
-terms entirely.
+treats every character sequence as equally likely: the same search runs
+with one LM state, whose row is all zeros.
 
 Hypotheses live in collapsed-prefix space: per prefix the search keeps
 separate log scores for paths ending in blank and in a non-blank.  A
@@ -92,7 +92,7 @@ def check_priors(priors, label_count: int) -> np.ndarray:
     p = np.asarray(priors, dtype=np.float64)
     if p.shape != (label_count,):
         raise ValueError(f"priors must have shape ({label_count},), got {p.shape}")
-    if np.any(p <= 0.0) or abs(p.sum() - 1.0) > 1e-6:
+    if not ((p > 0.0).all() and abs(p.sum() - 1.0) <= 1e-6):  # NaN fails both
         raise ValueError("priors must be strictly positive and sum to 1")
     return p
 
@@ -120,38 +120,37 @@ def lm_beam_decode(posteriors, lm: NgramLM | None, priors,
 
     # the trie: node 0 is the empty prefix.  Per node, info holds its
     # parent node, last id and LM state id; child maps parent * L + id to a
-    # node, so a prefix that leaves the beam and comes back keeps its node
-    info = np.zeros((256, 3), dtype=np.intp)
-    info[0, 0] = -1
+    # node, so a prefix that leaves the beam and comes back keeps its node.
+    # A frame adds one node per surviving extension, at most beam_width and
+    # fewer than L ** T, and each node adds at most one LM state, so T times
+    # that plus the root bounds both; pos gets one more entry, which the
+    # empty prefix's parent -1 reads
+    size = T * min(cfg.beam_width, L ** T) + 2
+    info = np.empty((size, 3), dtype=np.intp)
+    info[0] = -1, 0, 0
     child: dict[int, int] = {}
-    if lm is not None:  # LM states, their ids, and one LM row per state id
-        keep = lm.order - 1
+    # LM states, their ids, and one LM row per state id.  A row keeps the L
+    # emitted ids, with the EOS log probability in column 0: the blank
+    # carries no LM mass, and column 0 of a frame's candidates is the
+    # unextended prefix, whose score the LM never touches.  Without an LM
+    # the one state () has an all-zero row
+    keep, states, table = 0, [()], np.empty((size, L))
+    table[0] = 0.0
+    if lm is not None:
+        keep, cols = lm.order - 1, np.r_[lm.vocab.eos_id, 1:L]
         states = [(lm.vocab.bos_id,) if keep else ()]
-        state_id = {states[0]: 0}
-        # a row keeps the L emitted ids, with the EOS log probability in
-        # column 0: the blank carries no LM mass, and column 0 of a frame's
-        # candidates is the unextended prefix, whose score the LM never touches
-        cols = np.r_[lm.vocab.eos_id, 1:L]
-        table = np.empty((16, L))
         lm.next_log_probs(states[0]).take(cols, out=table[0])
+    state_id = {states[0]: 0}
 
     def node_of(p: int, c: int) -> int:
-        nonlocal info, pos, table
         node = child.get(p * L + c)
         if node is None:
             node = child[p * L + c] = len(child) + 1
-            if node + 1 == len(info):  # pos's last entry stays free for the parent -1
-                info = np.concatenate([info, np.empty_like(info)])
-                pos = np.full(len(info), -1, dtype=np.intp)
-            sid = 0
-            if lm is not None:
-                state = (states[info[p, 2]] + (c,))[-keep:] if keep else ()
-                sid = state_id.setdefault(state, len(states))
-                if sid == len(states):
-                    if sid == len(table):
-                        table = np.concatenate([table, np.empty_like(table)])
-                    lm.next_log_probs(state).take(cols, out=table[sid])
-                    states.append(state)
+            state = (states[info[p, 2]] + (c,))[-keep:] if keep else ()
+            sid = state_id.setdefault(state, len(states))
+            if sid == len(states):
+                lm.next_log_probs(state).take(cols, out=table[sid])
+                states.append(state)
             info[node] = p, c, sid
         return node
 
@@ -164,11 +163,10 @@ def lm_beam_decode(posteriors, lm: NgramLM | None, priors,
 
     # the beam: node ids, and log scores of their paths ending in blank (pb)
     # and in a non-blank (pnb).  pos maps a node to its beam slot during a
-    # frame and is -1 elsewhere, in the last entry too, which the empty
-    # prefix's parent -1 reads
+    # frame and is -1 elsewhere, in the last entry too
     nodes = np.zeros(1, dtype=np.intp)
     pb, pnb = np.zeros(1), np.full(1, _NEG_INF)
-    pos = np.full(len(info), -1, dtype=np.intp)
+    pos = np.full(size, -1, dtype=np.intp)
     width = cfg.beam_width
     for t in range(T):
         n = len(nodes)
@@ -187,12 +185,9 @@ def lm_beam_decode(posteriors, lm: NgramLM | None, priors,
         live[:] = tot[:, None]
         live[slots, last] = pb
         dead = live == _NEG_INF  # an extension no path reaches
-        if lm is None:
-            live += emis[t]
-        else:
-            add = table.take(sid, axis=0)
-            add += emis[t]
-            live += add
+        add = table.take(sid, axis=0)
+        add += emis[t]
+        live += add
         # extension (j, last[i]) is beam prefix i when j is the beam slot of
         # i's parent, and -1 (the scratch row) when the parent is not in the beam
         pos[nodes] = slots
@@ -223,8 +218,6 @@ def lm_beam_decode(posteriors, lm: NgramLM | None, priors,
         pb[grown] = _NEG_INF
         nodes[grown] = [node_of(p, x) for p, x in zip(nodes[grown].tolist(), c[grown].tolist())]
 
-    score = np.logaddexp(pb, pnb)
-    if lm is not None:
-        score = score + table[info[nodes, 2], 0]
+    score = np.logaddexp(pb, pnb) + table[info[nodes, 2], 0]
     k = min(np.flatnonzero(score == score.max()).tolist(), key=lambda x: spell(nodes[x]))
     return spell(nodes[k]), float(score[k])

@@ -235,24 +235,21 @@ def _token_of(vocab: Vocabulary, i: int) -> str:
 
 def save_arpa(lm: NgramLM, path) -> None:
     """Write the model as ARPA text: log10 probabilities, tab-separated
-    fields, one section per n-gram length up to the model order."""
-    by_len: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(1, lm.order + 1)}
-    for gram in lm.probs:
-        by_len[len(gram)].append(gram)
+    fields, one section per n-gram length up to the model order, each in
+    the model's own sorted order."""
+    sections = [lm._grams.get(k, []) for k in range(1, lm.order + 1)]
+    # the unigram section also carries BOS, a home for its backoff weight
+    sections[0] = sections[0] + [(lm.vocab.bos_id,)]
 
     def fmt(x: float) -> str:
         return f"{x / _LN10:.12g}"
 
     with open(path, "w", encoding="utf-8") as f:
         f.write("\\data\\\n")
-        for k in range(1, lm.order + 1):
-            n = len(by_len[k]) + (1 if k == 1 else 0)
-            f.write(f"ngram {k}={n}\n")
-        for k in range(1, lm.order + 1):
+        for k, grams in enumerate(sections, 1):
+            f.write(f"ngram {k}={len(grams)}\n")
+        for k, grams in enumerate(sections, 1):
             f.write(f"\n\\{k}-grams:\n")
-            grams = sorted(by_len[k])
-            if k == 1:  # the unigram section also carries BOS, a home for its backoff weight
-                grams = grams + [(lm.vocab.bos_id,)]
             for gram in grams:
                 toks = " ".join(_token_of(lm.vocab, i) for i in gram)
                 if gram == (lm.vocab.bos_id,):

@@ -98,8 +98,6 @@ def init_recognizer(cfg: RecognizerConfig, vocab: Vocabulary,
 def _windows(frames: np.ndarray, radius: int) -> np.ndarray:
     """T x (2r+1)D matrix of zero-padded context windows, offsets -r..+r."""
     t = frames.shape[0]
-    if radius == 0:
-        return frames
     pad = np.zeros((radius, frames.shape[1]), dtype=frames.dtype)
     padded = np.concatenate([pad, frames, pad], axis=0)
     return np.concatenate([padded[i:i + t] for i in range(2 * radius + 1)], axis=1)
@@ -162,13 +160,13 @@ def _scan_grad(deltas: np.ndarray, states: list, hs: list, w: list, u: np.ndarra
         yield out
 
 
-def forward(model: Recognizer, frames, aux: bool = True):
+def forward(model: Recognizer, frames):
     """Run the model over a T x D frame matrix: the batch of one of
     forward_batch.  Returns (aux, main, cache): the two log-posterior
-    matrices (aux is None when aux is False) and the intermediate
-    activations that backward reads.  Only tests and perfbench call it."""
-    auxs, mains, cache = forward_batch(model, [frames], aux)
-    return auxs[0] if aux else None, mains[0], cache
+    matrices and the intermediate activations that backward reads.  Only
+    tests and perfbench call it."""
+    auxs, mains, cache = forward_batch(model, [frames])
+    return auxs[0], mains[0], cache
 
 
 def forward_batch(model: Recognizer, frames: list, aux: bool = True):
@@ -216,13 +214,11 @@ def backward(model: Recognizer, cache: dict, aux_grad,
     """Gradients of a scalar loss with respect to every named parameter,
     summed over the cache's samples in order.  cache is the one forward or
     forward_batch returned; aux_grad and main_grad are d(loss)/d(logits)
-    for the two heads, B x max(T) x L (T x L for a batch of one), as CTC
-    losses hand them back."""
+    for the two heads, B x max(T) x L, as ctc_loss hands them back."""
     p = model.params
     hs, gs = cache["h"], cache["g"]
     rd = model.cfg.recurrent_dim
     ga, gm = (np.asarray(g, dtype=np.float64) for g in (aux_grad, main_grad))
-    ga, gm = (g[None] if g.ndim == 2 else g for g in (ga, gm))
     shape = (len(hs), max(len(h) for h in hs), model.cfg.label_count)
     if ga.shape != shape or gm.shape != shape:
         raise ValueError("head gradients must match the posterior shapes")

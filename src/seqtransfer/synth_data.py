@@ -125,22 +125,11 @@ def render(text: str, spec: LanguageSpec, rng: np.random.Generator,
         if c not in spec.prototypes:
             raise ValueError(f"character {c!r} is not in language {spec.name!r}")
         proto = spec.prototypes[c]
-        if stretch:
-            rows = []
-            for row in proto:
-                u = rng.random()
-                if u < DUP_PROB:
-                    rows.append(row)
-                    rows.append(row)
-                elif u < DUP_PROB + DROP_PROB:
-                    continue
-                else:
-                    rows.append(row)
-            if not rows:  # never drop a character entirely
-                rows.append(proto[0])
-            chunks.append(np.stack(rows))
-        else:
-            chunks.append(proto)
+        if stretch:  # one draw per row: doubled, dropped or kept once
+            u = rng.random(len(proto))
+            rows = np.repeat(proto, np.where(u < DUP_PROB, 2, u >= DUP_PROB + DROP_PROB), axis=0)
+            proto = rows if len(rows) else proto[:1]  # never drop a character entirely
+        chunks.append(proto)
     frames = np.concatenate(chunks, axis=0)
     frames = frames @ spec.style_matrix.T + spec.style_bias
     if spec.noise_sigma > 0:

@@ -8,6 +8,7 @@ import pytest
 
 from seqtransfer import (BLANK_ID, AdamState, adam_step, backward, collapse, ctc_loss,
                          estimate_priors, forward, forward_batch, lm_beam_decode, min_frames)
+from seqtransfer.synth_data import DROP_PROB, DUP_PROB
 
 
 # A complete 1-grams section, a 2-grams section, then a second complete
@@ -45,6 +46,32 @@ def uniform_priors(label_count: int) -> np.ndarray:
     if label_count < 2:
         raise ValueError("need at least blank plus one character")
     return np.full(label_count, 1.0 / label_count)
+
+
+def render_reference(text, spec, rng) -> np.ndarray:
+    """The oracle for synth_data.render with stretching: one rng.random()
+    per prototype row, which is doubled, dropped or kept in a Python loop."""
+    chunks = []
+    for c in text:
+        proto = spec.prototypes[c]
+        rows = []
+        for row in proto:
+            u = rng.random()
+            if u < DUP_PROB:
+                rows.append(row)
+                rows.append(row)
+            elif u < DUP_PROB + DROP_PROB:
+                continue
+            else:
+                rows.append(row)
+        if not rows:  # never drop a character entirely
+            rows.append(proto[0])
+        chunks.append(np.stack(rows))
+    frames = np.concatenate(chunks, axis=0)
+    frames = frames @ spec.style_matrix.T + spec.style_bias
+    if spec.noise_sigma > 0:
+        frames = frames + rng.normal(0.0, spec.noise_sigma, frames.shape)
+    return frames.astype(np.float32)
 
 
 def check_posteriors_reference(mat) -> np.ndarray:
@@ -311,7 +338,7 @@ def hybrid_train_reference(model, source_set, target_set, lm, cfg, dcfg,
                 take = min(n_tgt_per, len(tgt))
                 for idx in rng_tgt.choice(len(tgt), size=take, replace=False):
                     frames = tgt[idx].frames
-                    ids, _ = decode(forward(model, frames, aux=False)[1], lm, priors, dcfg)
+                    ids, _ = decode(forward(model, frames)[1], lm, priors, dcfg)
                     if not ids or not usable(frames, ids):
                         skipped_decodes += 1
                         continue

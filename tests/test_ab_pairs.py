@@ -40,6 +40,27 @@ def test_summary_medians_iqr_ratio_and_pairs_won():
     assert not rss["beyond_iqr"]
 
 
+def test_gate_reads_worse_unresolved_or_ok():
+    def gate(parent, change, rss=False):
+        runs = {"parent": [_run(100, v) if rss else _run(v, 40.0) for v in parent],
+                "change": [_run(100, v) if rss else _run(v, 40.0) for v in change]}
+        return ab_pairs.summarize(runs, END_TO_END)[rss]["gate"]
+
+    # frames_per_s, higher is better, bound 0.25
+    assert gate([100] * 5, [80] * 5) == "ok"  # 20% worse: inside the bound
+    assert gate([100] * 5, [74] * 5) == "worse"
+    wide = [60, 80, 100, 120, 140]  # IQR 40 against a median of 100
+    assert gate(wide, [100] * 5) == "unresolved"
+    assert gate(wide, [61, 81, 101, 121, 141]) == "ok"  # the change won every pair
+    assert gate(wide, [70] * 5) == "worse"  # a median past the bound is worse at any spread
+    # peak_rss_mb, lower is better, bound 0.1
+    assert gate([40.0] * 3, [43.0] * 3, rss=True) == "ok"
+    assert gate([40.0] * 3, [44.5] * 3, rss=True) == "worse"
+    assert gate([30.0, 40.0, 50.0], [35.0, 39.0, 45.0], rss=True) == "unresolved"
+    runs = {"parent": [_run(100, 40.0)] * 3, "change": [_run(70, 40.0)] * 3}
+    assert "worse" in ab_pairs.report(runs, END_TO_END).splitlines()[1]
+
+
 def test_equal_digests_are_reported_equal():
     runs = _runs()
     assert ab_pairs.digest_mismatches(runs) == []

@@ -68,8 +68,8 @@ def test_criterion_2_gradient_checks():
     for labels in ((1, 2), (2, 1, 2)):
         frames = rng.normal(0.0, 1.0, (6, 3))
         aux, main, cache = forward(model, frames)
-        _, (g_aux,) = ctc_loss([aux], [labels])
-        _, (g_main,) = ctc_loss([main], [labels])
+        _, g_aux = ctc_loss([aux], [labels])
+        _, g_main = ctc_loss([main], [labels])
         grads = backward(model, cache, 0.25 * g_aux, 0.75 * g_main)
         h = 1e-5
         for name, p in model.params.items():

@@ -429,3 +429,8 @@ def test_bad_priors_rejected(rng):
     post = random_log_posteriors(rng, 2, 3)
     with pytest.raises(ValueError):
         lm_beam_decode(post, None, np.array([0.5, 0.5, 0.5]), DecoderConfig())
+    # NaN is neither positive nor sums to 1, at every prior_scale
+    for scale in (0.0, 0.5):
+        with pytest.raises(ValueError, match="priors must be strictly positive"):
+            lm_beam_decode(np.log(np.full((4, 3), 1 / 3)), None, [math.nan, 0.5, 0.5],
+                           DecoderConfig(beam_width=4, prior_scale=scale))

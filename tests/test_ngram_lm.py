@@ -227,6 +227,19 @@ def test_arpa_contains_bigram_entry(tmp_path):
                for line in text.splitlines() if "\t" in line)
 
 
+def test_orders_above_the_longest_line_write_empty_sections(tmp_path):
+    lm = build_lm(["ab", "b"], order=6, discount=0.1)  # longest n-gram: <s> a b </s>
+    path = tmp_path / "model.arpa"
+    save_arpa(lm, path)
+    text = path.read_text(encoding="utf-8")
+    assert "ngram 4=1\nngram 5=0\nngram 6=0\n" in text
+    assert "\\5-grams:\n\n\\6-grams:\n\n\\end\\" in text
+    back = load_arpa(path)
+    assert back.order == 6 and set(back.probs) == set(lm.probs)
+    save_arpa(back, tmp_path / "again.arpa")
+    assert (tmp_path / "again.arpa").read_text(encoding="utf-8") == text
+
+
 def test_arpa_escapes_space_and_tab(tmp_path):
     lm = build_lm(["a b"], order=2, discount=0.1)
     path = tmp_path / "model.arpa"

@@ -15,8 +15,8 @@ from conftest import scan_grad_reference, scan_reference
 VOCAB = Vocabulary("ab")
 
 
-def tiny_model(seed=0, dtype=np.float64):
-    cfg = RecognizerConfig(label_count=3, input_dim=3, context_radius=1,
+def tiny_model(seed=0, dtype=np.float64, radius=1):
+    cfg = RecognizerConfig(label_count=3, input_dim=3, context_radius=radius,
                            feature_dim=4, recurrent_dim=3, seed=seed)
     return init_recognizer(cfg, VOCAB, dtype=dtype)
 
@@ -90,9 +90,6 @@ def test_forward_is_deterministic(rng):
     a1, m1, _ = forward(m, frames)
     a2, m2, _ = forward(m, frames)
     assert np.array_equal(a1, a2) and np.array_equal(m1, m2)
-    # the forward-only decode paths skip the aux head; main is unchanged
-    a3, m3, _ = forward(m, frames, aux=False)
-    assert a3 is None and np.array_equal(m1, m3)
 
 
 def test_forward_rejects_bad_frames(rng):
@@ -122,30 +119,31 @@ def test_last_frame_reaches_main_but_not_aux_at_frame_one(rng):
 
 def composite(model, frames, labels, lam):
     aux, main, cache = forward(model, frames)
-    (la,), (ga,) = ctc_loss([aux], [labels])
-    (lm_,), (gm,) = ctc_loss([main], [labels])
+    (la,), ga = ctc_loss([aux], [labels])
+    (lm_,), gm = ctc_loss([main], [labels])
     grads = backward(model, cache, lam * ga, (1 - lam) * gm)
     return lam * la + (1 - lam) * lm_, grads
 
 
 def test_gradients_match_finite_differences(rng):
-    m = tiny_model(seed=3)
-    frames = rng.normal(0, 1, (4, 3))
     labels = (1, 2)
-    _, grads = composite(m, frames, labels, 0.25)
     hstep = 1e-5
-    for name, p in m.params.items():
-        flat = p.reshape(-1)
-        gflat = grads[name].reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + hstep
-            up, _ = composite(m, frames, labels, 0.25)
-            flat[i] = keep - hstep
-            dn, _ = composite(m, frames, labels, 0.25)
-            flat[i] = keep
-            fd = (up - dn) / (2 * hstep)
-            assert gflat[i] == pytest.approx(fd, rel=1e-4, abs=1e-8), name
+    for radius in (1, 0):  # radius 0: each frame's window is the frame alone
+        m = tiny_model(seed=3, radius=radius)
+        frames = rng.normal(0, 1, (4, 3))
+        _, grads = composite(m, frames, labels, 0.25)
+        for name, p in m.params.items():
+            flat = p.reshape(-1)
+            gflat = grads[name].reshape(-1)
+            for i in range(flat.size):
+                keep = flat[i]
+                flat[i] = keep + hstep
+                up, _ = composite(m, frames, labels, 0.25)
+                flat[i] = keep - hstep
+                dn, _ = composite(m, frames, labels, 0.25)
+                flat[i] = keep
+                fd = (up - dn) / (2 * hstep)
+                assert gflat[i] == pytest.approx(fd, rel=1e-4, abs=1e-8), (radius, name)
 
 
 def per_step_recurrence_grads(m, cache, main_grad):
@@ -176,7 +174,7 @@ def test_recurrence_grads_match_per_step_reference(rng):
     frames = rng.normal(0, 1, (20, 3))
     aux, main, cache = forward(m, frames)
     gm = rng.normal(0, 1, main.shape)
-    grads = backward(m, cache, np.zeros_like(aux), gm)
+    grads = backward(m, cache, np.zeros((1, *aux.shape)), gm[None])
     # float64 sums of 20 terms reordered by the matmul
     for name, want in per_step_recurrence_grads(m, cache, gm).items():
         np.testing.assert_allclose(grads[name], want, rtol=1e-12, atol=1e-14, err_msg=name)
@@ -185,7 +183,7 @@ def test_recurrence_grads_match_per_step_reference(rng):
 def test_zero_grads_in_give_zero_grads_out(rng):
     m = tiny_model()
     frames = rng.normal(0, 1, (4, 3))
-    z = np.zeros((4, 3))
+    z = np.zeros((1, 4, 3))
     _, _, cache = forward(m, frames)
     grads = backward(m, cache, z, z)
     for g in grads.values():
@@ -196,7 +194,7 @@ def test_aux_only_loss_skips_recurrence_and_main_head(rng):
     m = tiny_model()
     frames = rng.normal(0, 1, (4, 3))
     aux, _, cache = forward(m, frames)
-    _, (ga,) = ctc_loss([aux], [(1,)])
+    _, ga = ctc_loss([aux], [(1,)])
     grads = backward(m, cache, ga, np.zeros_like(ga))
     for name in ("fwd_w", "fwd_u", "fwd_b", "bwd_w", "bwd_u", "bwd_b", "main_w", "main_b"):
         assert np.all(grads[name] == 0.0), name
@@ -254,26 +252,29 @@ def test_backward_shape_mismatch(rng):
     frames = rng.normal(0, 1, (4, 3))
     _, _, cache = forward(m, frames)
     with pytest.raises(ValueError):
-        backward(m, cache, np.zeros((4, 3)), np.zeros((3, 3)))
+        backward(m, cache, np.zeros((1, 4, 3)), np.zeros((1, 3, 3)))
+    with pytest.raises(ValueError):  # a batch of one is still 1 x T x L
+        backward(m, cache, np.zeros((4, 3)), np.zeros((4, 3)))
 
 
 # -- checkpoint ---------------------------------------------------------------------
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path, rng):
-    cfg = RecognizerConfig(label_count=3, input_dim=5, context_radius=2,
-                           feature_dim=6, recurrent_dim=4, seed=9)
-    m = init_recognizer(cfg, VOCAB)
-    p = tmp_path / "model.ckpt"
-    save_checkpoint(m, p)
-    back = load_checkpoint(p)
-    assert back.cfg == cfg
-    assert back.vocab == VOCAB
-    for name in m.params:
-        assert np.array_equal(back.params[name], m.params[name])
-        assert back.params[name].dtype == np.float32
-    frames = rng.normal(0, 1, (5, 5)).astype(np.float32)
-    for a, b in zip(forward(m, frames)[:2], forward(back, frames)[:2]):
-        assert np.array_equal(a, b)
+    for radius in (2, 0):
+        cfg = RecognizerConfig(label_count=3, input_dim=5, context_radius=radius,
+                               feature_dim=6, recurrent_dim=4, seed=9)
+        m = init_recognizer(cfg, VOCAB)
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(m, p)
+        back = load_checkpoint(p)
+        assert back.cfg == cfg
+        assert back.vocab == VOCAB
+        for name in m.params:
+            assert np.array_equal(back.params[name], m.params[name])
+            assert back.params[name].dtype == np.float32
+        frames = rng.normal(0, 1, (5, 5)).astype(np.float32)
+        for a, b in zip(forward(m, frames)[:2], forward(back, frames)[:2]):
+            assert np.array_equal(a, b)
 
 
 def test_checkpoint_file_size(tmp_path):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqtransfer import (LanguageSpec, generate_dataset, load_manifest, make_language_pair,
                          read_frames, render, sample_corpus, sample_text)
 from seqtransfer.synth_data import STOCK_SHARED_CHARS, STOCK_TARGET_EXTRA
+from conftest import render_reference
 
 
 def test_same_base_seed_gives_identical_pair():
@@ -140,6 +143,41 @@ def test_render_same_rng_state_is_identical():
     a = render("abc", src, np.random.default_rng(42))
     b = render("abc", src, np.random.default_rng(42))
     assert np.array_equal(a, b)
+
+
+class _Draws:
+    """Stands in for a Generator whose uniform draws are the given values,
+    handed out in order one at a time or k at a time."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = np.array(self.values[:size]), self.values[size:]
+        return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=st.text("abcx", min_size=1, max_size=8), seed=st.integers(0, 2 ** 32 - 1),
+       draws=st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.3, 0.9]), min_size=56,
+                      max_size=56))
+def test_render_matches_row_loop_reference(text, seed, draws):
+    """One draw per prototype row, taken k at a time, stretches exactly as
+    the row-by-row loop, consumes the same stream, and keeps the first row
+    of a character whose rows all drop."""
+    _, tgt = make_language_pair(seed % 5, "abc", target_extra="x")
+    r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert render(text, tgt, r1).tobytes() == render_reference(text, tgt, r2).tobytes()
+    assert r1.random() == r2.random()
+
+    quiet = LanguageSpec(**{**tgt.__dict__, "noise_sigma": 0.0})
+    got = render(text, quiet, _Draws(draws))  # prototypes have at most 7 rows
+    assert got.tobytes() == render_reference(text, quiet, _Draws(draws)).tobytes()
+    dropped = render(text, quiet, _Draws([0.25] * 56))
+    assert dropped.tobytes() == render_reference(text, quiet, _Draws([0.25] * 56)).tobytes()
+    assert len(dropped) == len(text)
 
 
 def test_render_rejects_oov():

@@ -276,7 +276,7 @@ def test_chunked_forwards_match_per_sample_and_arrival_order_loops(lengths, size
     m = tiny_model(seed % 7, dtype=np.float32)
     rng = np.random.default_rng(seed)
     frames = [rng.normal(0, 1, (t, 3)).astype(np.float32) for t in lengths]
-    alone = [forward(m, f, aux=False)[1] for f in frames]
+    alone = [forward(m, f)[1] for f in frames]
     got = forward_chunks(m, frames, size)
     assert len(got) == len(frames)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, alone))
