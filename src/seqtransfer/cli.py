@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .ctc import greedy_decode
-from .data import load_manifest
+from .data import labeled, load_manifest, read_lines
 from .decoder import DecoderConfig, estimate_priors, lm_beam_decode
 from .errors import FormatError, NumericError
 from .metrics import cer, write_report
@@ -76,8 +76,7 @@ _CONFIG_TYPES.update(source_data=str, target_data=str, val_data=str, lm=str)
 def read_config(path) -> dict:
     out = {}
     try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
+        lines = read_lines(path)
     except OSError as e:
         raise UsageError(f"cannot read config {path}: {e}") from None
     for lineno, line in enumerate(lines, start=1):
@@ -108,11 +107,6 @@ def _given(cls, args, cfg: dict) -> dict:
         elif key in cfg:
             out[name] = cfg[key]
     return out
-
-
-def _read_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as f:
-        return f.read().splitlines()
 
 
 # -- gen-data --------------------------------------------------------------
@@ -168,7 +162,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train_lm(args) -> int:
     if args.order < 1:
         raise UsageError("--order must be >= 1")
-    corpus = _read_lines(args.corpus)
+    corpus = read_lines(args.corpus)
     vocab = Vocabulary.load(args.vocab) if args.vocab else None
     lm = build_lm(corpus, order=args.order, discount=args.discount,
                   extra_chars=args.extra_chars, vocab=vocab)
@@ -176,7 +170,7 @@ def cmd_train_lm(args) -> int:
     print(f"wrote {args.out}: order {lm.order}, {len(lm.probs)} n-grams, "
           f"{len(lm.vocab.chars)} characters")
     if args.perplexity_on:
-        print(f"perplexity\t{perplexity(lm, _read_lines(args.perplexity_on)):.6f}")
+        print(f"perplexity\t{perplexity(lm, read_lines(args.perplexity_on)):.6f}")
     return 0
 
 
@@ -214,7 +208,7 @@ def cmd_train_source(args) -> int:
 def _load_val(path, width: int):
     """A validation manifest, which needs a labeled sample to score."""
     val = load_manifest(path, width)
-    if not val.labeled():
+    if not labeled(val):
         raise FormatError(f"{path}: validation manifest has no labeled sample")
     return val
 
@@ -294,7 +288,7 @@ def _write_out(args, lines: list[str]) -> None:
 
 def cmd_decode(args) -> int:
     model, dataset, lm, dcfg = _load_decode_inputs(args)
-    if args.report and len(dataset.labeled()) != len(dataset):
+    if args.report and len(labeled(dataset)) != len(dataset):
         raise ValueError("--report needs a fully labeled manifest")
     hyps, = _decode_all(model, dataset, lm, [dcfg])
     _write_out(args, [f"{s.sample_id}\t{h}" for s, h in zip(dataset, hyps)])
@@ -307,10 +301,9 @@ def cmd_decode(args) -> int:
 
 def cmd_eval(args) -> int:
     model, dataset, lm, dcfg = _load_decode_inputs(args)
-    labeled = dataset.labeled()
-    if len(labeled) != len(dataset):
+    if len(labeled(dataset)) != len(dataset):
         raise ValueError("eval needs a fully labeled manifest")
-    refs = [s.transcription for s in labeled]
+    refs = [s.transcription for s in dataset]
 
     if args.sweep_w or args.sweep_alpha:
         if lm is None:
@@ -390,7 +383,8 @@ def build_parser(command: str | None = None) -> _Parser:
         t.add_argument("--order", type=int, default=10, help="n-gram order")
         t.add_argument("--discount", type=float, default=0.1, help="absolute discount in (0,1)")
         t.add_argument("--vocab", help="fixed vocabulary JSON (union file from gen-data)")
-        t.add_argument("--extra-chars", default="", help="characters to add to the vocabulary")
+        t.add_argument("--extra-chars", default="",
+                       help="characters to add to the vocabulary (inside --vocab when given)")
         t.add_argument("--perplexity-on", help="also report perplexity on this text file")
         t.set_defaults(func=cmd_train_lm)
 

@@ -1,4 +1,5 @@
-"""Dataset containers plus the on-disk frame-file and manifest formats.
+"""Samples, the line rule for text files, and the on-disk frame-file and
+manifest formats.  A dataset is a plain list of Samples.
 
 A frame file holds one sample's T x D float32 feature matrix:
 
@@ -33,21 +34,20 @@ class Sample:
     transcription: str | None = None
 
 
-@dataclass
-class Dataset:
-    samples: list[Sample]
+def labeled(samples: list[Sample]) -> list[Sample]:
+    """The samples that carry a transcription, in order."""
+    return [s for s in samples if s.transcription is not None]
 
-    def __len__(self):
-        return len(self.samples)
 
-    def __iter__(self):
-        return iter(self.samples)
-
-    def __getitem__(self, i):
-        return self.samples[i]
-
-    def labeled(self) -> list[Sample]:
-        return [s for s in self.samples if s.transcription is not None]
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file: split at "\n" after universal-newline
+    translation, a final newline ending the last line.  No other character
+    ends a line; U+2028, U+0085 and a form feed stay inside one."""
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().split("\n")
+    if not lines[-1]:  # a final newline ends the last line; an empty file has none
+        lines.pop()
+    return lines
 
 
 def write_frames(path, frames) -> None:
@@ -79,13 +79,13 @@ def read_frames(path) -> np.ndarray:
     return frames
 
 
-def write_manifest(dataset: Dataset, manifest_path) -> Path:
+def write_manifest(samples: list[Sample], manifest_path) -> Path:
     """Write frame files under <manifest dir>/frames/ and the manifest rows
     pointing at them."""
     manifest_path = Path(manifest_path)
     (manifest_path.parent / "frames").mkdir(parents=True, exist_ok=True)
     with open(manifest_path, "w", encoding="utf-8") as f:
-        for s in dataset:
+        for s in samples:
             text = s.transcription or ""
             for bad in ("\t", "\n", "\r"):
                 if bad in text or bad in s.sample_id:
@@ -97,31 +97,29 @@ def write_manifest(dataset: Dataset, manifest_path) -> Path:
 
 
 def load_manifest(manifest_path, width: int | None = None,
-                  vocab: Vocabulary | None = None) -> Dataset:
+                  vocab: Vocabulary | None = None) -> list[Sample]:
     """Every sample's frames must be width wide, by default the first's;
     given a vocabulary, every transcription must use only its characters."""
     manifest_path = Path(manifest_path)
     samples = []
-    with open(manifest_path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise FormatError(f"{manifest_path}:{lineno}: expected 3 tab-separated "
-                                  f"fields, got {len(fields)}")
-            sample_id, rel, text = fields
-            frames = read_frames(manifest_path.parent / rel)
-            width = width or frames.shape[1]
-            if frames.shape[1] != width:
-                raise FormatError(f"{manifest_path}:{lineno}: sample {sample_id} has "
-                                  f"{frames.shape[1]}-wide frames, expected {width}")
-            unknown = [c for c in text if c not in vocab] if vocab is not None else []
-            if unknown:
-                raise FormatError(f"{manifest_path}:{lineno}: sample {sample_id} has "
-                                  f"character {unknown[0]!r}, which is not in the vocabulary")
-            samples.append(Sample(sample_id, frames, text if text else None))
+    for lineno, line in enumerate(read_lines(manifest_path), start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise FormatError(f"{manifest_path}:{lineno}: expected 3 tab-separated "
+                              f"fields, got {len(fields)}")
+        sample_id, rel, text = fields
+        frames = read_frames(manifest_path.parent / rel)
+        width = width or frames.shape[1]
+        if frames.shape[1] != width:
+            raise FormatError(f"{manifest_path}:{lineno}: sample {sample_id} has "
+                              f"{frames.shape[1]}-wide frames, expected {width}")
+        unknown = [c for c in text if c not in vocab] if vocab is not None else []
+        if unknown:
+            raise FormatError(f"{manifest_path}:{lineno}: sample {sample_id} has "
+                              f"character {unknown[0]!r}, which is not in the vocabulary")
+        samples.append(Sample(sample_id, frames, text if text else None))
     if not samples:
         raise FormatError(f"{manifest_path}: manifest has no rows")
-    return Dataset(samples)
+    return samples

@@ -82,9 +82,7 @@ def estimate_priors(posterior_batches: Iterable[np.ndarray],
     mats = check_posteriors(posterior_batches)
     if not mats:
         raise ValueError("no posterior rows to estimate priors from")
-    total = np.exp(mats[0].astype(np.float64)).sum(axis=0)
-    for m in mats[1:]:
-        total += np.exp(m.astype(np.float64)).sum(axis=0)
+    total = sum(np.exp(m.astype(np.float64)).sum(axis=0) for m in mats)
     return floor_and_renorm(total / sum(len(m) for m in mats), floor)
 
 

@@ -38,6 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .data import read_lines
 from .errors import FormatError
 from .vocab import Vocabulary
 
@@ -150,8 +151,8 @@ def build_lm(corpus: Iterable[str], order: int, discount: float,
     """Count n-grams over the corpus lines and derive the smoothed tables.
 
     When vocab is given it is fixed: corpus characters outside it are an
-    error.  Otherwise the vocabulary is the union of the corpus characters
-    and extra_chars.
+    error, and so are extra_chars outside it.  Otherwise the vocabulary is
+    the union of the corpus characters and extra_chars.
     """
     lines = list(corpus)
     if not lines:
@@ -164,10 +165,10 @@ def build_lm(corpus: Iterable[str], order: int, discount: float,
     if vocab is None:
         vocab = Vocabulary(set().union(*lines, extra_chars))
     else:
-        for line in lines:
-            for c in line:
-                if c not in vocab:
-                    raise ValueError(f"corpus character {c!r} is outside the fixed vocabulary")
+        for kind, chars in (("corpus", "".join(lines)), ("extra", extra_chars)):
+            bad = next((c for c in chars if c not in vocab), None)
+            if bad is not None:
+                raise ValueError(f"{kind} character {bad!r} is outside the fixed vocabulary")
 
     bos, eos = vocab.bos_id, vocab.eos_id
     counts: Counter[tuple[int, ...]] = Counter()
@@ -194,13 +195,11 @@ def build_lm(corpus: Iterable[str], order: int, discount: float,
     gamma_empty = discount * distinct[()] / ctot[()]
     for c in usable:
         p[(c,)] = max(counts.get((c,), 0) - discount, 0.0) / ctot[()] + gamma_empty * base
-    for k in range(2, order + 1):
-        for gram, n in counts.items():
-            if len(gram) != k:
-                continue
+    for gram in sorted(counts, key=len):  # lower orders first, so p[gram[1:]] is set
+        if len(gram) > 1:
             h = gram[:-1]
             g = discount * distinct[h] / ctot[h]
-            p[gram] = max(n - discount, 0.0) / ctot[h] + g * p[gram[1:]]
+            p[gram] = max(counts[gram] - discount, 0.0) / ctot[h] + g * p[gram[1:]]
 
     probs = {gram: math.log(v) for gram, v in p.items()}
     backoffs = {h: math.log(discount * distinct[h] / ctot[h])
@@ -325,8 +324,7 @@ def load_arpa(path) -> NgramLM:
     backoff tables answer every query the writing model could.  Each
     section is parsed in bulk, a column at a time; a file that fails a check
     is reported at its first offending line, as a line-by-line reader would."""
-    with open(path, encoding="utf-8") as f:
-        raw = f.read().split("\n")
+    raw = read_lines(path)
 
     pos = 0
     while pos < len(raw) and raw[pos].strip() == "":

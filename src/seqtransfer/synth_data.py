@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, Sample, write_manifest
+from .data import Sample, write_manifest
 
 _PROTO_TAG = 0x70
 _STYLE_TAG = 0x57
@@ -46,7 +46,6 @@ class LanguageSpec:
     style_matrix: np.ndarray            # D x D
     style_bias: np.ndarray              # D
     noise_sigma: float
-    seed: int
 
 
 def _prototype(base_seed: int, char: str, input_dim: int) -> np.ndarray:
@@ -99,7 +98,7 @@ def make_language_pair(base_seed: int, shared_chars, source_extra="", target_ext
                 0.0, 1.0 / np.sqrt(input_dim), (input_dim, input_dim))
             style_b = style_strength * rng.normal(0.0, 0.5, input_dim)
         specs.append(LanguageSpec(name, chars, protos, trans, _stationary(trans),
-                                  style_m, style_b, noise_sigma, base_seed))
+                                  style_m, style_b, noise_sigma))
     return specs[0], specs[1]
 
 
@@ -170,7 +169,7 @@ def generate_dataset(spec: LanguageSpec, n_samples: int,
         texts.append(text)
         samples.append(Sample(f"{spec.name}{i:06d}", frames,
                               None if unlabeled else text))
-    manifest = write_manifest(Dataset(samples), out_dir / "manifest.tsv")
+    manifest = write_manifest(samples, out_dir / "manifest.tsv")
     if corpus_path is not None:
         with open(corpus_path, "w", encoding="utf-8") as f:
             for text in texts:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .ctc import ctc_loss, greedy_decode, min_frames
-from .data import Dataset, Sample
+from .data import Sample, labeled
 from .decoder import DecoderConfig, estimate_priors, lm_beam_decode
 from .errors import NumericError
 from .metrics import cer
@@ -154,16 +154,16 @@ class TrainResult:
     skipped: int
 
 
-def train_source(model: Recognizer, train_set: Dataset, cfg: TrainConfig,
-                 val_set: Dataset | None = None) -> TrainResult:
+def train_source(model: Recognizer, train_set: list[Sample], cfg: TrainConfig,
+                 val_set: list[Sample] | None = None) -> TrainResult:
     """Supervised training: epochs of shuffled minibatch updates.
 
     Samples whose transcription cannot be aligned within their frame count
     are skipped and counted.  Logs one row per epoch per split."""
-    labeled = train_set.labeled()
-    if not labeled:
+    train = labeled(train_set)
+    if not train:
         raise ValueError("training set has no labeled samples")
-    items = [(s.frames, model.vocab.encode(s.transcription)) for s in labeled]
+    items = [(s.frames, model.vocab.encode(s.transcription)) for s in train]
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5bc)))
     state = AdamState(model.params)
     rows: list[MetricsRow] = []
@@ -183,10 +183,10 @@ def train_source(model: Recognizer, train_set: Dataset, cfg: TrainConfig,
             step_losses.append(loss)
         mean_loss = float(np.mean(epoch_losses)) if epoch_losses else math.nan
         rows.append(MetricsRow(epoch, "train", mean_loss,
-                               greedy_eval(model, labeled, cfg.batch_size)))
+                               greedy_eval(model, train, cfg.batch_size)))
         if val_set is not None:
             rows.append(MetricsRow(epoch, "val", math.nan,
-                                   greedy_eval(model, val_set.labeled(), cfg.batch_size)))
+                                   greedy_eval(model, labeled(val_set), cfg.batch_size)))
     return TrainResult(model, rows, step_losses, skipped)
 
 
@@ -240,9 +240,9 @@ class HybridResult:
     skipped_decodes: int
 
 
-def hybrid_train(model: Recognizer, source_set: Dataset, target_set: Dataset,
+def hybrid_train(model: Recognizer, source_set: list[Sample], target_set: list[Sample],
                  lm: NgramLM | None, cfg: TrainConfig, dcfg: DecoderConfig,
-                 val_set: Dataset | None = None) -> HybridResult:
+                 val_set: list[Sample] | None = None) -> HybridResult:
     """Adapt a source-trained model to unlabeled target data.
 
     Each outer iteration first re-estimates label priors from the model's
@@ -252,8 +252,8 @@ def hybrid_train(model: Recognizer, source_set: Dataset, target_set: Dataset,
     decodes as pseudo-labels, read off the step's one forward.  Target
     samples whose decode is empty or unalignable are dropped; a step whose
     target slots all dropped proceeds source-only and is counted."""
-    src = [(s.frames, model.vocab.encode(s.transcription)) for s in source_set.labeled()]
-    tgt = list(target_set.samples)
+    src = [(s.frames, model.vocab.encode(s.transcription)) for s in labeled(source_set)]
+    tgt = list(target_set)
     if not tgt:
         raise ValueError("target set is empty")
     if lm is not None and lm.vocab != model.vocab:
@@ -304,6 +304,6 @@ def hybrid_train(model: Recognizer, source_set: Dataset, target_set: Dataset,
         rows.append(MetricsRow(it, "train", mean_loss, math.nan))
         if val_set is not None:
             rows.append(MetricsRow(it, "val", math.nan,
-                                   greedy_eval(model, val_set.labeled(), cfg.batch_size)))
+                                   greedy_eval(model, labeled(val_set), cfg.batch_size)))
     return HybridResult(model, rows, step_losses, prior_history,
                         source_only_steps, skipped_decodes)

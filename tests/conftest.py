@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from seqtransfer import (BLANK_ID, AdamState, adam_step, backward, collapse, ctc_loss,
-                         estimate_priors, forward, forward_batch, lm_beam_decode, min_frames)
+                         estimate_priors, forward, forward_batch, labeled, lm_beam_decode,
+                         min_frames)
 from seqtransfer.synth_data import DROP_PROB, DUP_PROB
 
 
@@ -313,8 +314,8 @@ def hybrid_train_reference(model, source_set, target_set, lm, cfg, dcfg,
     def usable(frames, ids):
         return len(ids) > 0 and frames.shape[0] >= min_frames(ids)
 
-    src = [(s.frames, model.vocab.encode(s.transcription)) for s in source_set.labeled()]
-    tgt = list(target_set.samples)
+    src = [(s.frames, model.vocab.encode(s.transcription)) for s in labeled(source_set)]
+    tgt = list(target_set)
     n_src_per = round(cfg.source_fraction * cfg.batch_size)
     n_tgt_per = cfg.batch_size - n_src_per
     seq = np.random.SeedSequence((cfg.seed, 0x8d1))

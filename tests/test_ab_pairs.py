@@ -38,6 +38,22 @@ def test_summary_medians_iqr_ratio_and_pairs_won():
     assert (rss["parent"], rss["change"]) == (40.5, 40.4)
     assert (rss["won"], rss["pairs"]) == (3, 5)
     assert not rss["beyond_iqr"]
+    assert not fps["claim"] and not rss["claim"]  # 4/5 and 3/5 are short of 9/10
+
+
+def test_claim_needs_nine_tenths_of_pairs_and_a_gap_beyond_iqr():
+    def claim(parent, change):
+        runs = {"parent": [_run(v, 40.0) for v in parent],
+                "change": [_run(v, 40.0) for v in change]}
+        return ab_pairs.summarize(runs, END_TO_END)[0]["claim"]
+
+    parent = [100, 102, 98, 101, 99, 100, 103, 97, 100, 101]  # IQR 1.75
+    assert claim(parent, [v + 10 for v in parent])  # 10/10, medians 10 apart
+    assert claim(parent, [v + 10 for v in parent[:9]] + [90])  # 9/10
+    assert not claim(parent, [v + 10 for v in parent[:8]] + [90, 90])  # 8/10
+    assert claim(parent, [v + 10 for v in parent[:9]] + [parent[9]])  # a tie: still 9/10
+    assert not claim(parent, [v + 10 for v in parent[:8]] + parent[8:])  # two ties: 8/10
+    assert not claim(parent, [v + 1 for v in parent])  # 10/10, but 1 apart against IQR 1.75
 
 
 def test_gate_reads_worse_unresolved_or_ok():
@@ -51,7 +67,10 @@ def test_gate_reads_worse_unresolved_or_ok():
     assert gate([100] * 5, [74] * 5) == "worse"
     wide = [60, 80, 100, 120, 140]  # IQR 40 against a median of 100
     assert gate(wide, [100] * 5) == "unresolved"
-    assert gate(wide, [61, 81, 101, 121, 141]) == "ok"  # the change won every pair
+    # winning every pair is not enough: a change run may still read worse than a parent run
+    assert gate(wide, [61, 81, 101, 121, 141]) == "unresolved"
+    assert gate(wide, [141, 150, 160, 170, 180]) == "ok"  # every change run is better
+    assert gate([30.0, 40.0, 50.0], [25.0, 26.0, 29.0], rss=True) == "ok"
     assert gate(wide, [70] * 5) == "worse"  # a median past the bound is worse at any spread
     # peak_rss_mb, lower is better, bound 0.1
     assert gate([40.0] * 3, [43.0] * 3, rss=True) == "ok"

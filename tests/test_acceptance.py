@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from seqtransfer import (AdamConfig, Dataset, DecoderConfig, RecognizerConfig, Sample,
+from seqtransfer import (AdamConfig, DecoderConfig, RecognizerConfig, Sample,
                          TrainConfig, Vocabulary, backward, build_lm, cer, cli, ctc_loss,
                          edit_distance, forward, greedy_decode, greedy_eval, hybrid_train,
                          init_recognizer, lm_beam_decode, load_arpa, make_language_pair,
@@ -200,14 +200,14 @@ def transfer():
             text = sample_text(spec, int(rng.integers(6, 13)), rng)
             samples.append(Sample(f"{spec.name}{i:05d}", render(text, spec, rng), text))
             texts.append(text)
-        return Dataset(samples), texts
+        return samples, texts
 
     src_train, _ = make_split(src, 320, 0x11)
     src_val, _ = make_split(src, 64, 0x12)
     tgt_train_ref, tgt_corpus = make_split(tgt, 320, 0x21)
     tgt_val, _ = make_split(tgt, 64, 0x22)
     tgt_test, _ = make_split(tgt, 96, 0x23)
-    tgt_train = Dataset([Sample(s.sample_id, s.frames, None) for s in tgt_train_ref])
+    tgt_train = [Sample(s.sample_id, s.frames, None) for s in tgt_train_ref]
 
     lm = build_lm(tgt_corpus, order=5, discount=0.1, vocab=vocab)
 

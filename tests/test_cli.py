@@ -9,8 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from seqtransfer import (NumericError, Vocabulary, build_lm, cli, forward, load_arpa,
-                         load_checkpoint, load_manifest, perplexity, save_checkpoint,
-                         write_frames)
+                         load_checkpoint, load_manifest, perplexity, read_lines, save_arpa,
+                         save_checkpoint, write_frames)
 from conftest import REPEATED_SECTION_ARPA
 
 
@@ -175,6 +175,38 @@ def test_perplexity_flag_matches_api(pipe, tmp_path, capsys):
                   vocab=Vocabulary.load(pipe["data"] / "vocab.json"))
     want = perplexity(lm, held_out.read_text(encoding="utf-8").splitlines())
     assert line == f"perplexity\t{want:.6f}"
+
+
+def test_train_lm_reads_lines_only_at_newlines(tmp_path, capsys):
+    data = tmp_path / "d"
+    assert cli.main(["gen-data", "--out", str(data), "--base-seed", "3", "--n-train", "40",
+                     "--n-val", "1", "--n-test", "1", "--shared-chars", "ab\u2028"]) == 0
+    corpus, held_out = data / "target" / "corpus.txt", data / "target" / "unrelated.txt"
+    text = corpus.read_text(encoding="utf-8")
+    assert "\u2028" in text and len(text.splitlines()) > 40  # splitlines would cut lines
+    lines = read_lines(corpus)
+    assert len(lines) == 40
+
+    capsys.readouterr()
+    out = tmp_path / "lm.arpa"
+    assert cli.main(["train-lm", "--corpus", str(corpus), "--out", str(out), "--order", "3",
+                     "--vocab", str(data / "vocab.json"), "--perplexity-on", str(held_out)]) == 0
+    lm = build_lm(lines, order=3, discount=0.1, vocab=Vocabulary.load(data / "vocab.json"))
+    save_arpa(lm, tmp_path / "want.arpa")
+    assert out.read_bytes() == (tmp_path / "want.arpa").read_bytes()
+    want = perplexity(lm, read_lines(held_out))
+    assert capsys.readouterr().out.splitlines()[-1] == f"perplexity\t{want:.6f}"
+
+
+def test_train_lm_extra_char_outside_vocab_exits_two(pipe, tmp_path, capsys):
+    out = tmp_path / "x.arpa"
+    rc = cli.main(["train-lm", "--corpus", str(pipe["data"] / "target" / "corpus.txt"),
+                   "--out", str(out), "--vocab", str(pipe["data"] / "vocab.json"),
+                   "--extra-chars", "Z"])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: extra character 'Z' is outside the fixed vocabulary\n"
+    assert not out.exists()
 
 
 # -- train-source -------------------------------------------------------------

@@ -4,7 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from seqtransfer import Dataset, FormatError, Sample, load_manifest, read_frames, write_frames
+from seqtransfer import (FormatError, Sample, Vocabulary, labeled, load_manifest, read_frames,
+                         read_lines, write_frames, write_manifest)
 from seqtransfer.data import FRAME_MAGIC
 
 
@@ -67,11 +68,11 @@ def test_write_frames_rejects_non_matrix(tmp_path):
 
 
 def _toy_dataset(rng):
-    return Dataset([
+    return [
         Sample("a0", rng.normal(0, 1, (4, 3)).astype(np.float32), "hi"),
         Sample("a1", rng.normal(0, 1, (2, 3)).astype(np.float32), None),
         Sample("a2", rng.normal(0, 1, (5, 3)).astype(np.float32), "yo"),
-    ])
+    ]
 
 
 def test_manifest_round_trip(tmp_path, rng):
@@ -93,7 +94,32 @@ def test_manifest_unlabeled_field_is_none(tmp_path, rng):
     write_manifest(ds, tmp_path / "manifest.tsv")
     back = load_manifest(tmp_path / "manifest.tsv")
     assert back[1].transcription is None
-    assert [s.sample_id for s in back.labeled()] == ["a0", "a2"]
+    assert [s.sample_id for s in labeled(back)] == ["a0", "a2"]
+
+
+def test_manifest_round_trip_keeps_a_line_separator_inside_a_transcription(tmp_path, rng):
+    text = "a\u2028b\x85c\x0cd"
+    ds = [Sample("s0", rng.normal(0, 1, (9, 2)).astype(np.float32), text),
+          Sample("s1", rng.normal(0, 1, (3, 2)).astype(np.float32), "ab")]
+    path = write_manifest(ds, tmp_path / "manifest.tsv")
+    back = load_manifest(path, vocab=Vocabulary(text))
+    assert [(s.sample_id, s.transcription) for s in back] == [("s0", text), ("s1", "ab")]
+
+
+@pytest.mark.parametrize("text, lines", [
+    ("", []),
+    ("a", ["a"]),
+    ("a\n", ["a"]),
+    ("a\n\n", ["a", ""]),
+    ("a\r\nb\rc", ["a", "b", "c"]),
+    ("a\u2028b\x85c\x0cd\n", ["a\u2028b\x85c\x0cd"]),
+])
+def test_read_lines_splits_only_at_newlines(tmp_path, text, lines):
+    p = tmp_path / "text.txt"
+    p.write_bytes(text.encode("utf-8"))
+    assert read_lines(p) == lines
+    if "\u2028" not in text:  # no separator but the newlines: what splitlines gives
+        assert read_lines(p) == text.splitlines()
 
 
 def test_manifest_rejects_wrong_column_count(tmp_path):
@@ -112,7 +138,7 @@ def test_manifest_rejects_empty_file(tmp_path):
 
 def test_manifest_rejects_tab_in_transcription(tmp_path, rng):
     from seqtransfer import write_manifest
-    ds = Dataset([Sample("x", rng.normal(0, 1, (2, 2)).astype(np.float32), "a\tb")])
+    ds = [Sample("x", rng.normal(0, 1, (2, 2)).astype(np.float32), "a\tb")]
     with pytest.raises(ValueError):
         write_manifest(ds, tmp_path / "manifest.tsv")
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqtransfer import (Dataset, FormatError, RecognizerConfig, Sample, Vocabulary, build_lm,
+from seqtransfer import (FormatError, RecognizerConfig, Sample, Vocabulary, build_lm,
                          cli, init_recognizer, load_arpa, perplexity, save_arpa,
                          save_checkpoint, write_manifest)
 from seqtransfer.ngram_lm import BOS_TOKEN
@@ -71,6 +71,17 @@ def test_empty_corpus_rejected():
 def test_fixed_vocab_rejects_oov_corpus_char():
     with pytest.raises(ValueError):
         build_lm(["abz"], order=2, discount=0.1, vocab=Vocabulary("ab"))
+
+
+def test_fixed_vocab_rejects_extra_char_outside_it(tmp_path):
+    vocab = Vocabulary("abc")
+    with pytest.raises(ValueError, match="^extra character 'Z' is outside the fixed vocabulary$"):
+        build_lm(["ab"], order=2, discount=0.1, extra_chars="cZ", vocab=vocab)
+    # extra characters inside the vocabulary change nothing
+    for name, extra in (("none", ""), ("inside", "ca")):
+        lm = build_lm(["ab", "ba"], order=2, discount=0.1, extra_chars=extra, vocab=vocab)
+        save_arpa(lm, tmp_path / f"{name}.arpa")
+    assert (tmp_path / "none.arpa").read_bytes() == (tmp_path / "inside.arpa").read_bytes()
 
 
 def test_bad_parameters_rejected():
@@ -669,8 +680,8 @@ def _decode_inputs(root, vocab):
     ckpt = root / "model.ckpt"
     save_checkpoint(init_recognizer(cfg, vocab), ckpt)
     rng = np.random.default_rng(0)
-    data = Dataset([Sample(f"s{i}", rng.normal(size=(t, 3)).astype(np.float32))
-                    for i, t in enumerate((5, 8))])
+    data = [Sample(f"s{i}", rng.normal(size=(t, 3)).astype(np.float32))
+            for i, t in enumerate((5, 8))]
     return ckpt, write_manifest(data, root / "manifest.tsv")
 
 

@@ -80,7 +80,7 @@ def two_state_spec():
                         trans=np.array([[0.0, 1.0], [1.0, 0.0]]),
                         start=np.array([1.0, 0.0]),
                         style_matrix=np.eye(4), style_bias=np.zeros(4),
-                        noise_sigma=0.0, seed=0)
+                        noise_sigma=0.0)
 
 
 def test_deterministic_chain():

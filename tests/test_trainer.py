@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqtransfer.trainer as trainer_mod
-from seqtransfer import (AdamConfig, AdamState, Dataset, DecoderConfig, NgramLM, NumericError,
+from seqtransfer import (AdamConfig, AdamState, DecoderConfig, NgramLM, NumericError,
                          RecognizerConfig, Sample, TrainConfig, Vocabulary, adam_step, build_lm,
                          cer, cli, composite_loss, ctc_loss, estimate_priors, forward,
                          forward_batch, forward_chunks, greedy_decode, greedy_eval, hybrid_train,
@@ -141,7 +141,7 @@ def overfit_run():
                            feature_dim=48, recurrent_dim=24, seed=1)
     model = init_recognizer(cfg, vocab)
     tcfg = TrainConfig(epochs=100, batch_size=5, seed=2, adam=AdamConfig(lr=3e-3))
-    res = train_source(model, Dataset(samples), tcfg)
+    res = train_source(model, samples, tcfg)
     return model, samples, res
 
 
@@ -169,7 +169,7 @@ def test_same_seed_reproduces_loss_trajectory():
         cfg = RecognizerConfig(label_count=vocab.emit_size, input_dim=16, context_radius=2,
                                feature_dim=8, recurrent_dim=4, seed=1)
         model = init_recognizer(cfg, vocab)
-        res = train_source(model, Dataset(samples), TrainConfig(epochs=3, batch_size=4, seed=9))
+        res = train_source(model, samples, TrainConfig(epochs=3, batch_size=4, seed=9))
         runs.append(res)
     assert runs[0].step_losses == runs[1].step_losses
 
@@ -178,7 +178,7 @@ def test_unalignable_samples_are_skipped_and_counted(rng):
     m = tiny_model(dtype=np.float32)
     good = Sample("g", rng.normal(0, 1, (8, 3)).astype(np.float32), "ab")
     short = Sample("s", rng.normal(0, 1, (1, 3)).astype(np.float32), "ab")
-    res = train_source(m, Dataset([good, short]),
+    res = train_source(m, [good, short],
                        TrainConfig(epochs=2, batch_size=2, seed=0))
     assert res.skipped == 2  # once per epoch
 
@@ -186,8 +186,8 @@ def test_unalignable_samples_are_skipped_and_counted(rng):
 def test_empty_training_set_rejected():
     m = tiny_model()
     with pytest.raises(ValueError):
-        train_source(m, Dataset([]), TrainConfig(epochs=1))
-    unlabeled = Dataset([Sample("u", np.zeros((3, 3), dtype=np.float32), None)])
+        train_source(m, [], TrainConfig(epochs=1))
+    unlabeled = [Sample("u", np.zeros((3, 3), dtype=np.float32), None)]
     with pytest.raises(ValueError):
         train_source(m, unlabeled, TrainConfig(epochs=1))
 
@@ -197,8 +197,8 @@ def test_val_rows_logged(rng):
     cfg = RecognizerConfig(label_count=vocab.emit_size, input_dim=16, context_radius=1,
                            feature_dim=6, recurrent_dim=3, seed=0)
     model = init_recognizer(cfg, vocab)
-    res = train_source(model, Dataset(samples[:3]), TrainConfig(epochs=2, batch_size=2, seed=0),
-                       val_set=Dataset(samples[3:]))
+    res = train_source(model, samples[:3], TrainConfig(epochs=2, batch_size=2, seed=0),
+                       val_set=samples[3:])
     assert [(r.iteration, r.split) for r in res.rows] == \
         [(0, "train"), (0, "val"), (1, "train"), (1, "val")]
     assert all(math.isnan(r.loss) for r in res.rows if r.split == "val")
@@ -214,7 +214,7 @@ def test_non_finite_loss_raises(rng, monkeypatch):
 
     monkeypatch.setattr(trainer_mod, "composite_loss", bad_loss)
     with pytest.raises(NumericError):
-        train_source(m, Dataset([sample]), TrainConfig(epochs=1, batch_size=1, seed=0))
+        train_source(m, [sample], TrainConfig(epochs=1, batch_size=1, seed=0))
 
 
 # -- pseudo-labels ---------------------------------------------------------------------
@@ -295,13 +295,12 @@ def test_chunked_forwards_match_per_sample_and_arrival_order_loops(lengths, size
     want = prior_pass_reference(m, samples, pcfg, np.random.default_rng(seed), floor=1e-6)
     assert priors.tobytes() == want.tobytes()
 
-    data = Dataset(samples)
     dcfgs = [DecoderConfig(beam_width=4), DecoderConfig(beam_width=2, prior_scale=0.0)]
-    assert cli._decode_all(m, data, None, dcfgs) == [[m.vocab.decode(ids) for ids in
+    assert cli._decode_all(m, samples, None, dcfgs) == [[m.vocab.decode(ids) for ids in
                                                        greedy_decode(alone)]] * 2
     lm = build_lm(["ab", "ba", "aab"], order=2, discount=0.1, vocab=m.vocab)
     lm_priors = estimate_priors(alone, floor=dcfgs[0].prior_floor)
-    assert cli._decode_all(m, data, lm, dcfgs) == [
+    assert cli._decode_all(m, samples, lm, dcfgs) == [
         [m.vocab.decode(lm_beam_decode(a, lm, lm_priors, d)[0]) for a in alone] for d in dcfgs]
 
 
@@ -333,7 +332,7 @@ def hybrid_fixture(seed=0, n_src=8, n_tgt=8, rho=0.5, lm_corpus=None, tgt_seed=7
     tcfg = TrainConfig(batch_size=4, source_fraction=rho, outer_iters=2,
                        prior_pass_batches=2, train_pass_batches=3, seed=seed)
     dcfg = DecoderConfig(beam_width=4)
-    return model, Dataset(samples), Dataset(tgt), lm, tcfg, dcfg
+    return model, samples, tgt, lm, tcfg, dcfg
 
 
 def test_hybrid_runs_and_logs(rng):
@@ -395,13 +394,13 @@ def test_hybrid_rejects_vocab_mismatch():
 def test_hybrid_rejects_empty_target():
     model, src, _, lm, tcfg, dcfg = hybrid_fixture(lm_corpus=["ab"])
     with pytest.raises(ValueError):
-        hybrid_train(model, src, Dataset([]), lm, tcfg, dcfg)
+        hybrid_train(model, src, [], lm, tcfg, dcfg)
 
 
 def _ragged_targets(seed, lengths=(2, 3, 6, 4, 7, 2, 8, 3)):
     rng = np.random.default_rng(seed)
-    return Dataset([Sample(f"t{i}", rng.normal(0, 1, (t, 16)).astype(np.float32), None)
-                    for i, t in enumerate(lengths)])
+    return [Sample(f"t{i}", rng.normal(0, 1, (t, 16)).astype(np.float32), None)
+            for i, t in enumerate(lengths)]
 
 
 def _long_label_below_five_frames(post, lm, priors, dcfg):
@@ -481,8 +480,8 @@ def test_training_matches_recorded_output():
 
     def draw(spec, n, labeled):
         texts = [sample_text(spec, int(rng.integers(3, 6)), rng) for _ in range(n)]
-        return Dataset([Sample(f"{spec.name}{i}", render(t, spec, rng), t if labeled else None)
-                        for i, t in enumerate(texts)])
+        return [Sample(f"{spec.name}{i}", render(t, spec, rng), t if labeled else None)
+                for i, t in enumerate(texts)]
 
     src, tgt = draw(src_spec, 6, True), draw(tgt_spec, 6, False)
     cfg = RecognizerConfig(label_count=vocab.emit_size, input_dim=16, context_radius=1,
@@ -514,7 +513,7 @@ def test_forward_only_passes_match_recorded_output(monkeypatch):
     samples = [Sample(f"s{i}", render(t, spec, rng), t) for i, t in enumerate(texts)]
     model = init_recognizer(RecognizerConfig(label_count=vocab.emit_size, input_dim=16, seed=5),
                             vocab)
-    train_source(model, Dataset(samples), TrainConfig(epochs=1, batch_size=4, seed=2))
+    train_source(model, samples, TrainConfig(epochs=1, batch_size=4, seed=2))
     priors = prior_pass(model, samples, TrainConfig(batch_size=4, prior_pass_batches=3),
                         np.random.default_rng(3), floor=1e-6)
     assert hashlib.sha256(priors.tobytes()).hexdigest()[:16] == "6d343cb9adc2103d"

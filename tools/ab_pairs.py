@@ -12,13 +12,18 @@ turn, each on both sides, and swaps which side goes first from one pair to
 the next.  For every workload and every end-to-end metric that
 BENCHMARK.json declares, it prints both medians, the parent's
 interquartile range, the ratio of the medians, the number of pairs the
-working tree won, and the no-regression gate:
+working tree won (a tie counts for neither side), the no-regression gate:
 
 - `worse`: the working tree's median is worse than the parent's by more
   than the metric's relative `bound`;
 - `unresolved`: otherwise, when the parent's IQR / median exceeds the
-  bound and the working tree did not win every pair;
-- `ok`: otherwise.
+  bound, unless every run of the working tree reads better than every run
+  of the parent;
+- `ok`: otherwise;
+
+and whether the runs support a claimed gain (`claim`): `yes` when the
+working tree won at least 9/10 of the pairs and its median is better than
+the parent's by more than the parent's IQR.
 
 It also says whether every output digest was the same on both sides, and
 lists failed calls.  Each pair's values go to stderr as
@@ -126,6 +131,8 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> list[dict]
                 for side in SIDES}
         parent_med, change_med = (statistics.median(vals[s]) for s in SIDES)
         won = sum((c > p) if higher else (c < p) for p, c in zip(vals["parent"], vals["change"]))
+        every_run_better = (min(vals["change"]) > max(vals["parent"]) if higher
+                            else max(vals["change"]) < min(vals["parent"]))
         gain = change_med - parent_med if higher else parent_med - change_med
         bound, spread = spec["bound"] * abs(parent_med), iqr(vals["parent"])
         pairs = len(vals["parent"])
@@ -133,8 +140,9 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> list[dict]
                      "parent": parent_med, "change": change_med, "parent_iqr": spread,
                      "ratio": change_med / parent_med if parent_med else float("nan"),
                      "won": won, "pairs": pairs, "beyond_iqr": gain > spread,
+                     "claim": 10 * won >= 9 * pairs and gain > spread,
                      "gate": "worse" if -gain > bound else
-                     "unresolved" if spread > bound and won < pairs else "ok"})
+                     "unresolved" if spread > bound and not every_run_better else "ok"})
     return rows
 
 
@@ -152,12 +160,12 @@ def digest_mismatches(runs: dict[str, list[dict]]) -> list[str]:
 
 def report(runs: dict[str, list[dict]], end_to_end: list[dict]) -> str:
     out = [f"{'metric':<14}{'parent':>12}{'change':>12}{'parent IQR':>12}"
-           f"{'ratio':>8}{'won':>8}  beyond IQR  gate"]
+           f"{'ratio':>8}{'won':>8}  beyond IQR  gate        claim"]
     for r in summarize(runs, end_to_end):
         out.append(f"{r['metric']:<14}{r['parent']:>12.4g}{r['change']:>12.4g}"
                    f"{r['parent_iqr']:>12.4g}{r['ratio']:>8.3f}{r['won']:>5}/{r['pairs']:<2}"
                    f"  {'yes' if r['beyond_iqr'] else 'no':<10}  {r['gate']:<10}"
-                   f"  ({r['better']} is better)")
+                   f"  {'yes' if r['claim'] else 'no':<5}  ({r['better']} is better)")
     bad = digest_mismatches(runs)
     out.append("digests: all equal between the sides" if not bad
                else f"digests: differ for {', '.join(bad)}")
