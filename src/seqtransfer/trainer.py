@@ -21,7 +21,7 @@ import numpy as np
 
 from .ctc import ctc_loss, greedy_decode, min_frames
 from .data import Sample, labeled
-from .decoder import DecoderConfig, estimate_priors, lm_beam_decode
+from .decoder import DecoderConfig, beam_search, estimate_priors
 from .errors import NumericError
 from .metrics import cer
 from .ngram_lm import NgramLM
@@ -190,13 +190,10 @@ def train_source(model: Recognizer, train_set: list[Sample], cfg: TrainConfig,
     return TrainResult(model, rows, step_losses, skipped)
 
 
-def make_pseudo_label(model: Recognizer, main, lm: NgramLM | None,
-                      priors, dcfg: DecoderConfig) -> tuple[int, ...] | None:
-    """Beam-decode one main-head log-posterior matrix of the model into a
-    label sequence; None marks an empty decode, the signal to leave this
-    sample out of the batch."""
-    ids, _ = lm_beam_decode(main, lm, priors, dcfg)
-    return ids if ids else None
+def make_pseudo_label(ids: tuple[int, ...], main) -> tuple[int, ...] | None:
+    """A target slot's decode ids if non-empty and fitting the frames of its
+    main-head posteriors, else None, the signal to leave the slot out."""
+    return ids if _usable(main, ids) else None
 
 
 def prior_pass(model: Recognizer, samples: Sequence[Sample], cfg: TrainConfig,
@@ -211,13 +208,15 @@ def prior_pass(model: Recognizer, samples: Sequence[Sample], cfg: TrainConfig,
 
 def _update(model: Recognizer, batch, cfg: TrainConfig, state: AdamState, pseudo=()):
     """One training step on (frames, label ids) slots: one forward over all
-    of them, a label for each slot whose ids are None from make_pseudo_label
-    (model, its main posteriors, *pseudo), and one Adam step on the usable
+    of them, one beam_search(mains, *pseudo) of the slots whose ids are None,
+    each decode judged by make_pseudo_label, and one Adam step on the usable
     slots.  Returns the mean loss (None if no slot is usable) and the number dropped."""
     aux, main, cache = forward_batch(model, [f for f, _ in batch])
-    labels = [make_pseudo_label(model, m, *pseudo) if ids is None else ids
+    targets = [m for (_, ids), m in zip(batch, main) if ids is None]
+    decodes = iter(beam_search(targets, *pseudo) if targets else ())
+    labels = [make_pseudo_label(next(decodes)[0], m) if ids is None else ids
               for (_, ids), m in zip(batch, main)]
-    keep = [i for i, ((f, _), ids) in enumerate(zip(batch, labels)) if _usable(f, ids)]
+    keep = [i for i, ids in enumerate(labels) if ids is not None]
     if not keep:
         return None, len(batch)
     # rebinding releases the dropped slots' posteriors and activations before backward

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqtransfer import (DecoderConfig, NumericError, build_lm, estimate_priors,
+from seqtransfer import (DecoderConfig, NumericError, beam_search, build_lm, estimate_priors,
                          floor_and_renorm, greedy_decode, lm_beam_decode, load_arpa, save_arpa)
 from conftest import beam_decode_reference, oracle_best, random_log_posteriors, uniform_priors
 
@@ -321,12 +321,43 @@ def test_decoder_equals_scalar_reference(shape, lm, rows, w, alpha, seed):
     assert score == want_score
 
 
+# a batch of 1-8 matrices, each (T, row kind, seed): ragged, so rows end
+# while others run on
+_BATCHES = st.lists(st.tuples(st.integers(1, 60), _ROWS, st.integers(0, 2 ** 32 - 1)),
+                    min_size=1, max_size=8)
+
+
+def _batch(rows, T_max, lm, w, alpha, beam):
+    """The matrices of a batch, each T wrapped into 1..T_max, their priors
+    and the decoder config."""
+    mats = [_reference_case(1 + (T - 1) % T_max, lm, kind, w, alpha, beam, seed)[0]
+            for T, kind, seed in rows]
+    cfg = DecoderConfig(emission_weight=w, prior_scale=alpha, beam_width=beam)
+    return mats, estimate_priors(mats), cfg
+
+
+# rows whose frames have fewer live candidates than the beam holds, rows of
+# tied candidates, and rows of one frame
+@example(rows=[(12, "-inf", 1), (3, "peaked", 2), (1, "uniform", 3), (12, "uniform", 4)],
+         beam=16, lm=None, w=0.4, alpha=0.5)
+@example(rows=[(1, "-inf", 5), (20, "-inf", 6), (7, "flat", 7)],
+         beam=64, lm=REFERENCE_LMS[2], w=1.0, alpha=0.0)
+@settings(max_examples=100, deadline=None)
+@given(rows=_BATCHES, beam=st.sampled_from([1, 16, 64]),
+       lm=st.sampled_from([None] + REFERENCE_LMS), w=st.sampled_from([0.0, 0.4, 1.0]),
+       alpha=st.sampled_from([0.0, 0.5]))
+def test_lockstep_batch_equals_each_matrix_alone(rows, beam, lm, w, alpha):
+    mats, priors, cfg = _batch(rows, {1: 60, 16: 30, 64: 20}[beam], lm, w, alpha, beam)
+    got = beam_search(mats, lm, priors, cfg)
+    assert got == [beam_decode_reference(m, lm, priors, cfg) for m in mats]
+    assert got == [lm_beam_decode(m, lm, priors, cfg) for m in mats]
+
+
 @settings(max_examples=60, deadline=None)
-@given(shape=_SHAPES, lm=st.sampled_from(REFERENCE_LMS), rows=_ROWS,
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_decode_queries_each_lm_state_once(shape, lm, rows, seed):
-    T, beam = shape
-    post, priors, cfg = _reference_case(T, lm, rows, 0.4, 0.5, beam, seed)
+@given(shape=_SHAPES, lm=st.sampled_from(REFERENCE_LMS), rows=_BATCHES)
+def test_decode_queries_each_lm_state_once(shape, lm, rows):
+    T_max, beam = shape
+    mats, priors, cfg = _batch(rows, T_max, lm, 0.4, 0.5, beam)
     query = lm.next_log_probs
     keep = lm.order - 1
 
@@ -339,16 +370,19 @@ def test_decode_queries_each_lm_state_once(shape, lm, rows, seed):
 
         lm.next_log_probs = counted
         try:
-            decode(post, lm, priors, cfg)
+            decode()
         finally:
             del lm.next_log_probs
         return seen
 
-    seen = states_queried(lm_beam_decode)
-    # one query per distinct state, and exactly the states of the prefixes
-    # the reference search held in its beam
+    seen = states_queried(lambda: beam_search(mats, lm, priors, cfg))
+    # one query per distinct state across the batch, and exactly the states
+    # of the prefixes the reference search held in its beam for some matrix
     assert len(seen) == len(set(seen))
-    assert set(seen) == set(states_queried(beam_decode_reference))
+    want = set()
+    for m in mats:
+        want |= set(states_queried(lambda: beam_decode_reference(m, lm, priors, cfg)))
+    assert set(seen) == want
 
 
 def test_zero_emission_weight_keeps_impossible_labels_out():
@@ -423,6 +457,10 @@ def test_lm_vocab_size_mismatch(rng):
     post = random_log_posteriors(rng, 2, 4)
     with pytest.raises(ValueError):
         lm_beam_decode(post, lm, uniform_priors(4), DecoderConfig())
+    with pytest.raises(ValueError, match="posterior matrix has 4 labels but the LM "
+                                         "vocabulary has 3"):
+        beam_search([post, post[:1]], lm, uniform_priors(4), DecoderConfig())
+    assert beam_search([], lm, uniform_priors(4), DecoderConfig()) == []
 
 
 def test_bad_priors_rejected(rng):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import seqtransfer.trainer as trainer_mod
 from seqtransfer import (AdamConfig, AdamState, DecoderConfig, NgramLM, NumericError,
-                         RecognizerConfig, Sample, TrainConfig, Vocabulary, adam_step, build_lm,
-                         cer, cli, composite_loss, ctc_loss, estimate_priors, forward,
+                         RecognizerConfig, Sample, TrainConfig, Vocabulary, adam_step, beam_search,
+                         build_lm, cer, cli, composite_loss, ctc_loss, estimate_priors, forward,
                          forward_batch, forward_chunks, greedy_decode, greedy_eval, hybrid_train,
                          init_recognizer, lm_beam_decode, make_language_pair, make_pseudo_label,
                          min_frames, prior_pass, render, sample_corpus, sample_text, train_source,
@@ -223,33 +223,39 @@ def log_rows(rows):
     return np.log(np.asarray(rows, dtype=np.float64))
 
 
+def pseudo_label(main, lm, priors, dcfg):
+    """A target slot's label: its decode, through the acceptance rule."""
+    return make_pseudo_label(lm_beam_decode(main, lm, priors, dcfg)[0], main)
+
+
 def test_pseudo_label_reads_off_clean_posteriors():
-    m = tiny_model()
     eps = 1e-9
-    a = [1 - 2 * eps, eps, eps]
     rows = [[eps, 1 - 2 * eps, eps], [1 - 2 * eps, eps, eps], [eps, eps, 1 - 2 * eps]]
     lm = build_lm(["ab", "ba", "aa", "bb"], order=2, discount=0.1)
-    ids = make_pseudo_label(m, log_rows(rows), lm,
-                            uniform_priors(3), DecoderConfig(beam_width=16))
+    ids = pseudo_label(log_rows(rows), lm, uniform_priors(3), DecoderConfig(beam_width=16))
     assert ids == (1, 2)
 
 
 def test_pseudo_label_empty_decode_is_none():
-    m = tiny_model()
     eps = 1e-9
     rows = [[1 - 2 * eps, eps, eps]] * 4
-    ids = make_pseudo_label(m, log_rows(rows), None,
-                            uniform_priors(3), DecoderConfig(beam_width=16))
+    ids = pseudo_label(log_rows(rows), None, uniform_priors(3), DecoderConfig(beam_width=16))
     assert ids is None
+
+
+def test_pseudo_label_acceptance_rule():
+    main = np.zeros((3, 3))
+    assert make_pseudo_label((), main) is None
+    # two repeats of one id need a blank between them: 3 frames fit (1, 1) but not (1, 1, 2)
+    assert make_pseudo_label((1, 1), main) == (1, 1)
+    assert make_pseudo_label((1, 1, 2), main) is None
+    assert make_pseudo_label((1, 2, 1), main) == (1, 2, 1)
 
 
 def test_lm_resolves_accent_ambiguity():
     # the emission head cannot separate the accented variant from its base
     # character, but an LM whose corpus uses the accent tips the decode
     vocab = Vocabulary("eé")
-    cfg = RecognizerConfig(label_count=vocab.emit_size, input_dim=3, context_radius=1,
-                           feature_dim=4, recurrent_dim=3, seed=0)
-    m = init_recognizer(cfg, vocab, dtype=np.float64)
     lm = build_lm(["éé", "éé", "é"], order=2, discount=0.1, vocab=vocab)
     e_id, acc_id = vocab.id_of("e"), vocab.id_of("é")
     row = np.zeros(3)
@@ -257,7 +263,7 @@ def test_lm_resolves_accent_ambiguity():
     row[e_id] = 0.41  # base char marginally ahead
     row[acc_id] = 0.39
     dcfg = DecoderConfig(emission_weight=0.4, prior_scale=0.0, beam_width=16)
-    ids = make_pseudo_label(m, log_rows([row]), lm, uniform_priors(3), dcfg)
+    ids = pseudo_label(log_rows([row]), lm, uniform_priors(3), dcfg)
     assert vocab.decode(ids) == "é"
     post = np.log(np.array([row]))
     want_seq, _ = oracle_best(post, lm, uniform_priors(3), 0.4, 0.0)
@@ -411,6 +417,12 @@ def _long_label_below_five_frames(post, lm, priors, dcfg):
     return ((1, 1, 1, 1) if len(post) < 5 else ids), score
 
 
+def _long_labels_below_five_frames(mats, lm, priors, dcfg):
+    """beam_search, with _long_label_below_five_frames's rule per matrix."""
+    return [((1, 1, 1, 1) if len(post) < 5 else ids, score)
+            for post, (ids, score) in zip(mats, beam_search(mats, lm, priors, dcfg))]
+
+
 @pytest.mark.parametrize("case", ["lm", "no_lm", "uniform_lm", "blank_bias", "too_short",
                                   "rho_zero", "rho_one"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -421,6 +433,7 @@ def test_one_forward_hybrid_step_matches_two_forward_reference(monkeypatch, case
     rho = {"rho_zero": 0.0, "rho_one": 1.0}.get(case, 0.5)
     corpus = None if case in ("no_lm", "uniform_lm", "blank_bias") else ["ab", "ba"]
     decode = _long_label_below_five_frames if case == "too_short" else lm_beam_decode
+    batched = _long_labels_below_five_frames if case == "too_short" else beam_search
     kept = []  # slots per update
     real_loss = trainer_mod.composite_loss
 
@@ -441,7 +454,7 @@ def test_one_forward_hybrid_step_matches_two_forward_reference(monkeypatch, case
             model.params["main_b"][0] = 6.0
         if side == "change":
             with monkeypatch.context() as mp:
-                mp.setattr(trainer_mod, "lm_beam_decode", decode)
+                mp.setattr(trainer_mod, "beam_search", batched)
                 mp.setattr(trainer_mod, "composite_loss", spy)
                 res = hybrid_train(model, src, tgt, lm, tcfg, dcfg)
             runs.append((res.step_losses, res.prior_history, res.source_only_steps,
