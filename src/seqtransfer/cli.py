@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .ctc import greedy_decode
+from .ctc import greedy_kernel
 from .data import labeled, load_manifest, read_lines
-from .decoder import DecoderConfig, estimate_priors, lm_beam_decode
+from .decoder import DecoderConfig, lm_beam_decode, priors_kernel
 from .errors import FormatError, NumericError
 from .metrics import cer, write_report
 from .ngram_lm import build_lm, load_arpa, perplexity, save_arpa
@@ -266,14 +266,14 @@ def _load_decode_inputs(args):
 def _decode_all(model, dataset, lm, dcfgs) -> list[list[str]]:
     """Hypothesis texts in dataset order, one list per decoder config; beam
     decoding when an LM is present, greedy otherwise.  The posteriors, and
-    the label priors beam decoding estimates from them, are computed once
-    for all configs, which share one prior_floor."""
-    frames, size = [s.frames for s in dataset], TrainConfig.batch_size
+    the label priors beam decoding estimates from them, are computed once,
+    unchecked, for all configs, which share one prior_floor."""
+    frames = [s.frames for s in dataset]
     if lm is None:
-        hyps = forward_chunks(model, frames, size, greedy_decode)
+        hyps = forward_chunks(model, frames, each=greedy_kernel)
         return [list(map(model.vocab.decode, hyps))] * len(dcfgs)
-    mains = forward_chunks(model, frames, size)
-    priors = estimate_priors(mains, floor=dcfgs[0].prior_floor)
+    mains = forward_chunks(model, frames)
+    priors = priors_kernel(mains, dcfgs[0].prior_floor)
     return [[model.vocab.decode(lm_beam_decode(m, lm, priors, d)[0]) for m in mains]
             for d in dcfgs]
 

@@ -5,8 +5,8 @@ rows each log-sum-exp to zero.  Label id 0 is the blank.  The loss is the
 negative log of the total probability of all frame paths that collapse
 (merge adjacent repeats, then delete blanks) to the given labels, and the
 gradient is taken with respect to the pre-softmax logits: softmax minus
-the alignment posterior, row by row.  The public functions take a
-sequence of such matrices, a batch, and check them all in one pass.
+the alignment posterior, row by row.  The public functions check a batch
+of such matrices in one pass; the loops call their kernels unchecked.
 """
 
 from __future__ import annotations
@@ -53,17 +53,6 @@ def check_posteriors(mats) -> list[np.ndarray]:
     return ms
 
 
-def collapse(frame_labels: Sequence[int]) -> tuple[int, ...]:
-    """Merge adjacent repeats, then delete blanks."""
-    out = []
-    prev = None
-    for l in frame_labels:
-        if l != prev:
-            out.append(l)
-        prev = l
-    return tuple(l for l in out if l != BLANK_ID)
-
-
 def min_frames(labels: Sequence[int]) -> int:
     """Fewest frames that can realize the labels: one per label plus one
     separating blank per adjacent repeat."""
@@ -72,26 +61,22 @@ def min_frames(labels: Sequence[int]) -> int:
 
 
 def greedy_decode(mats) -> list[tuple[int, ...]]:
-    """Collapse of each posterior matrix's per-frame argmax, ties going to
-    the lowest label id, with one argmax over the rows of all of them."""
-    ms = check_posteriors(mats)
+    """greedy_kernel of the checked matrices."""
+    return greedy_kernel(check_posteriors(mats))
+
+
+def greedy_kernel(ms: list) -> list[tuple[int, ...]]:
+    """Collapse (merge adjacent repeats, then delete blanks) of each matrix's
+    per-frame argmax, ties going to the lowest label id: one argmax over the
+    rows of all the matrices, and one pass over those ids for every collapse."""
     if not ms:
         return []
-    best = np.argmax(np.concatenate(ms), axis=1).tolist()
-    bounds = np.cumsum([0] + [len(m) for m in ms]).tolist()
-    return [collapse(best[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _check_labels(labels: Sequence[int], label_count: int) -> tuple[int, ...]:
-    y = tuple(int(l) for l in labels)
-    if not y:
-        raise ValueError("empty label sequence")
-    for l in y:
-        if l == BLANK_ID:
-            raise ValueError("blank id inside a label sequence")
-        if not (0 < l < label_count):
-            raise ValueError(f"label id {l} out of range for {label_count} labels")
-    return y
+    ends = np.cumsum([len(m) for m in ms])
+    best = np.argmax(np.concatenate(ms), axis=1)
+    keep = (best != BLANK_ID) & np.r_[True, best[1:] != best[:-1]]
+    keep[ends[:-1]] = best[ends[:-1]] != BLANK_ID  # a repeat across two matrices is no repeat
+    ids, cuts = best[keep].tolist(), np.r_[0, np.cumsum(keep)[ends - 1]].tolist()
+    return [tuple(ids[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _alpha(em: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -137,17 +122,28 @@ def ctc_loss(posteriors: Sequence, labels: Sequence[Sequence[int]]
     recursion over all their lattices, forward and reversed.  Returns the
     losses and an N x max(T) x L gradient array, zero past each matrix's T
     rows; padding with -inf, which logaddexp passes through exactly, keeps
-    every result bit-identical to its batch of one."""
+    every result bit-identical to its batch of one.  ctc_kernel, checked."""
     posts = check_posteriors(posteriors)
     if not posts:
         raise ValueError("a batch needs at least one posterior matrix, all of one label count")
     ys = []
     for post, lab in zip(posts, labels, strict=True):
-        y = _check_labels(lab, post.shape[1])
+        y = tuple(int(l) for l in lab)
+        if not y:
+            raise ValueError("empty label sequence")
+        bad = next((l for l in y if not 0 < l < post.shape[1]), None)  # blank included
+        if bad is not None:
+            raise ValueError("blank id inside a label sequence" if bad == BLANK_ID else
+                             f"label id {bad} out of range for {post.shape[1]} labels")
         if post.shape[0] < min_frames(y):
             raise ValueError(f"{post.shape[0]} frames cannot align {len(y)} labels "
                              f"(need at least {min_frames(y)})")
         ys.append(y)
+    return ctc_kernel(posts, ys)
+
+
+def ctc_kernel(posts: list, ys: Sequence[Sequence[int]]) -> tuple[list[float], np.ndarray]:
+    """ctc_loss without its checks: the model's own matrices, and labels that fit them."""
     n, L = len(posts), posts[0].shape[1]
     T, S = np.array([len(p) for p in posts]), np.array([2 * len(y) + 1 for y in ys])
 

@@ -79,9 +79,13 @@ def floor_and_renorm(probs, floor: float) -> np.ndarray:
 
 def estimate_priors(posterior_batches: Iterable[np.ndarray],
                     floor: float = DecoderConfig.prior_floor) -> np.ndarray:
+    """priors_kernel of the checked matrices."""
+    return priors_kernel(check_posteriors(posterior_batches), floor)
+
+
+def priors_kernel(mats: list, floor: float) -> np.ndarray:
     """Mean of exp(log-posterior rows) over every frame of every matrix,
     floored and renormalized."""
-    mats = check_posteriors(posterior_batches)
     if not mats:
         raise ValueError("no posterior rows to estimate priors from")
     total = sum(np.exp(m.astype(np.float64)).sum(axis=0) for m in mats)

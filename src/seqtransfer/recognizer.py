@@ -24,6 +24,7 @@ from .errors import FormatError
 from .vocab import Vocabulary
 
 CHECKPOINT_MAGIC = b"SEQREC1\x00"
+FORWARD_CHUNK = 32  # forward_chunks' chunk size
 
 
 @dataclass(frozen=True)
@@ -125,13 +126,11 @@ def _scan(drives: list, u: np.ndarray) -> list:
     drives[k] lists recurrence k's drive matrix per sample.  Everything
     steps together as stacked (2, B, 1, R) @ (2, 1, R, R) matvecs, which
     give the same bits as one recurrence and one row at a time."""
-    drive = _pad(drives, drives[0][0].dtype)
-    states = np.empty_like(drive)
-    state, ut = np.zeros_like(drive[0]), u.transpose(0, 2, 1)[:, None]
-    for i in range(len(drive)):
-        state = np.tanh(drive[i] + state @ ut, out=states[i])
-    return [[states[:len(d), k, b, 0] for b, d in enumerate(ds)]
-            for k, ds in enumerate(drives)]
+    states = _pad(drives, drives[0][0].dtype)  # each step's states overwrite its drives
+    state, ut = np.zeros_like(states[0]), u.transpose(0, 2, 1)[:, None]
+    for i in range(len(states)):
+        state = np.tanh(states[i] + state @ ut, out=states[i])
+    return [[states[:len(d), k, b, 0] for b, d in enumerate(ds)] for k, ds in enumerate(drives)]
 
 
 def _scan_grad(deltas: np.ndarray, states: list, hs: list, w: list, u: np.ndarray):
@@ -170,10 +169,10 @@ def forward(model: Recognizer, frames):
 
 
 def forward_batch(model: Recognizer, frames: list, aux: bool = True):
-    """forward over a list of T_b x D frame matrices, each recurrence in
-    one scan for all samples; the dense layers run per sample, so every
-    output is bit-identical to its batch of one.  Returns per-sample lists
-    of aux (None when aux is False) and main log-posteriors, and the cache."""
+    """forward over a list of T_b x D frame matrices, each recurrence in one scan
+    for all samples; the dense layers run per sample, so every output is
+    bit-identical to its batch of one.  Returns per-sample lists of aux and main
+    log-posteriors, and the cache; without aux, aux is None and the cache only g."""
     p = model.params
     xs = [np.asarray(f, dtype=model.dtype) for f in frames]
     for x in xs:
@@ -186,25 +185,28 @@ def forward_batch(model: Recognizer, frames: list, aux: bool = True):
     hs = [np.tanh(_windows(x, model.cfg.context_radius) @ p["feat_w"].T + p["feat_b"])
           for x in xs]
     auxs = [_log_softmax(h @ p["aux_w"].T + p["aux_b"]) for h in hs] if aux else None
-
+    cache = {"x": xs, "h": hs} if aux else {}
     # the backward recurrence is the same scan over time-flipped drives
-    fwd, bwd = _scan([[h @ p["fwd_w"].T + p["fwd_b"] for h in hs],
-                      [(h @ p["bwd_w"].T + p["bwd_b"])[::-1] for h in hs]],
-                     np.stack([p["fwd_u"], p["bwd_u"]]))
-    gs = [np.concatenate([f, b[::-1]], axis=1) for f, b in zip(fwd, bwd)]
+    drives = [[h @ p["fwd_w"].T + p["fwd_b"] for h in hs],
+              [(h @ p["bwd_w"].T + p["bwd_b"])[::-1] for h in hs]]
+    del hs  # drop h, the drives and the states once read: without aux nothing else holds them
+    gs = _scan(drives, np.stack([p["fwd_u"], p["bwd_u"]]))  # the states, until the next line
+    del drives
+    gs = cache["g"] = [np.concatenate([f, b[::-1]], axis=1) for f, b in zip(*gs)]
     mains = [_log_softmax(g @ p["main_w"].T + p["main_b"]) for g in gs]
-    return auxs, mains, {"x": xs, "h": hs, "g": gs}
+    return auxs, mains, cache
 
 
-def forward_chunks(model: Recognizer, frames: list, size: int, each=None) -> list:
+def forward_chunks(model: Recognizer, frames: list, each=None) -> list:
     """Main-head log-posteriors of each frame matrix, in input order, from
-    forward_batch over length-sorted chunks of size matrices: less padding,
-    the same bits.  each, if given, turns a chunk's posteriors into one
-    result per sample as soon as the chunk is forwarded."""
+    forward_batch over length-sorted chunks of FORWARD_CHUNK (32: the fastest
+    size, at twice the memory of 8, README) matrices: less padding, the same
+    bits.  each maps a chunk's posteriors to per-sample results, if given."""
     order = sorted(range(len(frames)), key=lambda i: len(frames[i]))
     got = []
-    for lo in range(0, len(order), size):
-        mains = forward_batch(model, [frames[i] for i in order[lo:lo + size]], aux=False)[1]
+    for lo in range(0, len(order), FORWARD_CHUNK):
+        chunk = [frames[i] for i in order[lo:lo + FORWARD_CHUNK]]
+        mains = forward_batch(model, chunk, aux=False)[1]
         got += each(mains) if each else mains
     return [got[j] for j in np.argsort(order)]  # the inverse permutation
 

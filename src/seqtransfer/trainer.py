@@ -19,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .ctc import ctc_loss, greedy_decode, min_frames
+from .ctc import ctc_kernel, greedy_kernel, min_frames
 from .data import Sample, labeled
-from .decoder import DecoderConfig, beam_search, estimate_priors
+from .decoder import DecoderConfig, beam_search, priors_kernel
 from .errors import NumericError
 from .metrics import cer
 from .ngram_lm import NgramLM
@@ -115,10 +115,11 @@ def write_metrics(rows: Sequence[MetricsRow], path) -> None:
 def composite_loss(model: Recognizer, aux: list, main: list, cache: dict, labels: Sequence,
                    aux_loss_weight: float) -> tuple[float, dict[str, np.ndarray]]:
     """Mean weighted two-head CTC loss, and its mean parameter gradients, over a
-    batch from the (aux, main, cache) forward_batch returned; empties aux and main."""
+    batch from the (aux, main, cache) forward_batch returned, with labels that fit
+    (_usable), as ctc_kernel checks nothing; empties aux and main."""
     w = aux_loss_weight
     n = len(main)
-    losses, grads = ctc_loss(aux + main, list(labels) * 2)
+    losses, grads = ctc_kernel(aux + main, list(labels) * 2)
     del aux[:], main[:]  # frees the posteriors before backward's peak, whoever holds the lists
     loss = 0.0
     for aux_l, main_l in zip(losses[:n], losses[n:]):
@@ -135,14 +136,13 @@ def _usable(frames: np.ndarray, label_ids: tuple[int, ...]) -> bool:
     return bool(label_ids) and frames.shape[0] >= min_frames(label_ids)
 
 
-def greedy_eval(model: Recognizer, samples: Sequence[Sample],
-                batch_size: int = TrainConfig.batch_size) -> float:
-    """Pooled CER of greedy decodes against the stored transcriptions,
-    forwarding and decoding batch_size samples at a time."""
+def greedy_eval(model: Recognizer, samples: Sequence[Sample]) -> float:
+    """Pooled CER of greedy decodes against the stored transcriptions: forward_chunks'
+    chunks of 32, whatever the batch size, through greedy_kernel, unchecked."""
     for s in samples:
         if s.transcription is None:
             raise ValueError(f"sample {s.sample_id} has no transcription to score against")
-    hyps = forward_chunks(model, [s.frames for s in samples], batch_size, greedy_decode)
+    hyps = forward_chunks(model, [s.frames for s in samples], each=greedy_kernel)
     return cer([s.transcription for s in samples], list(map(model.vocab.decode, hyps))).cer
 
 
@@ -182,11 +182,9 @@ def train_source(model: Recognizer, train_set: list[Sample], cfg: TrainConfig,
             epoch_losses.append(loss)
             step_losses.append(loss)
         mean_loss = float(np.mean(epoch_losses)) if epoch_losses else math.nan
-        rows.append(MetricsRow(epoch, "train", mean_loss,
-                               greedy_eval(model, train, cfg.batch_size)))
+        rows.append(MetricsRow(epoch, "train", mean_loss, greedy_eval(model, train)))
         if val_set is not None:
-            rows.append(MetricsRow(epoch, "val", math.nan,
-                                   greedy_eval(model, labeled(val_set), cfg.batch_size)))
+            rows.append(MetricsRow(epoch, "val", math.nan, greedy_eval(model, labeled(val_set))))
     return TrainResult(model, rows, step_losses, skipped)
 
 
@@ -198,12 +196,12 @@ def make_pseudo_label(ids: tuple[int, ...], main) -> tuple[int, ...] | None:
 
 def prior_pass(model: Recognizer, samples: Sequence[Sample], cfg: TrainConfig,
                rng: np.random.Generator, floor: float) -> np.ndarray:
-    """Forward-only pass over sampled target minibatches; returns fresh
-    label priors and touches no parameter."""
+    """Forward-only pass over sampled target minibatches, through
+    forward_chunks; returns fresh label priors and touches no parameter."""
     n = len(samples)
     drawn = [samples[i].frames for _ in range(cfg.prior_pass_batches)
              for i in rng.choice(n, size=min(cfg.batch_size, n), replace=False)]
-    return estimate_priors(forward_chunks(model, drawn, cfg.batch_size), floor=floor)
+    return priors_kernel(forward_chunks(model, drawn), floor)
 
 
 def _update(model: Recognizer, batch, cfg: TrainConfig, state: AdamState, pseudo=()):
@@ -302,7 +300,6 @@ def hybrid_train(model: Recognizer, source_set: list[Sample], target_set: list[S
         mean_loss = float(np.mean(iter_losses)) if iter_losses else math.nan
         rows.append(MetricsRow(it, "train", mean_loss, math.nan))
         if val_set is not None:
-            rows.append(MetricsRow(it, "val", math.nan,
-                                   greedy_eval(model, labeled(val_set), cfg.batch_size)))
+            rows.append(MetricsRow(it, "val", math.nan, greedy_eval(model, labeled(val_set))))
     return HybridResult(model, rows, step_losses, prior_history,
                         source_only_steps, skipped_decodes)

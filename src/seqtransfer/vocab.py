@@ -69,7 +69,8 @@ class Vocabulary:
         return tuple(self.id_of(c) for c in text)
 
     def decode(self, ids: Sequence[int]) -> str:
-        return "".join(self.char_of(i) for i in ids)
+        ok = not len(ids) or 1 <= min(ids) and max(ids) <= len(self.chars)  # one bounds check
+        return "".join([self.chars[i - 1] for i in ids] if ok else map(self.char_of, ids))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:

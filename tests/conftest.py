@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from seqtransfer import (BLANK_ID, AdamState, adam_step, backward, collapse, ctc_loss,
-                         estimate_priors, forward, forward_batch, labeled, lm_beam_decode,
-                         min_frames)
+from seqtransfer import (BLANK_ID, AdamState, adam_step, backward, ctc_loss, estimate_priors,
+                         forward, forward_batch, labeled, lm_beam_decode, min_frames)
 from seqtransfer.synth_data import DROP_PROB, DUP_PROB
 
 
@@ -35,6 +34,18 @@ ngram 2=1
 
 \\end\\
 """
+
+
+def collapse(frame_labels) -> tuple[int, ...]:
+    """Merge adjacent repeats, then delete blanks, one frame label at a
+    time: the oracle for ctc.greedy_kernel's one array pass."""
+    out = []
+    prev = None
+    for l in frame_labels:
+        if l != prev:
+            out.append(l)
+        prev = l
+    return tuple(l for l in out if l != BLANK_ID)
 
 
 def random_log_posteriors(rng: np.random.Generator, T: int, L: int) -> np.ndarray:

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from seqtransfer import (NumericError, Vocabulary, build_lm, cli, forward, load_arpa,
-                         load_checkpoint, load_manifest, perplexity, read_lines, save_arpa,
-                         save_checkpoint, write_frames)
+import seqtransfer.ctc as ctc_mod
+import seqtransfer.decoder as decoder_mod
+from seqtransfer import (NumericError, TrainConfig, Vocabulary, build_lm, cli, forward,
+                         greedy_decode, greedy_eval, load_arpa, load_checkpoint, load_manifest,
+                         perplexity, prior_pass, read_lines, save_arpa, save_checkpoint,
+                         write_frames)
 from conftest import REPEATED_SECTION_ARPA
 
 
@@ -447,6 +450,34 @@ def test_numeric_failure_exits_three(pipe, tmp_path, monkeypatch, capsys):
                    "--out-checkpoint", str(tmp_path / "c.ckpt")])
     assert rc == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_loops_do_not_check_the_models_own_posteriors(pipe, tmp_path, monkeypatch, capsys):
+    """Source training with --val, a prior pass, greedy eval and a no-LM eval
+    hand the model's own posteriors to the kernels: none of them calls
+    check_posteriors, which the public entry points still call."""
+    def refuse(mats):
+        raise AssertionError("check_posteriors ran on the model's own posteriors")
+    for mod in (ctc_mod, decoder_mod):
+        monkeypatch.setattr(mod, "check_posteriors", refuse)
+    with pytest.raises(AssertionError, match="check_posteriors ran"):
+        greedy_decode([np.log(np.full((2, 3), 1 / 3))])  # the patch is live
+
+    data, ck = pipe["data"], tmp_path / "c.ckpt"
+    val = data / "source" / "val" / "manifest.tsv"
+    assert cli.main(["train-source", "--data", str(data / "source" / "train" / "manifest.tsv"),
+                     "--val", str(val), "--vocab", str(data / "vocab.json"),
+                     "--out-checkpoint", str(ck), "--config", str(pipe["cfg"]),
+                     "--epochs", "1"]) == 0
+    model = load_checkpoint(ck)
+    samples = load_manifest(val, model.cfg.input_dim)
+    priors = prior_pass(model, samples, TrainConfig(batch_size=2, prior_pass_batches=3),
+                        np.random.default_rng(0), floor=1e-6)
+    assert priors.shape == (model.vocab.emit_size,)
+    assert 0.0 <= greedy_eval(model, samples)
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(ck), "--data", str(val)]) == 0
+    assert capsys.readouterr().out.startswith("cer\t")
 
 
 # -- hybrid -------------------------------------------------------------------

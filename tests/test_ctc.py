@@ -3,14 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqtransfer import (BLANK_ID, check_posteriors, collapse, ctc_loss, estimate_priors,
-                         greedy_decode, min_frames)
-from seqtransfer.ctc import _occupancy
-from conftest import (check_posteriors_reference, ctc_loss_bruteforce, occupancy_reference,
-                      random_log_posteriors)
+from seqtransfer import (BLANK_ID, DecoderConfig, beam_search, check_posteriors, ctc_loss,
+                         estimate_priors, greedy_decode, lm_beam_decode, min_frames)
+from seqtransfer.ctc import _occupancy, greedy_kernel
+from conftest import (check_posteriors_reference, collapse, ctc_loss_bruteforce,
+                      occupancy_reference, random_log_posteriors)
 
 
 def log_rows(*rows):
@@ -356,6 +356,26 @@ def test_bare_matrix_is_not_a_batch_of_its_rows(rng, T, L, as_list):
             call(bare)
 
 
+@pytest.mark.parametrize("damage, message", [
+    ("nan", r"^posterior matrix 1 row 2 contains NaN or \+inf entries$"),
+    ("unnormalized", r"^posterior matrix 1 row 2 log-sum-exps to 0.5, not 0$")])
+def test_public_entry_points_reject_damaged_rows(rng, damage, message):
+    """The loops skip the posterior check; every public function that takes
+    a caller's matrices still makes it, with the same message."""
+    ok = random_log_posteriors(rng, 4, 3)
+    bad = ok.copy()
+    if damage == "nan":
+        bad[2, 1] = np.nan
+    else:
+        bad[2] += 0.5
+    for call in (lambda ms: ctc_loss(ms, [[1], [2]]), greedy_decode, estimate_priors,
+                 lambda ms: beam_search(ms, None, np.full(3, 1 / 3), DecoderConfig())):
+        with pytest.raises(ValueError, match=message):
+            call([ok, bad])
+    with pytest.raises(ValueError, match=message.replace("matrix 1", "matrix 0")):
+        lm_beam_decode(bad, None, np.full(3, 1 / 3), DecoderConfig())
+
+
 # -- collapse / greedy --------------------------------------------------------
 
 def test_collapse_examples():
@@ -398,6 +418,33 @@ def test_greedy_decode_one_hot_with_blanks():
 def test_greedy_tie_breaks_to_lowest_id():
     post = log_rows([0.25, 0.25, 0.25, 0.25])
     assert greedy_decode([post]) == [()]  # blank is id 0
+
+
+def argmax_posteriors(path, L) -> np.ndarray:
+    """A normalized len(path) x L log-posterior matrix whose frame t has its
+    argmax at path[t]."""
+    m = np.full((len(path), L), -3.0)
+    m[np.arange(len(path)), path] = 0.0
+    return m - np.logaddexp.reduce(m, axis=1, keepdims=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda L: st.tuples(st.just(L), st.lists(
+    st.lists(st.integers(0, L - 1), min_size=1, max_size=12), min_size=1, max_size=40))))
+@example((3, [[1]]))  # T = 1
+@example((3, [[0, 0, 0], [0], [1, 0, 1]]))  # all-blank matrices read as ()
+@example((3, [[2, 1], [1, 1, 2], [2]]))  # a label ends a matrix and starts the next
+def test_greedy_kernel_is_collapse_of_argmax_per_matrix(case):
+    """greedy_kernel's one array pass over a ragged batch gives, matrix by
+    matrix, the collapse of that matrix's own argmax path: a repeat is
+    merged only inside one matrix."""
+    L, paths = case
+    mats = [argmax_posteriors(p, L) for p in paths]
+    assert [np.argmax(m, axis=1).tolist() for m in mats] == paths
+    got = greedy_kernel(mats)
+    assert got == [collapse(p) for p in paths]
+    assert all(type(i) is int for ids in got for i in ids)
+    assert greedy_decode(mats) == got
 
 
 def test_min_frames():

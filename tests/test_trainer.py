@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import seqtransfer.recognizer as recognizer_mod
 import seqtransfer.trainer as trainer_mod
 from seqtransfer import (AdamConfig, AdamState, DecoderConfig, NgramLM, NumericError,
                          RecognizerConfig, Sample, TrainConfig, Vocabulary, adam_step, beam_search,
@@ -15,6 +16,7 @@ from seqtransfer import (AdamConfig, AdamState, DecoderConfig, NgramLM, NumericE
                          min_frames, prior_pass, render, sample_corpus, sample_text, train_source,
                          write_metrics)
 from seqtransfer.synth_data import STOCK_SHARED_CHARS, STOCK_TARGET_EXTRA
+from seqtransfer.recognizer import FORWARD_CHUNK
 from seqtransfer.trainer import MetricsRow
 from conftest import (hybrid_train_reference, oracle_best, prior_pass_reference,
                       uniform_priors)
@@ -275,39 +277,43 @@ def test_lm_resolves_accent_ambiguity():
 @settings(max_examples=30, deadline=None)
 @given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=20),
        size=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+@example(lengths=[(7 * i) % 40 + 1 for i in range(FORWARD_CHUNK + 9)], size=5, seed=11)
 def test_chunked_forwards_match_per_sample_and_arrival_order_loops(lengths, size, seed):
     """forward_chunks returns each sample's main posteriors, in input order,
-    bit-identical to a one-at-a-time forward; greedy_eval, prior_pass and
-    cli._decode_all read exactly what their old loops read."""
+    bit-identical to a one-at-a-time forward, in chunks of FORWARD_CHUNK (two
+    of them in the example) and of size; greedy_eval, prior_pass and
+    cli._decode_all read exactly what their old loops read at either chunk."""
     m = tiny_model(seed % 7, dtype=np.float32)
     rng = np.random.default_rng(seed)
     frames = [rng.normal(0, 1, (t, 3)).astype(np.float32) for t in lengths]
     alone = [forward(m, f)[1] for f in frames]
-    got = forward_chunks(m, frames, size)
-    assert len(got) == len(frames)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, alone))
-    assert forward_chunks(m, frames, size, greedy_decode) == greedy_decode(alone)
-
     texts = ["".join(rng.choice(list("ab"), int(rng.integers(1, 5)))) for _ in frames]
     samples = [Sample(f"s{i}", f, t) for i, (f, t) in enumerate(zip(frames, texts))]
     old_hyps = []
     for lo in range(0, len(samples), size):  # arrival-order chunks
         mains = forward_batch(m, frames[lo:lo + size], aux=False)[1]
         old_hyps += [m.vocab.decode(ids) for ids in greedy_decode(mains)]
-    assert greedy_eval(m, samples, size) == cer(texts, old_hyps).cer
-
     pcfg = TrainConfig(batch_size=size, prior_pass_batches=3)
-    priors = prior_pass(m, samples, pcfg, np.random.default_rng(seed), floor=1e-6)
     want = prior_pass_reference(m, samples, pcfg, np.random.default_rng(seed), floor=1e-6)
-    assert priors.tobytes() == want.tobytes()
-
     dcfgs = [DecoderConfig(beam_width=4), DecoderConfig(beam_width=2, prior_scale=0.0)]
-    assert cli._decode_all(m, samples, None, dcfgs) == [[m.vocab.decode(ids) for ids in
-                                                       greedy_decode(alone)]] * 2
     lm = build_lm(["ab", "ba", "aab"], order=2, discount=0.1, vocab=m.vocab)
     lm_priors = estimate_priors(alone, floor=dcfgs[0].prior_floor)
-    assert cli._decode_all(m, samples, lm, dcfgs) == [
-        [m.vocab.decode(lm_beam_decode(a, lm, lm_priors, d)[0]) for a in alone] for d in dcfgs]
+
+    for chunk in (FORWARD_CHUNK, size):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recognizer_mod, "FORWARD_CHUNK", chunk)
+            got = forward_chunks(m, frames)
+            assert len(got) == len(frames)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, alone))
+            assert forward_chunks(m, frames, greedy_decode) == greedy_decode(alone)
+            assert greedy_eval(m, samples) == cer(texts, old_hyps).cer
+            priors = prior_pass(m, samples, pcfg, np.random.default_rng(seed), floor=1e-6)
+            assert priors.tobytes() == want.tobytes()
+            assert cli._decode_all(m, samples, None, dcfgs) == [
+                [m.vocab.decode(ids) for ids in greedy_decode(alone)]] * 2
+            assert cli._decode_all(m, samples, lm, dcfgs) == [
+                [m.vocab.decode(lm_beam_decode(a, lm, lm_priors, d)[0]) for a in alone]
+                for d in dcfgs]
 
 
 # -- prior pass -----------------------------------------------------------------------

@@ -44,6 +44,17 @@ def test_char_of_rejects_blank_and_out_of_range():
         v.char_of(v.emit_size)
 
 
+@pytest.mark.parametrize("ids, bad", [((1, 0, 2), 0), ((2, 3), 3), ((-1,), -1),
+                                      ((1, 4, 0), 4)])
+def test_decode_rejects_the_first_non_character_id(ids, bad):
+    """One bounds check per sequence, and the message char_of gives for the
+    first id that is not a character: blank, BOS, EOS, or past the end."""
+    v = Vocabulary("ab")
+    with pytest.raises(ValueError, match=rf"^id {bad} is not a character id$"):
+        v.decode(ids)
+    assert v.decode(()) == "" and v.decode((2, 1, 1)) == "baa"
+
+
 def test_contains():
     v = Vocabulary("ab")
     assert "a" in v and "z" not in v
