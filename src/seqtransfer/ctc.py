@@ -126,6 +126,12 @@ def ctc_loss(posteriors: Sequence, labels: Sequence[Sequence[int]]
     posts = check_posteriors(posteriors)
     if not posts:
         raise ValueError("a batch needs at least one posterior matrix, all of one label count")
+    return ctc_kernel(posts, check_labels(posts, labels))
+
+
+def check_labels(posts: Sequence, labels: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The labels as id tuples, each checked against its T x L posterior matrix,
+    which goes unchecked: non-empty, non-blank ids below L, and T >= min_frames."""
     ys = []
     for post, lab in zip(posts, labels, strict=True):
         y = tuple(int(l) for l in lab)
@@ -139,11 +145,11 @@ def ctc_loss(posteriors: Sequence, labels: Sequence[Sequence[int]]
             raise ValueError(f"{post.shape[0]} frames cannot align {len(y)} labels "
                              f"(need at least {min_frames(y)})")
         ys.append(y)
-    return ctc_kernel(posts, ys)
+    return ys
 
 
 def ctc_kernel(posts: list, ys: Sequence[Sequence[int]]) -> tuple[list[float], np.ndarray]:
-    """ctc_loss without its checks: the model's own matrices, and labels that fit them."""
+    """ctc_loss without its checks: the model's own matrices, and checked labels."""
     n, L = len(posts), posts[0].shape[1]
     T, S = np.array([len(p) for p in posts]), np.array([2 * len(y) + 1 for y in ys])
 

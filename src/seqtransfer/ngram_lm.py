@@ -17,9 +17,9 @@ Models are immutable once built.  Queries follow the standard ARPA
 backoff rule: a stored n-gram hc answers with its own probability;
 otherwise the answer is log gamma(h) plus the answer for h'.  A missing
 backoff weight means log 1, and a stored weight applies even when h has no
-stored continuations.  One walk implements the rule for every query, and a
-model loaded from its ARPA serialization answers queries identically to
-the model that wrote it.
+stored continuations.  The one query, next_log_probs, is one walk that
+implements the rule, and a model loaded from its ARPA serialization answers
+it identically to the model that wrote it.
 
 Where LM rows come from: next_log_probs answers with a dense, read-only row.
 The walk builds the row of a stored context (one with a backoff weight or a
@@ -85,32 +85,6 @@ class NgramLM:
 
     # -- queries ---------------------------------------------------------
 
-    def _check_next(self, next_id: int):
-        if next_id == 0 or next_id == self.vocab.bos_id:
-            raise ValueError("the blank and BOS ids carry no probability mass")
-        if not (1 <= next_id < self.vocab.emit_size or next_id == self.vocab.eos_id):
-            raise ValueError(f"id {next_id} is outside the vocabulary")
-
-    def _cond(self, next_id: int, context_ids: Sequence[int]) -> float:
-        """Natural-log p(next_id | context_ids), context truncated to order-1."""
-        self._check_next(next_id)
-        return float(self.next_log_probs(context_ids)[next_id])
-
-    def log_prob(self, context: str, next_char: str) -> float:
-        """Natural-log p(next_char | context).
-
-        The context string is read as the whole line so far, so an implicit
-        BOS precedes it; passing at least order-1 characters makes the BOS
-        fall outside the modelled window.
-        """
-        ids = (self.vocab.bos_id,) + self.vocab.encode(context)
-        return self._cond(self.vocab.id_of(next_char), ids)
-
-    def end_log_prob(self, context: str) -> float:
-        """Natural-log probability that the line ends after context."""
-        ids = (self.vocab.bos_id,) + self.vocab.encode(context)
-        return self._cond(self.vocab.eos_id, ids)
-
     def next_log_probs(self, context_ids: Sequence[int]) -> np.ndarray:
         """Dense, read-only vector of natural-log p(id | context_ids) over the
         full id space.  Blank and BOS entries are -inf.  Rows of stored
@@ -134,16 +108,6 @@ class NgramLM:
             if lo < hi or h in self.backoffs:
                 self._rows[h] = row
         return row
-
-    def sequence_log_prob(self, text: str) -> float:
-        """Natural-log probability of the full line, terminal EOS included."""
-        ids = self.vocab.encode(text)
-        ctx = (self.vocab.bos_id,)
-        total = 0.0
-        for cid in ids:
-            total += self._cond(cid, ctx)
-            ctx = ctx + (cid,)
-        return total + self._cond(self.vocab.eos_id, ctx)
 
 
 def build_lm(corpus: Iterable[str], order: int, discount: float,
@@ -209,16 +173,18 @@ def build_lm(corpus: Iterable[str], order: int, discount: float,
 
 def perplexity(lm: NgramLM, corpus: Iterable[str]) -> float:
     """exp of the mean negative log probability per predicted token, the
-    terminal EOS of each line included."""
-    total = 0.0
-    tokens = 0
+    terminal EOS of each line included, each read off its next_log_probs row."""
     lines = list(corpus)
     if not lines:
         raise ValueError("empty corpus")
+    total = 0.0
     for line in lines:
-        total += lm.sequence_log_prob(line)
-        tokens += len(line) + 1
-    return math.exp(-total / tokens)
+        ids = (lm.vocab.bos_id,) + lm.vocab.encode(line) + (lm.vocab.eos_id,)
+        line_total = 0.0  # a line's sum, then the corpus's: this order fixes the rounding
+        for i in range(1, len(ids)):
+            line_total += float(lm.next_log_probs(ids[:i])[ids[i]])
+        total += line_total
+    return math.exp(-total / (sum(map(len, lines)) + len(lines)))
 
 
 # -- ARPA serialization ---------------------------------------------------

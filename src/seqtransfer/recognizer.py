@@ -172,7 +172,8 @@ def forward_batch(model: Recognizer, frames: list, aux: bool = True):
     """forward over a list of T_b x D frame matrices, each recurrence in one scan
     for all samples; the dense layers run per sample, so every output is
     bit-identical to its batch of one.  Returns per-sample lists of aux and main
-    log-posteriors, and the cache; without aux, aux is None and the cache only g."""
+    log-posteriors, and the cache of each sample's context windows w, features h
+    and recurrent states g; without aux, aux is None and the cache only g."""
     p = model.params
     xs = [np.asarray(f, dtype=model.dtype) for f in frames]
     for x in xs:
@@ -182,10 +183,11 @@ def forward_batch(model: Recognizer, frames: list, aux: bool = True):
             raise ValueError("need at least one frame")
         if not np.all(np.isfinite(x)):
             raise ValueError("frames contain non-finite values")
-    hs = [np.tanh(_windows(x, model.cfg.context_radius) @ p["feat_w"].T + p["feat_b"])
-          for x in xs]
+    ws = (_windows(x, model.cfg.context_radius) for x in xs)
+    ws = list(ws) if aux else ws  # kept for backward; without aux each is read once
+    hs = [np.tanh(w @ p["feat_w"].T + p["feat_b"]) for w in ws]
     auxs = [_log_softmax(h @ p["aux_w"].T + p["aux_b"]) for h in hs] if aux else None
-    cache = {"x": xs, "h": hs} if aux else {}
+    cache = {"w": ws, "h": hs} if aux else {}
     # the backward recurrence is the same scan over time-flipped drives
     drives = [[h @ p["fwd_w"].T + p["fwd_b"] for h in hs],
               [(h @ p["bwd_w"].T + p["bwd_b"])[::-1] for h in hs]]
@@ -233,7 +235,7 @@ def backward(model: Recognizer, cache: dict, aux_grad,
     rec = _scan_grad(d, [[g[:, :rd] for g in gs], [g[::-1, rd:] for g in gs]],
                      [hs, [h[::-1] for h in hs]], [p["fwd_w"], p["bwd_w"]],
                      np.stack([p["fwd_u"], p["bwd_u"]]))
-    for b, (x, h, g) in enumerate(zip(cache["x"], hs, gs)):
+    for b, (w, h, g) in enumerate(zip(cache["w"], hs, gs)):
         ga_b, gm_b = ga[b, :len(h)], gm[b, :len(h)]
         grads = {"main_w": gm_b.T @ g, "main_b": gm_b.sum(axis=0),
                  "aux_w": ga_b.T @ h, "aux_b": ga_b.sum(axis=0)}
@@ -243,7 +245,7 @@ def backward(model: Recognizer, cache: dict, aux_grad,
         dh += dh_fwd
         dh += dh_bwd[::-1]
         delta1 = dh * (1.0 - h.astype(np.float64) ** 2)
-        grads["feat_w"] = delta1.T @ _windows(x, model.cfg.context_radius)
+        grads["feat_w"] = delta1.T @ w
         grads["feat_b"] = delta1.sum(axis=0)
         # summed sample by sample: one gemm over all samples rounds differently
         total = grads if b == 0 else {k: np.add(total[k], v, out=total[k])

@@ -7,7 +7,7 @@ characters on either side, their own Markov text tables, and a per-language
 rendering style.  The source style is the identity; the target style mixes
 frames through a random linear map plus bias, scaled by style_strength.
 
-Rendering concatenates prototypes along time, optionally stretches them
+Rendering concatenates prototypes along time, stretches them
 (each row independently doubled with probability 0.2 or dropped with
 probability 0.1, never below one row per character), applies the style,
 and adds Gaussian noise.
@@ -112,8 +112,7 @@ def sample_text(spec: LanguageSpec, length: int, rng: np.random.Generator) -> st
     return "".join(spec.chars[i] for i in out)
 
 
-def render(text: str, spec: LanguageSpec, rng: np.random.Generator,
-           stretch: bool = True) -> np.ndarray:
+def render(text: str, spec: LanguageSpec, rng: np.random.Generator) -> np.ndarray:
     """Frame matrix for a text: stretched prototype concatenation, styled,
     plus noise.  Frame count stays within [len(text), 2 * sum of prototype
     rows]."""
@@ -124,11 +123,9 @@ def render(text: str, spec: LanguageSpec, rng: np.random.Generator,
         if c not in spec.prototypes:
             raise ValueError(f"character {c!r} is not in language {spec.name!r}")
         proto = spec.prototypes[c]
-        if stretch:  # one draw per row: doubled, dropped or kept once
-            u = rng.random(len(proto))
-            rows = np.repeat(proto, np.where(u < DUP_PROB, 2, u >= DUP_PROB + DROP_PROB), axis=0)
-            proto = rows if len(rows) else proto[:1]  # never drop a character entirely
-        chunks.append(proto)
+        u = rng.random(len(proto))  # one draw per row: doubled, dropped or kept once
+        rows = np.repeat(proto, np.where(u < DUP_PROB, 2, u >= DUP_PROB + DROP_PROB), axis=0)
+        chunks.append(rows if len(rows) else proto[:1])  # never drop a character entirely
     frames = np.concatenate(chunks, axis=0)
     frames = frames @ spec.style_matrix.T + spec.style_bias
     if spec.noise_sigma > 0:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ctc import ctc_kernel, greedy_kernel, min_frames
+from .ctc import check_labels, ctc_kernel, greedy_kernel, min_frames
 from .data import Sample, labeled
 from .decoder import DecoderConfig, beam_search, priors_kernel
 from .errors import NumericError
@@ -115,11 +115,11 @@ def write_metrics(rows: Sequence[MetricsRow], path) -> None:
 def composite_loss(model: Recognizer, aux: list, main: list, cache: dict, labels: Sequence,
                    aux_loss_weight: float) -> tuple[float, dict[str, np.ndarray]]:
     """Mean weighted two-head CTC loss, and its mean parameter gradients, over a
-    batch from the (aux, main, cache) forward_batch returned, with labels that fit
-    (_usable), as ctc_kernel checks nothing; empties aux and main."""
+    batch from the (aux, main, cache) forward_batch returned; empties aux and main.
+    Labels are checked as ctc_loss checks them; the model's own posteriors are not."""
     w = aux_loss_weight
     n = len(main)
-    losses, grads = ctc_kernel(aux + main, list(labels) * 2)
+    losses, grads = ctc_kernel(aux + main, check_labels(main, labels) * 2)
     del aux[:], main[:]  # frees the posteriors before backward's peak, whoever holds the lists
     loss = 0.0
     for aux_l, main_l in zip(losses[:n], losses[n:]):
@@ -148,7 +148,6 @@ def greedy_eval(model: Recognizer, samples: Sequence[Sample]) -> float:
 
 @dataclass
 class TrainResult:
-    model: Recognizer
     rows: list[MetricsRow]
     step_losses: list[float]
     skipped: int
@@ -156,7 +155,7 @@ class TrainResult:
 
 def train_source(model: Recognizer, train_set: list[Sample], cfg: TrainConfig,
                  val_set: list[Sample] | None = None) -> TrainResult:
-    """Supervised training: epochs of shuffled minibatch updates.
+    """Supervised training, of model in place: epochs of shuffled minibatch updates.
 
     Samples whose transcription cannot be aligned within their frame count
     are skipped and counted.  Logs one row per epoch per split."""
@@ -185,7 +184,7 @@ def train_source(model: Recognizer, train_set: list[Sample], cfg: TrainConfig,
         rows.append(MetricsRow(epoch, "train", mean_loss, greedy_eval(model, train)))
         if val_set is not None:
             rows.append(MetricsRow(epoch, "val", math.nan, greedy_eval(model, labeled(val_set))))
-    return TrainResult(model, rows, step_losses, skipped)
+    return TrainResult(rows, step_losses, skipped)
 
 
 def make_pseudo_label(ids: tuple[int, ...], main) -> tuple[int, ...] | None:
@@ -229,7 +228,6 @@ def _update(model: Recognizer, batch, cfg: TrainConfig, state: AdamState, pseudo
 
 @dataclass
 class HybridResult:
-    model: Recognizer
     rows: list[MetricsRow]
     step_losses: list[float]
     prior_history: list[np.ndarray]
@@ -240,7 +238,7 @@ class HybridResult:
 def hybrid_train(model: Recognizer, source_set: list[Sample], target_set: list[Sample],
                  lm: NgramLM | None, cfg: TrainConfig, dcfg: DecoderConfig,
                  val_set: list[Sample] | None = None) -> HybridResult:
-    """Adapt a source-trained model to unlabeled target data.
+    """Adapt a source-trained model, in place, to unlabeled target data.
 
     Each outer iteration first re-estimates label priors from the model's
     current posteriors on the target data, then runs mixed minibatch
@@ -301,5 +299,4 @@ def hybrid_train(model: Recognizer, source_set: list[Sample], target_set: list[S
         rows.append(MetricsRow(it, "train", mean_loss, math.nan))
         if val_set is not None:
             rows.append(MetricsRow(it, "val", math.nan, greedy_eval(model, labeled(val_set))))
-    return HybridResult(model, rows, step_losses, prior_history,
-                        source_only_steps, skipped_decodes)
+    return HybridResult(rows, step_losses, prior_history, source_only_steps, skipped_decodes)

@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 from seqtransfer import (FormatError, RecognizerConfig, Sample, Vocabulary, build_lm,
                          cli, init_recognizer, load_arpa, perplexity, save_arpa,
                          save_checkpoint, write_manifest)
-from seqtransfer.ngram_lm import BOS_TOKEN
+from seqtransfer.ngram_lm import BOS_TOKEN, EOS_TOKEN
 
 from conftest import REPEATED_SECTION_ARPA, arpa_cond_reference
+
+
+def log_p(lm, context, nxt):
+    """Natural-log p(nxt | the line so far is context), nxt a character or EOS_TOKEN."""
+    row = lm.next_log_probs((lm.vocab.bos_id,) + lm.vocab.encode(context))
+    return float(row[lm.vocab.eos_id if nxt == EOS_TOKEN else lm.vocab.id_of(nxt)])
 
 
 def mass_of(lm, context_ids):
@@ -28,39 +34,39 @@ def test_repeated_bigram_concentrates_mass():
     # distribution is uniform over those three usable symbols
     p_uni_b = (100 - 0.1) / 300 + (0.1 * 3 / 300) * (1 / 3)
     want = (100 - 0.1) / 100 + (0.1 * 1 / 100) * p_uni_b
-    got = math.exp(lm.log_prob("a", "b"))
+    got = math.exp(log_p(lm, "a", "b"))
     assert got == pytest.approx(want, abs=1e-12)
     assert got >= 0.999
 
 
 def test_repeated_unigram_context():
     lm = build_lm(["aaaa"] * 50, order=3, discount=0.1)
-    assert lm.log_prob("a", "a") > math.log(0.9)
+    assert log_p(lm, "a", "a") > math.log(0.9)
 
 
 def test_unseen_continuation_has_support():
     lm = build_lm(["ab"], order=2, discount=0.1, extra_chars="z")
-    assert math.exp(lm.log_prob("a", "z")) > 0.0
+    assert math.exp(log_p(lm, "a", "z")) > 0.0
 
 
 def test_context_truncates_to_markov_window():
     lm = build_lm(["abab", "baba"], order=3, discount=0.1)
-    assert lm.log_prob("abab", "a") == lm.log_prob("ab", "a")
+    assert log_p(lm, "abab", "a") == log_p(lm, "ab", "a")
 
 
 def test_query_is_deterministic():
     lm = build_lm(["abc"], order=2, discount=0.1)
-    assert lm.log_prob("ab", "c") == lm.log_prob("ab", "c")
+    assert log_p(lm, "ab", "c") == log_p(lm, "ab", "c")
 
 
-def test_blank_and_bos_rejected_as_next():
-    lm = build_lm(["ab"], order=2, discount=0.1)
-    with pytest.raises(ValueError):
-        lm.log_prob("a", BOS_TOKEN)
-    with pytest.raises(ValueError):
-        lm._cond(0, ())  # blank
-    with pytest.raises(ValueError):
-        lm._cond(lm.vocab.bos_id, ())
+def test_blank_and_bos_carry_no_mass():
+    lm = build_lm(["ab"], order=3, discount=0.1)
+    a, b, bos = lm.vocab.id_of("a"), lm.vocab.id_of("b"), lm.vocab.bos_id
+    # the unigram row, stored contexts, and unstored ones
+    for h in [(), (bos,), (a,), (bos, a), (b, b), (bos, bos)]:
+        row = lm.next_log_probs(h)
+        assert row.shape == (lm.vocab.size,)
+        assert row[0] == -math.inf and row[bos] == -math.inf, h
 
 
 def test_empty_corpus_rejected():
@@ -108,17 +114,16 @@ def test_normalization_over_stored_and_random_contexts():
 
 
 def assert_follows_reference(lm, contexts):
-    """next_log_probs and _cond agree with the scalar reference walk."""
+    """next_log_probs agrees with the scalar reference walk."""
     usable = list(range(1, lm.vocab.emit_size)) + [lm.vocab.eos_id]
     for h in contexts:
         dense = lm.next_log_probs(h)
         for c in usable:
             want = arpa_cond_reference(lm, c, h)
             assert dense[c] == pytest.approx(want, rel=1e-12, abs=1e-12), (h, c)
-            assert lm._cond(c, h) == pytest.approx(want, rel=1e-12, abs=1e-12), (h, c)
 
 
-def test_scalar_and_dense_queries_agree():
+def test_dense_rows_follow_reference():
     rng = np.random.default_rng(6)
     lm = build_lm(["the cat", "the hat", "a cat"], order=3, discount=0.2)
     usable = list(range(1, lm.vocab.emit_size)) + [lm.vocab.eos_id]
@@ -136,16 +141,18 @@ def test_order1_matches_independent_unigram_oracle():
     total = sum(counts.values())
     for tok, n in counts.items():
         want = (n - d) / total + (d * len(counts) / total) * (1 / len(counts))
-        got = lm.end_log_prob("") if tok == "</s>" else lm.log_prob("", tok)
+        got = log_p(lm, "", tok)
         assert math.exp(got) == pytest.approx(want, abs=1e-12)
 
 
 # -- sequence scoring ----------------------------------------------------------
 
+# a line's log probability, terminal EOS included, is -(len + 1) * log(perplexity)
+
 def test_sequence_log_prob_is_per_position_sum():
     lm = build_lm(["ab"] * 100, order=2, discount=0.1)
-    want = lm.log_prob("", "a") + lm.log_prob("a", "b") + lm.end_log_prob("ab")
-    assert lm.sequence_log_prob("ab") == pytest.approx(want, abs=1e-12)
+    want = log_p(lm, "", "a") + log_p(lm, "a", "b") + log_p(lm, "ab", EOS_TOKEN)
+    assert -3 * math.log(perplexity(lm, ["ab"])) == pytest.approx(want, abs=1e-12)
 
 
 def test_sequence_mass_sums_to_one():
@@ -157,10 +164,11 @@ def test_sequence_mass_sums_to_one():
     for _ in range(60):
         nxt = {}
         for h, lp in frontier.items():
-            total = np.logaddexp(total, lp + lm._cond(lm.vocab.eos_id, h))
+            row = lm.next_log_probs(h)
+            total = np.logaddexp(total, lp + row[lm.vocab.eos_id])
             for c in range(1, lm.vocab.emit_size):
                 tail = (h + (c,))[-(lm.order - 1):]
-                score = lp + lm._cond(c, h)
+                score = lp + row[c]
                 nxt[tail] = np.logaddexp(nxt.get(tail, -math.inf), score)
         frontier = nxt
     assert math.exp(total) == pytest.approx(1.0, abs=1e-6)
@@ -168,14 +176,14 @@ def test_sequence_mass_sums_to_one():
 
 def test_sequence_log_prob_nonpositive():
     lm = build_lm(["hello world"], order=3, discount=0.1)
-    assert lm.sequence_log_prob("hello") <= 0.0
-    assert lm.sequence_log_prob("dlrow") <= 0.0
+    assert perplexity(lm, ["hello"]) >= 1.0
+    assert perplexity(lm, ["dlrow"]) >= 1.0
 
 
 def test_sequence_rejects_oov():
     lm = build_lm(["ab"], order=2, discount=0.1)
     with pytest.raises(ValueError):
-        lm.sequence_log_prob("abz")
+        perplexity(lm, ["abz"])
 
 
 # -- perplexity ----------------------------------------------------------------
@@ -197,7 +205,8 @@ def test_perplexity_matches_log_prob_oracle():
     held = ["the cat", "a sat"]
     total, count = 0.0, 0
     for line in held:
-        total += lm.sequence_log_prob(line)
+        ids = (lm.vocab.bos_id,) + lm.vocab.encode(line) + (lm.vocab.eos_id,)
+        total += sum(arpa_cond_reference(lm, ids[i], ids[:i]) for i in range(1, len(ids)))
         count += len(line) + 1  # EOS is predicted too
     assert perplexity(lm, held) == pytest.approx(math.exp(-total / count), rel=1e-9)
 
@@ -225,7 +234,8 @@ def test_arpa_round_trip_on_random_queries(tmp_path):
         n = int(rng.integers(0, 5))
         h = tuple(int(x) for x in rng.choice(usable, size=n))
         c = int(rng.choice(usable))
-        assert back._cond(c, h) == pytest.approx(arpa_cond_reference(lm, c, h), abs=1e-6)
+        assert back.next_log_probs(h)[c] == pytest.approx(arpa_cond_reference(lm, c, h),
+                                                          abs=1e-6)
 
 
 def test_arpa_contains_bigram_entry(tmp_path):
@@ -696,7 +706,6 @@ def test_hand_written_arpa_follows_backoff_rule(tmp_path, case):
         c = _token_id(lm.vocab, nxt)
         want = want_log10 * math.log(10.0)
         assert lm.next_log_probs(h)[c] == pytest.approx(want, abs=1e-12), (context, nxt)
-        assert lm._cond(c, h) == pytest.approx(want, abs=1e-12), (context, nxt)
         assert arpa_cond_reference(lm, c, h) == pytest.approx(want, abs=1e-12), (context, nxt)
     assert_follows_reference(lm, stored_contexts(lm))
 

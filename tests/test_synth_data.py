@@ -111,8 +111,8 @@ def test_bigram_frequencies_match_table():
 # -- rendering -----------------------------------------------------------------
 
 def test_render_without_stretch_or_noise_is_exact():
-    spec = two_state_spec()
-    frames = render("ab", spec, np.random.default_rng(0), stretch=False)
+    spec = two_state_spec()  # no noise, and a draw of 0.9 keeps every row once
+    frames = render("ab", spec, _Draws([0.9] * 7))
     want = np.vstack([spec.prototypes["a"], spec.prototypes["b"]]).astype(np.float32)
     assert np.array_equal(frames, want)
     assert frames.dtype == np.float32
@@ -122,7 +122,7 @@ def test_render_applies_style():
     spec = two_state_spec()
     spec = LanguageSpec(**{**spec.__dict__, "style_matrix": 2.0 * np.eye(4),
                            "style_bias": np.full(4, 0.5)})
-    frames = render("a", spec, np.random.default_rng(0), stretch=False)
+    frames = render("a", spec, _Draws([0.9] * 7))
     assert np.array_equal(frames, np.full((3, 4), 2.5, dtype=np.float32))
 
 

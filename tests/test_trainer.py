@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,23 @@ def test_composite_grads_scale_with_lambda(rng):
     assert np.all(g0["aux_w"] == 0.0)
     _, g1 = composite_loss(m, *forward_batch(m, [frames]), [(1,)], 1.0)
     assert np.all(g1["main_w"] == 0.0)
+
+
+@pytest.mark.parametrize("labels, message", [
+    ((), "empty label sequence"),
+    ((0, 1), "blank id inside a label sequence"),
+    ((9,), "label id 9 out of range for 4 labels"),
+    ((1, 1, 1, 1), "6 frames cannot align 4 labels (need at least 7)"),
+])
+def test_composite_loss_rejects_labels_as_ctc_loss_does(rng, labels, message):
+    cfg = RecognizerConfig(label_count=4, input_dim=3, context_radius=1,
+                           feature_dim=4, recurrent_dim=3)
+    m = init_recognizer(cfg, Vocabulary("abc"), dtype=np.float64)
+    aux, main, cache = forward_batch(m, [rng.normal(0, 1, (6, 3))])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ctc_loss(main, [labels])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        composite_loss(m, aux, main, cache, [labels], 0.25)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
