@@ -39,37 +39,57 @@ class UsageError(Exception):
     pass
 
 
+def _nonempty(value: str) -> str:
+    """argparse type of a path or list option, where "" would read as absent."""
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); usage errors are exit 1 here
         raise UsageError(message)
 
+    def add_argument(self, *flags, **kw):
+        # an option with neither type nor default names a file or holds a list
+        if "type" not in kw and "default" not in kw:
+            kw["type"] = _nonempty
+        return super().add_argument(*flags, **kw)
 
-# every tunable knob: (config dataclass, field, config-file key, flag dest);
-# the field's default is the built-in default and its type the key's type
+
+_TRAIN, _HYBRID, _DECODE = ("train-source", "hybrid"), ("hybrid",), ("hybrid", "decode", "eval")
+
+# every tunable knob, in --help order: (config dataclass, field, config-file
+# key, flag dest, flag help, subcommands with the flag).  The field's default is
+# the built-in default and its type the key's and the flag's.  The flag is the
+# dest less a trailing "_", "_" read as "-"; a knob with no dest is config-only.
 _KNOBS = (
-    (TrainConfig, "aux_loss_weight", "lambda", "lambda_"),
-    (TrainConfig, "batch_size", "batch_size", "batch_size"),
-    (TrainConfig, "source_fraction", "source_fraction", "rho"),
-    (TrainConfig, "outer_iters", "outer_iters", "outer_iters"),
-    (TrainConfig, "prior_pass_batches", "prior_pass_batches", "prior_pass_batches"),
-    (TrainConfig, "train_pass_batches", "train_pass_batches", "train_pass_batches"),
-    (TrainConfig, "epochs", "epochs", "epochs"),
-    (TrainConfig, "seed", "seed", "seed"),
-    (AdamConfig, "lr", "lr", "lr"),
-    (AdamConfig, "beta1", "beta1", None),
-    (AdamConfig, "beta2", "beta2", None),
-    (AdamConfig, "eps", "eps", None),
-    (DecoderConfig, "emission_weight", "w", "w"),
-    (DecoderConfig, "prior_scale", "alpha", "alpha"),
-    (DecoderConfig, "beam_width", "beam_width", "beam"),
-    (DecoderConfig, "prior_floor", "prior_floor", "prior_floor"),
-    (RecognizerConfig, "context_radius", "context_radius", None),
-    (RecognizerConfig, "feature_dim", "feature_dim", None),
-    (RecognizerConfig, "recurrent_dim", "recurrent_dim", None),
+    (TrainConfig, "epochs", "epochs", "epochs", "training epochs", ("train-source",)),
+    (TrainConfig, "outer_iters", "outer_iters", "outer_iters", "outer iterations", _HYBRID),
+    (TrainConfig, "prior_pass_batches", "prior_pass_batches", "prior_pass_batches",
+     "minibatches per prior pass", _HYBRID),
+    (TrainConfig, "train_pass_batches", "train_pass_batches", "train_pass_batches",
+     "update steps per training pass", _HYBRID),
+    (TrainConfig, "source_fraction", "source_fraction", "rho",
+     "source fraction of each minibatch", _HYBRID),
+    (TrainConfig, "aux_loss_weight", "lambda", "lambda_", "auxiliary-head loss weight", _TRAIN),
+    (TrainConfig, "batch_size", "batch_size", "batch_size", "minibatch size", _TRAIN),
+    (AdamConfig, "lr", "lr", "lr", "Adam learning rate", _TRAIN),
+    (AdamConfig, "beta1", "beta1", None, None, ()),
+    (AdamConfig, "beta2", "beta2", None, None, ()),
+    (AdamConfig, "eps", "eps", None, None, ()),
+    (DecoderConfig, "emission_weight", "w", "w", "decoder emission weight", _DECODE),
+    (DecoderConfig, "prior_scale", "alpha", "alpha", "decoder prior scale", _DECODE),
+    (DecoderConfig, "beam_width", "beam_width", "beam", "decoder beam width", _DECODE),
+    (DecoderConfig, "prior_floor", "prior_floor", "prior_floor", "label prior floor", _DECODE),
+    (TrainConfig, "seed", "seed", "seed", "run seed", _TRAIN),
+    (RecognizerConfig, "context_radius", "context_radius", None, None, ()),
+    (RecognizerConfig, "feature_dim", "feature_dim", None, None, ()),
+    (RecognizerConfig, "recurrent_dim", "recurrent_dim", None, None, ()),
 )
 
 # experiment config file: every knob plus data paths
-_CONFIG_TYPES = {key: type(getattr(cls, name)) for cls, name, key, _ in _KNOBS}
+_CONFIG_TYPES = {key: type(getattr(cls, name)) for cls, name, key, *_ in _KNOBS}
 _CONFIG_TYPES.update(source_data=str, target_data=str, val_data=str, lm=str)
 
 
@@ -89,6 +109,8 @@ def read_config(path) -> dict:
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_TYPES:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if not val:
+            raise UsageError(f"{path}:{lineno}: empty value for {key}")
         try:
             out[key] = _CONFIG_TYPES[key](val)
         except ValueError:
@@ -99,7 +121,7 @@ def read_config(path) -> dict:
 def _given(cls, args, cfg: dict) -> dict:
     """The fields of cls that a flag or the config file sets, flag first."""
     out = {}
-    for owner, name, key, dest in _KNOBS:
+    for owner, name, key, dest, *_ in _KNOBS:
         if owner is not cls:
             continue
         if dest is not None and hasattr(args, dest):
@@ -176,18 +198,10 @@ def cmd_train_lm(args) -> int:
 
 # -- train-source -----------------------------------------------------------
 
-def _train_config(args, cfg: dict) -> TrainConfig:
-    return TrainConfig(adam=AdamConfig(**_given(AdamConfig, args, cfg)),
-                       **_given(TrainConfig, args, cfg))
-
-
-def _decoder_config(args, cfg: dict) -> DecoderConfig:
-    return DecoderConfig(**_given(DecoderConfig, args, cfg))
-
-
 def cmd_train_source(args) -> int:
     cfg = read_config(args.config) if args.config else {}
-    tcfg = _train_config(args, cfg)
+    tcfg = TrainConfig(adam=AdamConfig(**_given(AdamConfig, args, cfg)),
+                       **_given(TrainConfig, args, cfg))
     vocab = Vocabulary.load(args.vocab)
     train = load_manifest(args.data, vocab=vocab)
     rcfg = RecognizerConfig(label_count=vocab.emit_size, seed=tcfg.seed,
@@ -217,8 +231,9 @@ def _load_val(path, width: int):
 
 def cmd_hybrid(args) -> int:
     cfg = read_config(args.config) if args.config else {}
-    tcfg = _train_config(args, cfg)
-    dcfg = _decoder_config(args, cfg)
+    tcfg = TrainConfig(adam=AdamConfig(**_given(AdamConfig, args, cfg)),
+                       **_given(TrainConfig, args, cfg))
+    dcfg = DecoderConfig(**_given(DecoderConfig, args, cfg))
     model = load_checkpoint(args.init_checkpoint)
     lm_path = args.lm or cfg.get("lm")
     lm = load_arpa(lm_path) if lm_path else None
@@ -260,7 +275,7 @@ def _load_decode_inputs(args):
     lm = load_arpa(args.lm) if args.lm else None
     if lm is not None and lm.vocab != model.vocab:
         raise ValueError("the LM and the checkpoint use different vocabularies")
-    return model, dataset, lm, _decoder_config(args, {})
+    return model, dataset, lm, DecoderConfig(**_given(DecoderConfig, args, {}))
 
 
 def _decode_all(model, dataset, lm, dcfgs) -> list[list[str]]:
@@ -332,15 +347,16 @@ def cmd_eval(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
-def _knob(parser, flag: str, help: str, dest: str | None = None):
-    """Flag for a config-dataclass knob.  Its absence stays detectable
+def _add_knobs(parser, command: str) -> None:
+    """Add command's knob flags.  A flag's absence stays detectable
     (config-file interplay); its type and documented default are the
     field's."""
-    dest = dest or flag[2:].replace("-", "_")
-    cls, name = next((c, n) for c, n, _, d in _KNOBS if d == dest)
-    default = getattr(cls, name)
-    parser.add_argument(flag, dest=dest, type=type(default), default=argparse.SUPPRESS,
-                        help=f"{help} (default: {default})")
+    for cls, name, _, dest, help, commands in _KNOBS:
+        if command in commands:
+            default = getattr(cls, name)
+            parser.add_argument("--" + dest.rstrip("_").replace("_", "-"), dest=dest,
+                                type=type(default), default=argparse.SUPPRESS,
+                                help=f"{help} (default: {default})")
 
 
 COMMANDS = ("gen-data", "train-lm", "train-source", "hybrid", "decode", "eval")
@@ -396,11 +412,7 @@ def build_parser(command: str | None = None) -> _Parser:
         s.add_argument("--out-checkpoint", required=True, help="checkpoint to write")
         s.add_argument("--metrics", help="append per-epoch metrics TSV here")
         s.add_argument("--config", help="experiment config file (key = value lines)")
-        _knob(s, "--epochs", "training epochs")
-        _knob(s, "--lambda", "auxiliary-head loss weight", dest="lambda_")
-        _knob(s, "--batch-size", "minibatch size")
-        _knob(s, "--lr", "Adam learning rate")
-        _knob(s, "--seed", "run seed")
+        _add_knobs(s, "train-source")
         s.set_defaults(func=cmd_train_source)
 
     if command in (None, "hybrid"):
@@ -414,18 +426,7 @@ def build_parser(command: str | None = None) -> _Parser:
         h.add_argument("--metrics", help="append per-iteration metrics TSV here")
         h.add_argument("--priors-log", help="write per-iteration label priors TSV here")
         h.add_argument("--config", help="experiment config file (key = value lines)")
-        _knob(h, "--outer-iters", "outer iterations")
-        _knob(h, "--prior-pass-batches", "minibatches per prior pass")
-        _knob(h, "--train-pass-batches", "update steps per training pass")
-        _knob(h, "--rho", "source fraction of each minibatch")
-        _knob(h, "--lambda", "auxiliary-head loss weight", dest="lambda_")
-        _knob(h, "--batch-size", "minibatch size")
-        _knob(h, "--lr", "Adam learning rate")
-        _knob(h, "--w", "decoder emission weight")
-        _knob(h, "--alpha", "decoder prior scale")
-        _knob(h, "--beam", "decoder beam width")
-        _knob(h, "--prior-floor", "label prior floor")
-        _knob(h, "--seed", "run seed")
+        _add_knobs(h, "hybrid")
         h.set_defaults(func=cmd_hybrid)
 
     for name, fn, extra in (("decode", cmd_decode, "write hypotheses"),
@@ -437,10 +438,7 @@ def build_parser(command: str | None = None) -> _Parser:
         d.add_argument("--checkpoint", required=True, help="model checkpoint")
         d.add_argument("--data", required=True, help="manifest to decode")
         d.add_argument("--lm", help="ARPA LM; omit for greedy decoding")
-        _knob(d, "--w", "emission weight")
-        _knob(d, "--alpha", "prior scale")
-        _knob(d, "--beam", "beam width")
-        _knob(d, "--prior-floor", "label prior floor")
+        _add_knobs(d, name)
         d.add_argument("--out", help="write output here instead of stdout")
         d.add_argument("--report", help="write a per-sample CER report here")
         if name == "eval":

@@ -54,6 +54,7 @@ def test_claim_needs_nine_tenths_of_pairs_and_a_gap_beyond_iqr():
     assert claim(parent, [v + 10 for v in parent[:9]] + [parent[9]])  # a tie: still 9/10
     assert not claim(parent, [v + 10 for v in parent[:8]] + parent[8:])  # two ties: 8/10
     assert not claim(parent, [v + 1 for v in parent])  # 10/10, but 1 apart against IQR 1.75
+    assert not claim(parent[:5], [v + 10 for v in parent[:5]])  # 5/5 and wide apart: too few pairs
 
 
 def test_gate_reads_worse_unresolved_or_ok():

@@ -1,5 +1,7 @@
 """End-to-end exercises of the command-line pipeline, all in-process."""
 
+import argparse
+import dataclasses
 import re
 import struct
 
@@ -10,10 +12,10 @@ from hypothesis import strategies as st
 
 import seqtransfer.ctc as ctc_mod
 import seqtransfer.decoder as decoder_mod
-from seqtransfer import (NumericError, TrainConfig, Vocabulary, build_lm, cli, forward,
-                         greedy_decode, greedy_eval, load_arpa, load_checkpoint, load_manifest,
-                         perplexity, prior_pass, read_lines, save_arpa, save_checkpoint,
-                         write_frames)
+from seqtransfer import (AdamConfig, DecoderConfig, NumericError, TrainConfig, Vocabulary,
+                         build_lm, cli, forward, greedy_decode, greedy_eval, load_arpa,
+                         load_checkpoint, load_manifest, perplexity, prior_pass, read_lines,
+                         save_arpa, save_checkpoint, write_frames)
 from conftest import REPEATED_SECTION_ARPA
 
 
@@ -265,6 +267,24 @@ def test_unknown_config_key_is_usage_error(pipe, tmp_path, capsys):
                    "--out-checkpoint", str(tmp_path / "c.ckpt"), "--config", str(cfg)])
     assert rc == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["lm = ", "val_data =", "epochs = # none"])
+def test_empty_config_value_is_usage_error(pipe, tmp_path, capsys, line):
+    # "lm = " would otherwise run the uniform-LM control, "val_data =" skip validation
+    data = pipe["data"]
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(f"outer_iters = 1\n{line}\n", encoding="utf-8")
+    out = tmp_path / "x.ckpt"
+    rc = cli.main(["hybrid", "--source-data", str(data / "source" / "train" / "manifest.tsv"),
+                   "--target-data", str(data / "target" / "train" / "manifest.tsv"),
+                   "--init-checkpoint", str(pipe["ck"]), "--out-checkpoint", str(out),
+                   "--config", str(cfg), "--prior-pass-batches", "1",
+                   "--train-pass-batches", "1", "--batch-size", "2", "--beam", "2"])
+    assert rc == 1
+    key = line.split("=")[0].strip()
+    assert capsys.readouterr().err == f"error: {cfg}:2: empty value for {key}\n"
+    assert not out.exists()
 
 
 def test_train_source_reads_input_width_from_its_data(tmp_path, capsys):
@@ -674,6 +694,58 @@ def test_unknown_flag_is_usage_error(capsys):
     capsys.readouterr()
 
 
+# every option naming a file, or holding a list, per subcommand
+PATH_OPTIONS = {
+    "gen-data": ["--out"],
+    "train-lm": ["--corpus", "--out", "--vocab", "--perplexity-on"],
+    "train-source": ["--data", "--val", "--vocab", "--out-checkpoint", "--metrics", "--config"],
+    "hybrid": ["--source-data", "--target-data", "--val-data", "--init-checkpoint", "--lm",
+               "--out-checkpoint", "--metrics", "--priors-log", "--config"],
+    "decode": ["--checkpoint", "--data", "--lm", "--out", "--report"],
+    "eval": ["--checkpoint", "--data", "--lm", "--out", "--report", "--sweep-w",
+             "--sweep-alpha"],
+}
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c, flags in PATH_OPTIONS.items()
+                                          for f in flags])
+def test_empty_path_or_list_option_is_usage_error(command, flag):
+    with pytest.raises(cli.UsageError, match=f"^argument {flag}: must not be empty$"):
+        cli.build_parser(command).parse_args([command, flag, ""])
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["gen-data", "--out", "d"], "--shared-chars"),
+    (["gen-data", "--out", "d"], "--source-extra"),
+    (["gen-data", "--out", "d"], "--target-extra"),
+    (["train-lm", "--corpus", "c", "--out", "o"], "--extra-chars")])
+def test_character_set_option_accepts_empty(argv, flag):
+    args = cli.build_parser(argv[0]).parse_args(argv + [flag, ""])
+    assert getattr(args, flag[2:].replace("-", "_")) == ""
+
+
+@pytest.mark.parametrize("case", ["hybrid --lm", "eval --lm", "eval --sweep-w"])
+def test_empty_flag_is_not_a_missing_flag(pipe, tmp_path, capsys, case):
+    # read as a flag left out, "" would run the uniform-LM control, greedy
+    # decoding and a one-point sweep
+    data, out = pipe["data"], tmp_path / "out"
+    command, flag = case.split()
+    if command == "hybrid":
+        argv = ["--source-data", str(data / "source" / "train" / "manifest.tsv"),
+                "--target-data", str(data / "target" / "train" / "manifest.tsv"),
+                "--init-checkpoint", str(pipe["ck"]), "--out-checkpoint", str(out),
+                "--outer-iters", "1", "--prior-pass-batches", "1",
+                "--train-pass-batches", "1", "--batch-size", "2", "--beam", "2"]
+    else:
+        argv = ["--checkpoint", str(pipe["ck"]), "--beam", "2", "--out", str(out),
+                "--data", str(data / "source" / "val" / "manifest.tsv")]
+        if flag != "--lm":
+            argv += ["--lm", str(pipe["lm"])]
+    assert cli.main([command] + argv + [flag, ""]) == 1
+    assert capsys.readouterr().err == f"error: argument {flag}: must not be empty\n"
+    assert not out.exists()
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     rc = cli.main(["train-lm", "--corpus", str(tmp_path / "nope.txt"),
                    "--out", str(tmp_path / "o.arpa")])
@@ -789,6 +861,45 @@ def test_hybrid_help_documents_defaults(capsys):
     out = capsys.readouterr().out
     for frag in ("(default: 0.4)", "(default: 0.5)", "(default: 0.25)", "(default: 8)"):
         assert frag in out
+
+
+# every knob flag a subcommand takes: flag -> (config dataclass, field, dest)
+_DECODER_FLAGS = {"--w": (DecoderConfig, "emission_weight", "w"),
+                  "--alpha": (DecoderConfig, "prior_scale", "alpha"),
+                  "--beam": (DecoderConfig, "beam_width", "beam"),
+                  "--prior-floor": (DecoderConfig, "prior_floor", "prior_floor")}
+_TRAIN_FLAGS = {"--lambda": (TrainConfig, "aux_loss_weight", "lambda_"),
+                "--batch-size": (TrainConfig, "batch_size", "batch_size"),
+                "--lr": (AdamConfig, "lr", "lr"),
+                "--seed": (TrainConfig, "seed", "seed")}
+KNOB_FLAGS = {
+    "train-source": {**_TRAIN_FLAGS, "--epochs": (TrainConfig, "epochs", "epochs")},
+    "hybrid": {**_TRAIN_FLAGS, **_DECODER_FLAGS,
+               "--outer-iters": (TrainConfig, "outer_iters", "outer_iters"),
+               "--prior-pass-batches": (TrainConfig, "prior_pass_batches",
+                                        "prior_pass_batches"),
+               "--train-pass-batches": (TrainConfig, "train_pass_batches",
+                                        "train_pass_batches"),
+               "--rho": (TrainConfig, "source_fraction", "rho")},
+    "decode": _DECODER_FLAGS,
+    "eval": _DECODER_FLAGS,
+}
+
+
+@pytest.mark.parametrize("command", sorted(KNOB_FLAGS))
+def test_knob_flags_read_their_dataclass_field(command):
+    parser = cli.build_parser(command)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    # a knob flag defaults to absent, so the config file and the dataclass can fill it
+    knobs = {a.option_strings[0]: a for a in sub.choices[command]._actions
+             if a.default is argparse.SUPPRESS and a.dest != "help"}
+    assert set(knobs) == set(KNOB_FLAGS[command])
+    for flag, (cls, name, dest) in KNOB_FLAGS[command].items():
+        default = {f.name: f.default for f in dataclasses.fields(cls)}[name]
+        action = knobs[flag]
+        assert action.option_strings == [flag]
+        assert (action.dest, action.type) == (dest, type(default))
+        assert action.help.endswith(f" (default: {default})")
 
 
 # -- robustness: damaged input files ----------------------------------------------

@@ -21,9 +21,9 @@ working tree won (a tie counts for neither side), the no-regression gate:
   of the parent;
 - `ok`: otherwise;
 
-and whether the runs support a claimed gain (`claim`): `yes` when the
-working tree won at least 9/10 of the pairs and its median is better than
-the parent's by more than the parent's IQR.
+and whether the runs support a claimed gain (`claim`): `yes` when there
+are at least ten pairs, the working tree won at least 9/10 of them, and its
+median is better than the parent's by more than the parent's IQR.
 
 It also says whether every output digest was the same on both sides, and
 lists failed calls.  Each pair's values go to stderr as
@@ -140,7 +140,7 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> list[dict]
                      "parent": parent_med, "change": change_med, "parent_iqr": spread,
                      "ratio": change_med / parent_med if parent_med else float("nan"),
                      "won": won, "pairs": pairs, "beyond_iqr": gain > spread,
-                     "claim": 10 * won >= 9 * pairs and gain > spread,
+                     "claim": pairs >= 10 and 10 * won >= 9 * pairs and gain > spread,
                      "gate": "worse" if -gain > bound else
                      "unresolved" if spread > bound and not every_run_better else "ok"})
     return rows
