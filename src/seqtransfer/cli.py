@@ -149,11 +149,17 @@ def cmd_gen_data(args) -> int:
         raise UsageError(f"--text-len wants 'min,max', got {args.text_len!r}") from None
     if not (1 <= lo <= hi):
         raise UsageError(f"--text-len range {lo},{hi} is not increasing from >= 1")
+    for name in ("shared_chars", "source_extra", "target_extra"):
+        if set(getattr(args, name)) & set("\t\n\r"):  # no manifest or corpus line holds one
+            raise UsageError(f"--{name.replace('_', '-')} must not hold a tab or line break")
 
-    source, target = make_language_pair(
-        args.base_seed, args.shared_chars, args.source_extra, args.target_extra,
-        style_strength=args.style_strength, noise_sigma=args.noise_sigma,
-        input_dim=args.input_dim)
+    try:  # past the checks above, only the character sets can be rejected
+        source, target = make_language_pair(
+            args.base_seed, args.shared_chars, args.source_extra, args.target_extra,
+            style_strength=args.style_strength, noise_sigma=args.noise_sigma,
+            input_dim=args.input_dim)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     vocab = Vocabulary(set(source.chars) | set(target.chars))
@@ -188,11 +194,13 @@ def cmd_train_lm(args) -> int:
     vocab = Vocabulary.load(args.vocab) if args.vocab else None
     lm = build_lm(corpus, order=args.order, discount=args.discount,
                   extra_chars=args.extra_chars, vocab=vocab)
+    # a bad --perplexity-on file fails the run before the ARPA file is written
+    ppl = perplexity(lm, read_lines(args.perplexity_on)) if args.perplexity_on else None
     save_arpa(lm, args.out)
     print(f"wrote {args.out}: order {lm.order}, {len(lm.probs)} n-grams, "
           f"{len(lm.vocab.chars)} characters")
-    if args.perplexity_on:
-        print(f"perplexity\t{perplexity(lm, read_lines(args.perplexity_on)):.6f}")
+    if ppl is not None:
+        print(f"perplexity\t{ppl:.6f}")
     return 0
 
 

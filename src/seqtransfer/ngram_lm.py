@@ -138,10 +138,9 @@ def build_lm(corpus: Iterable[str], order: int, discount: float,
     counts: Counter[tuple[int, ...]] = Counter()
     for line in lines:
         ids = (bos,) + vocab.encode(line) + (eos,)
-        for i in range(1, len(ids)):  # predicted positions; BOS is context only
-            lo = max(0, i - order + 1)
-            for j in range(lo, i + 1):
-                counts[ids[j:i + 1]] += 1
+        # every n-gram ending at a predicted position i; BOS is context only
+        counts.update(ids[j:i + 1] for i in range(1, len(ids))
+                      for j in range(max(0, i - order + 1), i + 1))
 
     # continuation totals and distinct-continuation counts per context
     ctot: Counter[tuple[int, ...]] = Counter()
@@ -150,24 +149,22 @@ def build_lm(corpus: Iterable[str], order: int, discount: float,
         h = gram[:-1]
         ctot[h] += n
         distinct[h] += 1
+    gamma = {h: discount * distinct[h] / ctot[h] for h in ctot}  # mass left to back off
 
     usable = tuple(range(1, vocab.emit_size)) + (eos,)
     base = 1.0 / len(usable)
 
     # probabilities in plain prob space, lowest order first
     p: dict[tuple[int, ...], float] = {}
-    gamma_empty = discount * distinct[()] / ctot[()]
     for c in usable:
-        p[(c,)] = max(counts.get((c,), 0) - discount, 0.0) / ctot[()] + gamma_empty * base
+        p[(c,)] = max(counts.get((c,), 0) - discount, 0.0) / ctot[()] + gamma[()] * base
     for gram in sorted(counts, key=len):  # lower orders first, so p[gram[1:]] is set
         if len(gram) > 1:
             h = gram[:-1]
-            g = discount * distinct[h] / ctot[h]
-            p[gram] = max(counts[gram] - discount, 0.0) / ctot[h] + g * p[gram[1:]]
+            p[gram] = max(counts[gram] - discount, 0.0) / ctot[h] + gamma[h] * p[gram[1:]]
 
     probs = {gram: math.log(v) for gram, v in p.items()}
-    backoffs = {h: math.log(discount * distinct[h] / ctot[h])
-                for h in ctot if len(h) >= 1}
+    backoffs = {h: math.log(g) for h, g in gamma.items() if h}
     return NgramLM(vocab, order, probs, backoffs)
 
 
@@ -189,22 +186,19 @@ def perplexity(lm: NgramLM, corpus: Iterable[str]) -> float:
 
 # -- ARPA serialization ---------------------------------------------------
 
-def _token_of(vocab: Vocabulary, i: int) -> str:
-    if i == vocab.bos_id:
-        return BOS_TOKEN
-    if i == vocab.eos_id:
-        return EOS_TOKEN
-    c = vocab.char_of(i)
-    return _CHAR_ESCAPES.get(c, c)
+def _tokens(vocab: Vocabulary) -> list[str]:
+    """Every id's ARPA token, by id; the blank (id 0) has none."""
+    return [""] + [_CHAR_ESCAPES.get(c, c) for c in vocab.chars] + [BOS_TOKEN, EOS_TOKEN]
 
 
 def save_arpa(lm: NgramLM, path) -> None:
     """Write the model as ARPA text: log10 probabilities, tab-separated
     fields, one section per n-gram length up to the model order, each in
     the model's own sorted order."""
+    bos = (lm.vocab.bos_id,)
     sections = [lm._grams.get(k, []) for k in range(1, lm.order + 1)]
-    # the unigram section also carries BOS, a home for its backoff weight
-    sections[0] = sections[0] + [(lm.vocab.bos_id,)]
+    sections[0] = sections[0] + [bos]  # BOS carries its backoff weight in the unigrams
+    tokens = _tokens(lm.vocab)
 
     def fmt(x: float) -> str:
         return f"{x / _LN10:.12g}"
@@ -216,8 +210,8 @@ def save_arpa(lm: NgramLM, path) -> None:
         for k, grams in enumerate(sections, 1):
             f.write(f"\n\\{k}-grams:\n")
             for gram in grams:
-                toks = " ".join(_token_of(lm.vocab, i) for i in gram)
-                if gram == (lm.vocab.bos_id,):
+                toks = " ".join([tokens[i] for i in gram])
+                if gram == bos:
                     lp = "-99"  # BOS is never predicted
                 else:
                     # rounding in build_lm can leave log p a hair above 0
@@ -360,8 +354,7 @@ def load_arpa(path) -> NgramLM:
 
     # every token through one dict, a section at a time
     bos = vocab.bos_id
-    ids = {_CHAR_ESCAPES.get(c, c): vocab.id_of(c) for c in vocab.chars}
-    ids.update({BOS_TOKEN: bos, EOS_TOKEN: vocab.eos_id})
+    ids = {t: i for i, t in enumerate(_tokens(vocab)) if i}
     probs: dict[tuple[int, ...], float] = {}
     backoffs: dict[tuple[int, ...], float] = {}
     for k, (lps, toks, has_bo, weights) in sections.items():

@@ -15,7 +15,9 @@ and adds Gaussian noise.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ _SAMPLE_TAG = 0x5a
 
 DUP_PROB = 0.2
 DROP_PROB = 0.1
+_SUM_ATOL = np.sqrt(np.finfo(np.float64).eps)  # Generator.choice's row-sum tolerance
 
 # the stock desk-scale pair: 24 shared lowercase letters plus space; the
 # target side adds three accented characters
@@ -103,13 +106,26 @@ def make_language_pair(base_seed: int, shared_chars, source_extra="", target_ext
 
 
 def sample_text(spec: LanguageSpec, length: int, rng: np.random.Generator) -> str:
+    """A Markov chain walk by inverse-CDF lookup: one uniform per character,
+    looked up in tables built as Generator.choice builds them, so the text
+    and the stream consumed are those of one rng.choice per character."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    n = len(spec.chars)
-    out = [int(rng.choice(n, p=spec.start))]
-    for _ in range(length - 1):
-        out.append(int(rng.choice(n, p=spec.trans[out[-1]])))
-    return "".join(spec.chars[i] for i in out)
+    # row 0 starts the chain; row i + 1 follows character i
+    table = np.concatenate([spec.start[None], spec.trans], dtype=np.float64)
+    cdf = table.cumsum(axis=1)
+    # Generator.choice's checks; a NaN fails both comparisons
+    if not (table.min() >= 0 and np.abs(cdf[:, -1] - 1.0).max() <= _SUM_ATOL):
+        raise ValueError(f"start or transition row of language {spec.name!r} is not "
+                         "a probability distribution")
+    cdf /= cdf[:, -1:]
+    flat, n = cdf.ravel().data, len(spec.chars)  # bisect reads only the floats it visits
+    row, out = 0, []
+    for u in rng.random(length).tolist():
+        i = bisect_right(flat, u, row, row + n) - row
+        out.append(spec.chars[i])
+        row = (i + 1) * n
+    return "".join(out)
 
 
 def render(text: str, spec: LanguageSpec, rng: np.random.Generator) -> np.ndarray:
@@ -118,15 +134,16 @@ def render(text: str, spec: LanguageSpec, rng: np.random.Generator) -> np.ndarra
     rows]."""
     if not text:
         raise ValueError("cannot render an empty text")
-    chunks = []
-    for c in text:
-        if c not in spec.prototypes:
-            raise ValueError(f"character {c!r} is not in language {spec.name!r}")
-        proto = spec.prototypes[c]
-        u = rng.random(len(proto))  # one draw per row: doubled, dropped or kept once
-        rows = np.repeat(proto, np.where(u < DUP_PROB, 2, u >= DUP_PROB + DROP_PROB), axis=0)
-        chunks.append(rows if len(rows) else proto[:1])  # never drop a character entirely
-    frames = np.concatenate(chunks, axis=0)
+    bad = next((c for c in text if c not in spec.prototypes), None)
+    if bad is not None:
+        raise ValueError(f"character {bad!r} is not in language {spec.name!r}")
+    protos = [spec.prototypes[c] for c in text]
+    sizes = [len(p) for p in protos]
+    firsts = np.array([0, *accumulate(sizes[:-1])])  # each character's first row
+    u = rng.random(sum(sizes))  # one draw per row: doubled, dropped or kept once
+    reps = np.where(u < DUP_PROB, 2, u >= DUP_PROB + DROP_PROB)
+    reps[firsts[np.add.reduceat(reps, firsts) == 0]] = 1  # never drop a character entirely
+    frames = np.repeat(np.concatenate(protos), reps, axis=0)
     frames = frames @ spec.style_matrix.T + spec.style_bias
     if spec.noise_sigma > 0:
         frames = frames + rng.normal(0.0, spec.noise_sigma, frames.shape)

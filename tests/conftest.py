@@ -60,6 +60,16 @@ def uniform_priors(label_count: int) -> np.ndarray:
     return np.full(label_count, 1.0 / label_count)
 
 
+def sample_text_reference(spec, length, rng) -> str:
+    """The oracle for synth_data.sample_text: one rng.choice per character,
+    which validates its row and takes a fresh cumulative sum every time."""
+    n = len(spec.chars)
+    out = [int(rng.choice(n, p=spec.start))]
+    for _ in range(length - 1):
+        out.append(int(rng.choice(n, p=spec.trans[out[-1]])))
+    return "".join(spec.chars[i] for i in out)
+
+
 def render_reference(text, spec, rng) -> np.ndarray:
     """The oracle for synth_data.render with stretching: one rng.random()
     per prototype row, which is doubled, dropped or kept in a Python loop."""

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import re
 import struct
 
@@ -113,6 +114,34 @@ def test_gen_data_rerun_is_byte_identical(tmp_path):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
+def tree_sha256(root) -> str:
+    """One sha256 over every file under root: relative path, then bytes."""
+    h = hashlib.sha256()
+    for p in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(p.relative_to(root).as_posix().encode() + b"\0")
+        h.update(hashlib.sha256(p.read_bytes()).digest())
+    return h.hexdigest()
+
+
+# recorded from the per-character Generator.choice sampler, the per-character
+# stretch draws and the per-token ARPA writer, all since replaced
+PINNED_TREE_SHA256 = "b9dbcac01e9d96f9b926555672207cd8bfad96083ccd46b4e0b0681164a799d5"
+
+
+def test_gen_data_and_train_lm_write_the_pinned_bytes(tmp_path, capsys):
+    """The files a fixed gen-data and train-lm run write, pinned by digest: a
+    rewrite of the sampler, the renderer or the ARPA writer must keep every
+    byte, which two runs of the same code cannot show."""
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--out", str(data), "--base-seed", "5", "--n-train", "6",
+                     "--n-val", "3", "--n-test", "3", "--text-len", "1,12"]) == 0
+    assert cli.main(["train-lm", "--corpus", str(data / "target" / "corpus.txt"),
+                     "--out", str(tmp_path / "lm.arpa"), "--order", "4",
+                     "--vocab", str(data / "vocab.json")]) == 0
+    capsys.readouterr()
+    assert tree_sha256(tmp_path) == PINNED_TREE_SHA256
+
+
 def test_gen_data_rejects_zero_train(tmp_path, capsys):
     rc = cli.main(["gen-data", "--out", str(tmp_path / "x"), "--n-train", "0"])
     assert rc == 1
@@ -137,6 +166,23 @@ def test_gen_data_bad_numeric_flag_is_a_usage_error(tmp_path, capsys, flag, valu
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag} must be ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--shared-chars", "a\tb"], ["--source-extra", "x\n"], ["--target-extra", "\r"],
+    ["--shared-chars", ""], ["--shared-chars", "abc", "--source-extra", "c"],
+    ["--source-extra", "q", "--target-extra", "q"],
+])
+def test_gen_data_bad_character_set_is_a_usage_error(tmp_path, capsys, flags):
+    """A character no manifest line can hold, an empty shared set or
+    overlapping sets: exit 1 with one line, before anything is written."""
+    out = tmp_path / "x"
+    rc = cli.main(["gen-data", "--out", str(out), "--n-train", "2", "--n-val", "1",
+                   "--n-test", "1", "--text-len", "2,3"] + flags)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -211,6 +257,21 @@ def test_train_lm_extra_char_outside_vocab_exits_two(pipe, tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == \
         "error: extra character 'Z' is outside the fixed vocabulary\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("held_out", ["missing", "Z outside the vocabulary"])
+def test_train_lm_bad_perplexity_file_writes_no_arpa(pipe, tmp_path, capsys, held_out):
+    path = tmp_path / "held_out.txt"
+    if held_out != "missing":
+        path.write_text("abZ\n", encoding="utf-8")
+    out = tmp_path / "x.arpa"
+    rc = cli.main(["train-lm", "--corpus", str(pipe["data"] / "target" / "corpus.txt"),
+                   "--out", str(out), "--vocab", str(pipe["data"] / "vocab.json"),
+                   "--perplexity-on", str(path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
     assert not out.exists()
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from seqtransfer import (LanguageSpec, generate_dataset, load_manifest, make_language_pair,
                          read_frames, render, sample_corpus, sample_text)
 from seqtransfer.synth_data import STOCK_SHARED_CHARS, STOCK_TARGET_EXTRA
-from conftest import render_reference
+from conftest import render_reference, sample_text_reference
 
 
 def test_same_base_seed_gives_identical_pair():
@@ -93,6 +93,53 @@ def test_sampled_chars_stay_in_vocab():
     rng = np.random.default_rng(3)
     for _ in range(50):
         assert set(sample_text(src, 12, rng)) <= set("abc")
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), length=st.integers(1, 40),
+       base_seed=st.integers(0, 50), side=st.sampled_from([0, 1]),
+       chars=st.sampled_from(["a", "ab", "abc ", STOCK_SHARED_CHARS]))
+def test_sample_text_matches_choice_reference(seed, length, base_seed, side, chars):
+    """One uniform per character through a cumulative table draws the text
+    one rng.choice per character draws, and leaves the stream in the same
+    place."""
+    spec = make_language_pair(base_seed, chars, target_extra="éQ")[side]
+    r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert sample_text(spec, length, r1) == sample_text_reference(spec, length, r2)
+    assert r1.random() == r2.random()
+
+
+def _with_first_column(spec, row, bad):
+    """spec with the first entry of its start row, or of every transition
+    row, broken one way, or nudged by an amount choice tolerates."""
+    table = getattr(spec, row).copy()
+    if bad == "negative":  # the second entry carries the difference, so rows still sum to 1
+        table[..., 1] += table[..., 0] + 0.1
+        table[..., 0] = -0.1
+    elif bad == "nan":
+        table[..., 0] = np.nan
+    else:
+        table[..., 0] += {"unnormalized": 1e-6, "within tolerance": 1e-10}[bad]
+    return LanguageSpec(**{**spec.__dict__, row: table})
+
+
+@pytest.mark.parametrize("row", ["start", "trans"])
+@pytest.mark.parametrize("bad", ["negative", "nan", "unnormalized"])
+def test_sample_text_rejects_a_row_that_is_not_a_distribution(row, bad):
+    """The rows Generator.choice refuses: a negative or NaN entry, or a sum
+    off 1 by more than sqrt(eps)."""
+    broken = _with_first_column(make_language_pair(1, "abc")[0], row, bad)
+    with pytest.raises(ValueError, match="not a probability distribution"):
+        sample_text(broken, 5, np.random.default_rng(0))
+    with pytest.raises(ValueError):  # so does the reference
+        sample_text_reference(broken, 5, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("row", ["start", "trans"])
+def test_sample_text_takes_a_row_within_tolerance_as_choice_does(row):
+    spec = _with_first_column(make_language_pair(1, "abc")[0], row, "within tolerance")
+    r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
+    assert sample_text(spec, 50, r1) == sample_text_reference(spec, 50, r2)
 
 
 def test_bigram_frequencies_match_table():
