@@ -461,6 +461,12 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
+        # every output file's directory must exist before any work; gen-data makes its --out
+        for dest in ("out_checkpoint", "metrics", "priors_log", "out", "report"):
+            out = getattr(args, dest, None) if args.command != "gen-data" else None
+            if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+                raise OSError(f"--{dest.replace('_', '-')} {out}: "
+                              "not a file in an existing directory")
         return args.func(args)
     except (UsageError, NumericError, ValueError, OSError) as e:  # FormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)

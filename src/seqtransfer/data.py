@@ -43,8 +43,11 @@ def read_lines(path) -> list[str]:
     """The lines of a UTF-8 text file: split at "\n" after universal-newline
     translation, a final newline ending the last line.  No other character
     ends a line; U+2028, U+0085 and a form feed stay inside one."""
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().split("\n")
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text ({e})") from None
     if not lines[-1]:  # a final newline ends the last line; an empty file has none
         lines.pop()
     return lines

@@ -133,30 +133,22 @@ def _scan(drives: list, u: np.ndarray) -> list:
     return [[states[:len(d), k, b, 0] for b, d in enumerate(ds)] for k, ds in enumerate(drives)]
 
 
-def _scan_grad(deltas: np.ndarray, states: list, hs: list, w: list, u: np.ndarray):
-    """Backpropagate through _scan, recurrence k driven by hs[k] @ w[k].T + b,
-    for each sample's states and h in scan order.  deltas (laid out as
-    _pad, overwritten) holds the loss gradient reaching each state from
-    outside the recurrences, each sample reversed from step 0 so that all
-    carries step back together.  Yields per sample, in order, one tuple per
-    recurrence: the gradients for w, u and b and the one reaching h."""
-    keep = _pad([[1.0 - s[::-1].astype(np.float64) ** 2 for s in ss] for ss in states],
-                np.float64)
+def _scan_grad(grads: list, states: list, u: np.ndarray) -> list:
+    """Backpropagate through _scan in float64: grads[k] lists, per sample
+    and in scan order, the loss gradient reaching recurrence k's states from
+    outside the recurrences, and states[k] those states, as _scan returns
+    them.  Returns the gradients reaching the drives, laid out the same.
+    Each sample is padded reversed, so all carries step back together."""
+    deltas = _pad([[g[::-1] for g in gs] for gs in grads], np.float64)  # deltas overwrite grads
+    keep = _pad([[1.0 - s[::-1].astype(np.float64) ** 2 for s in ss] for ss in states], np.float64)
     u = u.astype(np.float64)[:, None]
     carry = np.zeros_like(keep[0])  # d loss / d state[i] from step i+1
     for i in range(len(keep)):
         deltas[i] += carry
         deltas[i] *= keep[i]
         carry = deltas[i] @ u
-    del keep
-    for b in range(len(hs[0])):
-        out = []
-        for k in range(len(hs)):
-            s, h = states[k][b], hs[k][b]
-            dl = np.ascontiguousarray(deltas[len(s) - 1::-1, k, b, 0])
-            prev = np.concatenate([np.zeros_like(s[:1]), s[:-1]])
-            out.append((dl.T @ h, dl.T @ prev, dl.sum(axis=0), dl @ w[k]))
-        yield out
+    return [[deltas[len(s) - 1::-1, k, b, 0] for b, s in enumerate(ss)]
+            for k, ss in enumerate(states)]
 
 
 def forward(model: Recognizer, frames):
@@ -227,23 +219,22 @@ def backward(model: Recognizer, cache: dict, aux_grad,
     if ga.shape != shape or gm.shape != shape:
         raise ValueError("head gradients must match the posterior shapes")
 
-    # the gradient reaching each recurrence's states, reversed per sample
-    d = np.zeros((shape[1], 2, len(hs), 1, rd))
-    for b, h in enumerate(hs):
-        dg = gm[b, :len(h)] @ p["main_w"]
-        d[:len(h), 0, b, 0], d[:len(h), 1, b, 0] = dg[::-1, :rd], dg[:, rd:]
-    rec = _scan_grad(d, [[g[:, :rd] for g in gs], [g[::-1, rd:] for g in gs]],
-                     [hs, [h[::-1] for h in hs]], [p["fwd_w"], p["bwd_w"]],
+    dgs = [gm[b, :len(h)] @ p["main_w"] for b, h in enumerate(hs)]
+    # each recurrence's states and the gradients reaching them, in scan order
+    states = [[g[:, :rd] for g in gs], [g[::-1, rd:] for g in gs]]
+    dls = _scan_grad([[dg[:, :rd] for dg in dgs], [dg[::-1, rd:] for dg in dgs]], states,
                      np.stack([p["fwd_u"], p["bwd_u"]]))
     for b, (w, h, g) in enumerate(zip(cache["w"], hs, gs)):
         ga_b, gm_b = ga[b, :len(h)], gm[b, :len(h)]
         grads = {"main_w": gm_b.T @ g, "main_b": gm_b.sum(axis=0),
                  "aux_w": ga_b.T @ h, "aux_b": ga_b.sum(axis=0)}
         dh = ga_b @ p["aux_w"]
-        ((grads["fwd_w"], grads["fwd_u"], grads["fwd_b"], dh_fwd),
-         (grads["bwd_w"], grads["bwd_u"], grads["bwd_b"], dh_bwd)) = next(rec)
-        dh += dh_fwd
-        dh += dh_bwd[::-1]
+        for k, (name, step) in enumerate((("fwd", 1), ("bwd", -1))):  # bwd scans time-flipped
+            dl, s = np.ascontiguousarray(dls[k][b]), states[k][b]  # contiguous for BLAS
+            prev = np.concatenate([np.zeros_like(s[:1]), s[:-1]])
+            grads[name + "_w"], grads[name + "_u"] = dl.T @ h[::step], dl.T @ prev
+            grads[name + "_b"] = dl.sum(axis=0)
+            dh += (dl @ p[name + "_w"])[::step]
         delta1 = dh * (1.0 - h.astype(np.float64) ** 2)
         grads["feat_w"] = delta1.T @ w
         grads["feat_b"] = delta1.sum(axis=0)

@@ -79,8 +79,11 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_json(f.read(), path)
+        try:
+            with open(path, encoding="utf-8") as f:
+                return cls.from_json(f.read(), path)
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: not UTF-8 text ({e})") from None
 
     @classmethod
     def from_json(cls, text: str, where) -> "Vocabulary":

@@ -139,23 +139,20 @@ def scan_reference(drives, u) -> list:
     return [states[:len(d), b, 0] for b, d in enumerate(drives)]
 
 
-def scan_grad_reference(deltas, states, hs, w, u):
-    """Backpropagation through one scan_reference recurrence, deltas laid
-    out as _pad_reference (overwritten): per sample, the gradients for w,
-    u and b and the one reaching h.  The oracle for one recurrence of
-    recognizer._scan_grad."""
+def scan_grad_reference(grads, states, u) -> list:
+    """Backpropagation through one scan_reference recurrence, in float64:
+    from each sample's loss gradient reaching its states from outside, in
+    scan order, the gradient reaching each drive, laid out the same.  The
+    oracle that runs each of recognizer._scan_grad's two recurrences on its
+    own."""
+    deltas = _pad_reference([g[::-1] for g in grads], np.float64)
     keep = _pad_reference([1.0 - s[::-1].astype(np.float64) ** 2 for s in states], np.float64)
     carry = np.zeros_like(keep[0])
     for i in range(len(keep)):
         deltas[i] += carry
         deltas[i] *= keep[i]
         carry = deltas[i] @ u
-    out = []
-    for b, (s, h) in enumerate(zip(states, hs)):
-        dl = np.ascontiguousarray(deltas[len(s) - 1::-1, b, 0])
-        prev = np.concatenate([np.zeros_like(s[:1]), s[:-1]])
-        out.append((dl.T @ h, dl.T @ prev, dl.sum(axis=0), dl @ w))
-    return out
+    return [deltas[len(s) - 1::-1, b, 0] for b, s in enumerate(states)]
 
 
 def ctc_loss_bruteforce(post, labels) -> float:

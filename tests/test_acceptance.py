@@ -3,7 +3,7 @@
 Each criterion prints one pass/fail line with its measured values; run
 with `pytest tests/test_acceptance.py -v -s` to see the lines on a green
 suite.  The synthetic-transfer experiment behind criteria 5 and 6 runs
-once (module-scoped fixture) and takes about two minutes.
+once (module-scoped fixture) and takes about 15 s.
 """
 
 import math

@@ -807,6 +807,68 @@ def test_empty_flag_is_not_a_missing_flag(pipe, tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["manifest", "vocab", "arpa", "corpus", "perplexity-on",
+                                  "config"])
+def test_non_utf8_input_exits_two_naming_the_file(pipe, tmp_path, capsys, case):
+    data, out = pipe["data"], tmp_path / "out"
+    manifest, corpus = data / "source" / "val" / "manifest.tsv", data / "target" / "corpus.txt"
+    good = {"manifest": manifest, "vocab": data / "vocab.json", "arpa": pipe["lm"],
+            "corpus": corpus, "perplexity-on": corpus, "config": pipe["cfg"]}[case]
+    bad = tmp_path / f"bad.{case}"
+    bad.write_bytes(good.read_bytes() + b"\xff\n")
+    argv = {"manifest": ["decode", "--checkpoint", str(pipe["ck"]), "--data", str(bad)],
+            "vocab": ["train-lm", "--corpus", str(corpus), "--vocab", str(bad)],
+            "arpa": ["decode", "--checkpoint", str(pipe["ck"]), "--data", str(manifest),
+                     "--lm", str(bad)],
+            "corpus": ["train-lm", "--corpus", str(bad)],
+            "perplexity-on": ["train-lm", "--corpus", str(corpus), "--perplexity-on", str(bad)],
+            "config": ["train-source", "--config", str(bad), "--vocab", str(data / "vocab.json"),
+                       "--data", str(data / "source" / "train" / "manifest.tsv")]}[case]
+    flag = "--out" if argv[0] in ("train-lm", "decode") else "--out-checkpoint"
+    assert cli.main(argv + [flag, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"error: {bad}: not UTF-8 text" in err
+    assert not out.exists()
+
+
+# every output-file flag, per subcommand; gen-data's --out is the directory it makes
+OUTPUT_FLAGS = {
+    "train-lm": ["--out"],
+    "train-source": ["--out-checkpoint", "--metrics"],
+    "hybrid": ["--out-checkpoint", "--metrics", "--priors-log"],
+    "decode": ["--out", "--report"],
+    "eval": ["--out", "--report"],
+}
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c, flags in OUTPUT_FLAGS.items()
+                                          for f in flags])
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_bad_output_path_exits_two_before_loading_anything(pipe, tmp_path, monkeypatch, capsys,
+                                                           command, flag, where):
+    for name in ("read_lines", "load_manifest", "load_checkpoint", "load_arpa", "train_source",
+                 "hybrid_train"):
+        monkeypatch.setattr(cli, name, _refuse)
+    monkeypatch.setattr(Vocabulary, "load", _refuse)
+    data = pipe["data"]
+    manifest = str(data / "source" / "val" / "manifest.tsv")
+    argv = {"train-lm": ["--corpus", str(data / "target" / "corpus.txt")],
+            "train-source": ["--data", manifest, "--vocab", str(data / "vocab.json"),
+                             "--val", manifest],
+            "hybrid": ["--source-data", manifest, "--target-data", manifest,
+                       "--init-checkpoint", str(pipe["ck"]), "--lm", str(pipe["lm"])],
+            "decode": ["--checkpoint", str(pipe["ck"]), "--data", manifest],
+            "eval": ["--checkpoint", str(pipe["ck"]), "--data", manifest]}[command]
+    outs = {f: tmp_path / f"{f[2:]}.out" for f in OUTPUT_FLAGS[command]}
+    bad = outs[flag] = tmp_path / "nodir" / "x.out" if where != "a directory" else tmp_path
+    for f, path in outs.items():
+        argv += [f, str(path)]
+    assert cli.main([command] + argv) == 2
+    assert capsys.readouterr().err == \
+        f"error: {flag} {bad}: not a file in an existing directory\n"
+    assert not any(tmp_path.iterdir())  # nothing written
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     rc = cli.main(["train-lm", "--corpus", str(tmp_path / "nope.txt"),
                    "--out", str(tmp_path / "o.arpa")])

@@ -221,11 +221,36 @@ def test_forward_batch_matches_batch_of_one(dtype, lengths, seed):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=25, deadline=None)
+@given(lengths=st.lists(st.integers(1, 30), min_size=1, max_size=12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_backward_batch_matches_batch_of_one(dtype, lengths, seed):
+    """backward of a batch is each sample's own backward, summed in sample
+    order, byte for byte."""
+    cfg = RecognizerConfig(label_count=3, input_dim=3, context_radius=2,
+                           feature_dim=16, recurrent_dim=8, seed=seed % 100)
+    m = init_recognizer(cfg, VOCAB, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    frames = [rng.normal(0, 1, (t, 3)).astype(dtype) for t in lengths]
+    ga, gm = (rng.normal(0, 1, (len(lengths), max(lengths), 3)) for _ in range(2))
+    for b, t in enumerate(lengths):
+        ga[b, t:] = gm[b, t:] = 0.0  # the zero padding ctc_loss hands back
+    got = backward(m, forward_batch(m, frames)[2], ga, gm)
+    want = None
+    for b, (f, t) in enumerate(zip(frames, lengths)):
+        one = backward(m, forward(m, f)[2], ga[b:b + 1, :t], gm[b:b + 1, :t])
+        want = one if want is None else {k: want[k] + v for k, v in one.items()}
+    for name in m.params:
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("B", [1, 2, 8, 128])
 def test_joint_scans_equal_one_scan_per_recurrence(rng, B, dtype):
     """Both recurrences in one scan, forward and backward, give the bits of
     each recurrence scanned on its own, on ragged batches."""
-    R, H = 8, 6
+    R = 8
     lengths = rng.integers(1, 40, size=B)
     drives = [[rng.normal(0, 1, (t, R)).astype(dtype) for t in lengths] for _ in range(2)]
     u = rng.uniform(-0.6, 0.6, (2, R, R)).astype(dtype)
@@ -234,17 +259,11 @@ def test_joint_scans_equal_one_scan_per_recurrence(rng, B, dtype):
     for k in range(2):
         assert [s.tobytes() for s in states[k]] == [s.tobytes() for s in alone[k]]
 
-    hs = [[rng.normal(0, 1, (t, H)).astype(dtype) for t in lengths] for _ in range(2)]
-    w = [rng.uniform(-0.6, 0.6, (R, H)).astype(dtype) for _ in range(2)]
-    deltas = np.zeros((lengths.max(), 2, B, 1, R))
+    grads = [[rng.normal(0, 1, (t, R)) for t in lengths] for _ in range(2)]
+    got = _scan_grad(grads, states, u)
     for k in range(2):
-        for b, t in enumerate(lengths):
-            deltas[:t, k, b, 0] = rng.normal(0, 1, (t, R))
-    want = [scan_grad_reference(deltas[:, k].copy(), states[k], hs[k], w[k], u[k])
-            for k in range(2)]
-    for b, per_recurrence in enumerate(_scan_grad(deltas, states, hs, w, u)):
-        for k, got in enumerate(per_recurrence):
-            assert [g.tobytes() for g in got] == [g.tobytes() for g in want[k][b]]
+        want = scan_grad_reference(grads[k], states[k], u[k])
+        assert [g.tobytes() for g in got[k]] == [g.tobytes() for g in want]
 
 
 def test_backward_shape_mismatch(rng):
