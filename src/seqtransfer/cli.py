@@ -61,8 +61,8 @@ _TRAIN, _HYBRID, _DECODE = ("train-source", "hybrid"), ("hybrid",), ("hybrid", "
 
 # every tunable knob, in --help order: (config dataclass, field, config-file
 # key, flag dest, flag help, subcommands with the flag).  The field's default is
-# the built-in default and its type the key's and the flag's.  The flag is the
-# dest less a trailing "_", "_" read as "-"; a knob with no dest is config-only.
+# the built-in default and its type the key's and the flag's.  The flag is
+# _flag(dest); a knob with no dest is config-only.
 _KNOBS = (
     (TrainConfig, "epochs", "epochs", "epochs", "training epochs", ("train-source",)),
     (TrainConfig, "outer_iters", "outer_iters", "outer_iters", "outer iterations", _HYBRID),
@@ -118,17 +118,26 @@ def read_config(path) -> dict:
     return out
 
 
-def _given(cls, args, cfg: dict) -> dict:
-    """The fields of cls that a flag or the config file sets, flag first."""
-    out = {}
+def _flag(dest: str) -> str:
+    """A knob's flag: its dest less a trailing "_", "_" read as "-"."""
+    return "--" + dest.rstrip("_").replace("_", "-")
+
+
+def _build(cls, args, cfg: dict, **fixed):
+    """cls from fixed and the knobs of cls that a flag or the config file
+    sets, flag first.  A range error, which names a field, is prefixed with
+    the flag as typed, or the config file and key, that set that field."""
+    given, where = {}, {}
     for owner, name, key, dest, *_ in _KNOBS:
-        if owner is not cls:
-            continue
         if dest is not None and hasattr(args, dest):
-            out[name] = getattr(args, dest)
+            given[owner, name], where[name] = getattr(args, dest), _flag(dest)
         elif key in cfg:
-            out[name] = cfg[key]
-    return out
+            given[owner, name], where[name] = cfg[key], f"{args.config}: {key}"
+    try:
+        return cls(**fixed, **{name: v for (owner, name), v in given.items() if owner is cls})
+    except ValueError as e:
+        name = str(e).split(" ", 1)[0]
+        raise (ValueError(f"{where[name]}: {e}") if name in where else e) from None
 
 
 # -- gen-data --------------------------------------------------------------
@@ -208,13 +217,11 @@ def cmd_train_lm(args) -> int:
 
 def cmd_train_source(args) -> int:
     cfg = read_config(args.config) if args.config else {}
-    tcfg = TrainConfig(adam=AdamConfig(**_given(AdamConfig, args, cfg)),
-                       **_given(TrainConfig, args, cfg))
+    tcfg = _build(TrainConfig, args, cfg, adam=_build(AdamConfig, args, cfg))
     vocab = Vocabulary.load(args.vocab)
     train = load_manifest(args.data, vocab=vocab)
-    rcfg = RecognizerConfig(label_count=vocab.emit_size, seed=tcfg.seed,
-                            input_dim=train[0].frames.shape[1],
-                            **_given(RecognizerConfig, args, cfg))
+    rcfg = _build(RecognizerConfig, args, cfg, label_count=vocab.emit_size, seed=tcfg.seed,
+                  input_dim=train[0].frames.shape[1])
     model = init_recognizer(rcfg, vocab)
     val = _load_val(args.val, rcfg.input_dim) if args.val else None
     res = train_source(model, train, tcfg, val)
@@ -239,9 +246,8 @@ def _load_val(path, width: int):
 
 def cmd_hybrid(args) -> int:
     cfg = read_config(args.config) if args.config else {}
-    tcfg = TrainConfig(adam=AdamConfig(**_given(AdamConfig, args, cfg)),
-                       **_given(TrainConfig, args, cfg))
-    dcfg = DecoderConfig(**_given(DecoderConfig, args, cfg))
+    tcfg = _build(TrainConfig, args, cfg, adam=_build(AdamConfig, args, cfg))
+    dcfg = _build(DecoderConfig, args, cfg)
     model = load_checkpoint(args.init_checkpoint)
     lm_path = args.lm or cfg.get("lm")
     lm = load_arpa(lm_path) if lm_path else None
@@ -278,12 +284,13 @@ def _require(args, key: str, cfg: dict) -> str:
 # -- decode / eval ------------------------------------------------------------
 
 def _load_decode_inputs(args):
+    dcfg = _build(DecoderConfig, args, {})  # before any load, as train-source and hybrid do
     model = load_checkpoint(args.checkpoint)
     dataset = load_manifest(args.data, model.cfg.input_dim)
     lm = load_arpa(args.lm) if args.lm else None
     if lm is not None and lm.vocab != model.vocab:
         raise ValueError("the LM and the checkpoint use different vocabularies")
-    return model, dataset, lm, DecoderConfig(**_given(DecoderConfig, args, {}))
+    return model, dataset, lm, dcfg
 
 
 def _decode_all(model, dataset, lm, dcfgs) -> list[list[str]]:
@@ -362,9 +369,8 @@ def _add_knobs(parser, command: str) -> None:
     for cls, name, _, dest, help, commands in _KNOBS:
         if command in commands:
             default = getattr(cls, name)
-            parser.add_argument("--" + dest.rstrip("_").replace("_", "-"), dest=dest,
-                                type=type(default), default=argparse.SUPPRESS,
-                                help=f"{help} (default: {default})")
+            parser.add_argument(_flag(dest), dest=dest, type=type(default),
+                                default=argparse.SUPPRESS, help=f"{help} (default: {default})")
 
 
 COMMANDS = ("gen-data", "train-lm", "train-source", "hybrid", "decode", "eval")

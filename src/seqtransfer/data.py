@@ -25,6 +25,7 @@ from .errors import FormatError
 from .vocab import Vocabulary
 
 FRAME_MAGIC = b"FRM1"
+FRAME_HEADER = struct.Struct("<4sII")  # magic, T, D
 
 
 @dataclass
@@ -58,8 +59,7 @@ def write_frames(path, frames) -> None:
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"frames must be a nonempty T x D matrix, got shape {arr.shape}")
     with open(path, "wb") as f:
-        f.write(FRAME_MAGIC)
-        f.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
+        f.write(FRAME_HEADER.pack(FRAME_MAGIC, *arr.shape))
         f.write(arr.tobytes())
 
 
@@ -68,15 +68,15 @@ def read_frames(path) -> np.ndarray:
         blob = f.read()
     if blob[:4] != FRAME_MAGIC:
         raise FormatError(f"{path}: bad frame-file magic {blob[:4]!r}")
-    if len(blob) < 12:
+    if len(blob) < FRAME_HEADER.size:
         raise FormatError(f"{path}: truncated frame-file header")
-    t, d = struct.unpack("<II", blob[4:12])
+    _, t, d = FRAME_HEADER.unpack_from(blob)
     if t < 1 or d < 1:
         raise FormatError(f"{path}: degenerate shape {t} x {d}")
-    expect = 12 + 4 * t * d
+    expect = FRAME_HEADER.size + 4 * t * d
     if len(blob) != expect:
         raise FormatError(f"{path}: payload is {len(blob)} bytes, expected {expect}")
-    frames = np.frombuffer(blob, dtype="<f4", offset=12).reshape(t, d).copy()
+    frames = np.frombuffer(blob, dtype="<f4", offset=FRAME_HEADER.size).reshape(t, d).copy()
     if not np.isfinite(frames).all():
         raise FormatError(f"{path}: frames contain NaN or inf")
     return frames
@@ -113,7 +113,12 @@ def load_manifest(manifest_path, width: int | None = None,
             raise FormatError(f"{manifest_path}:{lineno}: expected 3 tab-separated "
                               f"fields, got {len(fields)}")
         sample_id, rel, text = fields
-        frames = read_frames(manifest_path.parent / rel)
+        if not rel:
+            raise FormatError(f"{manifest_path}:{lineno}: empty frame path")
+        try:
+            frames = read_frames(manifest_path.parent / rel)
+        except OSError as e:
+            raise FormatError(f"{manifest_path}:{lineno}: {e}") from None
         width = width or frames.shape[1]
         if frames.shape[1] != width:
             raise FormatError(f"{manifest_path}:{lineno}: sample {sample_id} has "

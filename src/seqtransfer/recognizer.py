@@ -24,6 +24,9 @@ from .errors import FormatError
 from .vocab import Vocabulary
 
 CHECKPOINT_MAGIC = b"SEQREC1\x00"
+# magic, input_dim, context_radius, feature_dim, recurrent_dim, label_count,
+# seed, byte length of the vocabulary block
+CHECKPOINT_HEADER = struct.Struct("<8s5IQI")
 FORWARD_CHUNK = 32  # forward_chunks' chunk size
 
 
@@ -246,25 +249,26 @@ def backward(model: Recognizer, cache: dict, aux_grad,
 
 # -- checkpoints -----------------------------------------------------------
 
+def _section_head(name: str, count: int) -> bytes:
+    return struct.pack(f"<I{len(name)}sI", len(name), name.encode("ascii"), count)
+
+
 def save_checkpoint(model: Recognizer, path) -> None:
-    """Binary checkpoint: magic, config block, then one named float32
-    section per parameter, all little-endian.  Saving and loading the same
-    model is bit-exact."""
+    """Binary checkpoint: CHECKPOINT_HEADER, the vocabulary as a UTF-8 JSON
+    list, then one named float32 section per parameter in param_shapes
+    order, all little-endian.  Saving and loading the same model is
+    bit-exact."""
     cfg = model.cfg
     chars_blob = json.dumps(list(model.vocab.chars), ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<5I", cfg.input_dim, cfg.context_radius,
-                            cfg.feature_dim, cfg.recurrent_dim, cfg.label_count))
-        f.write(struct.pack("<Q", cfg.seed))
-        f.write(struct.pack("<I", len(chars_blob)))
+        f.write(CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, cfg.input_dim, cfg.context_radius,
+                                       cfg.feature_dim, cfg.recurrent_dim, cfg.label_count,
+                                       cfg.seed, len(chars_blob)))
         f.write(chars_blob)
-        for name, arr in model.params.items():
-            blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-            f.write(struct.pack("<I", len(name)))
-            f.write(name.encode("ascii"))
-            f.write(struct.pack("<I", arr.size))
-            f.write(blob)
+        for name in param_shapes(cfg):
+            arr = model.params[name]
+            f.write(_section_head(name, arr.size))
+            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path) -> Recognizer:
@@ -272,21 +276,14 @@ def load_checkpoint(path) -> Recognizer:
         blob = f.read()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic {blob[:8]!r}")
-    off = 8
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(blob):
-            raise FormatError(f"{path}: truncated while reading {what}")
-        out = blob[off:off + n]
-        off += n
-        return out
-
-    d, r, h, rd, l = struct.unpack("<5I", take(20, "config"))
-    seed, = struct.unpack("<Q", take(8, "seed"))
-    nchars, = struct.unpack("<I", take(4, "vocabulary length"))
+    off = CHECKPOINT_HEADER.size
+    if len(blob) < off:
+        raise FormatError(f"{path}: truncated while reading the header")
+    _, d, r, h, rd, l, seed, nchars = CHECKPOINT_HEADER.unpack_from(blob)
+    if len(blob) < off + nchars:
+        raise FormatError(f"{path}: truncated while reading the vocabulary")
     try:
-        text = take(nchars, "vocabulary").decode("utf-8")
+        text = blob[off:off + nchars].decode("utf-8")
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: bad vocabulary block ({e})") from None
     vocab = Vocabulary.from_json(text, f"{path}: vocabulary block")
@@ -299,28 +296,20 @@ def load_checkpoint(path) -> Recognizer:
         raise FormatError(f"{path}: config says {l} labels but the vocabulary "
                           f"block holds {vocab.emit_size}")
 
-    shapes = param_shapes(cfg)
-    params: dict[str, np.ndarray] = {}
-    while off < len(blob):
-        nlen, = struct.unpack("<I", take(4, "section name length"))
-        name = take(nlen, "section name").decode("ascii", errors="replace")
-        count, = struct.unpack("<I", take(4, f"element count of {name}"))
-        payload = take(4 * count, f"payload of {name}")
-        if name not in shapes:
-            raise FormatError(f"{path}: unknown section {name!r}")
-        if name in params:
-            raise FormatError(f"{path}: duplicate section {name!r}")
-        shape = shapes[name]
-        if count != int(np.prod(shape)):
-            raise FormatError(f"{path}: section {name!r} holds {count} values, "
-                              f"the config implies {int(np.prod(shape))}")
-        arr = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
-        if not np.all(np.isfinite(arr)):
+    off += nchars
+    params = {}
+    for name, shape in param_shapes(cfg).items():
+        count = int(np.prod(shape))
+        head = _section_head(name, count)
+        if len(blob) < off + len(head) + 4 * count:
+            raise FormatError(f"{path}: truncated while reading section {name!r}")
+        if blob[off:off + len(head)] != head:
+            raise FormatError(f"{path}: expected section {name!r} of {count} values at byte {off}")
+        off += len(head)
+        params[name] = np.frombuffer(blob, "<f4", count, off).reshape(shape).copy()
+        off += 4 * count
+        if not np.all(np.isfinite(params[name])):
             raise FormatError(f"{path}: section {name!r} holds non-finite values")
-        params[name] = arr
-    missing = set(shapes) - set(params)
-    if missing:
-        raise FormatError(f"{path}: missing sections {sorted(missing)}")
-    # keep the architecture's canonical parameter order
-    ordered = {name: params[name] for name in shapes}
-    return Recognizer(cfg, vocab, ordered, np.float32)
+    if off != len(blob):
+        raise FormatError(f"{path}: {len(blob) - off} bytes after the last section")
+    return Recognizer(cfg, vocab, params, np.float32)

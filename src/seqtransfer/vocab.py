@@ -29,24 +29,9 @@ class Vocabulary:
                 raise ValueError("newline characters are not allowed in the vocabulary")
         self.chars: tuple[str, ...] = tuple(uniq)
         self._ids = {c: i + 1 for i, c in enumerate(self.chars)}
-
-    @property
-    def emit_size(self) -> int:
-        """Number of labels a recognizer emits over: blank plus characters."""
-        return 1 + len(self.chars)
-
-    @property
-    def size(self) -> int:
-        """Total id count including the BOS/EOS markers."""
-        return self.emit_size + 2
-
-    @property
-    def bos_id(self) -> int:
-        return self.emit_size
-
-    @property
-    def eos_id(self) -> int:
-        return self.emit_size + 1
+        self.emit_size = 1 + len(self.chars)  # the labels a recognizer emits: blank, characters
+        self.bos_id, self.eos_id = self.emit_size, self.emit_size + 1
+        self.size = self.emit_size + 2  # every id, BOS and EOS included
 
     def __contains__(self, char: str) -> bool:
         return char in self._ids

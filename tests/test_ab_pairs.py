@@ -57,6 +57,23 @@ def test_claim_needs_nine_tenths_of_pairs_and_a_gap_beyond_iqr():
     assert not claim(parent[:5], [v + 10 for v in parent[:5]])  # 5/5 and wide apart: too few pairs
 
 
+def test_claim_refused_when_the_change_fails_a_larger_share_of_calls():
+    parent = [100, 102, 98, 101, 99, 100, 103, 97, 100, 101]
+
+    def claim(parent_failed, change_failed):
+        runs = {"parent": [_run(v, 40.0, failed=f) for v, f in zip(parent, parent_failed)],
+                "change": [_run(v + 10, 40.0, failed=f) for v, f in zip(parent, change_failed)]}
+        fps = ab_pairs.summarize(runs, END_TO_END)[0]
+        assert (fps["won"], fps["pairs"]) == (10, 10) and fps["beyond_iqr"]
+        return fps["claim"]
+
+    none = [0] * 10
+    assert claim(none, none)
+    assert not claim(none, [1] + none[1:])  # one more failed call of 100 attempted
+    assert claim([1] + none[1:], [0] * 9 + [1])  # the same share on both sides
+    assert not claim([1] + none[1:], [1, 1] + none[2:])
+
+
 def test_gate_reads_worse_unresolved_or_ok():
     def gate(parent, change, rss=False):
         runs = {"parent": [_run(100, v) if rss else _run(v, 40.0) for v in parent],

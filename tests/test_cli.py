@@ -517,8 +517,71 @@ def test_negative_seed_exits_two_before_loading_anything(tmp_path, capsys, comma
         argv += ["--config", str(cfg)]
     ck = tmp_path / "c.ckpt"
     assert cli.main(argv + ["--out-checkpoint", str(ck)]) == 2
-    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    where = "--seed" if via == "flag" else f"{tmp_path / 's.cfg'}: seed"
+    assert capsys.readouterr().err == f"error: {where}: seed must be >= 0, got -1\n"
     assert not ck.exists()
+
+
+def _argv_loading_nothing(command: str, missing: str) -> list[str]:
+    """command's required options, every input path missing: loading any
+    file would fail differently from a knob check."""
+    return {"train-source": ["train-source", "--data", missing, "--vocab", missing],
+            "hybrid": ["hybrid", "--source-data", missing, "--target-data", missing,
+                       "--init-checkpoint", missing],
+            "decode": ["decode", "--checkpoint", missing, "--data", missing],
+            "eval": ["eval", "--checkpoint", missing, "--data", missing]}[command]
+
+
+KNOB_RANGE_ERRORS = [  # (flag, bad value, field, range text)
+    ("--epochs", "0", "epochs", ">= 1"),
+    ("--outer-iters", "0", "outer_iters", ">= 1"),
+    ("--prior-pass-batches", "0", "prior_pass_batches", ">= 1"),
+    ("--train-pass-batches", "0", "train_pass_batches", ">= 1"),
+    ("--rho", "1.5", "source_fraction", "in [0, 1]"),
+    ("--lambda", "-0.5", "aux_loss_weight", "in [0, 1]"),
+    ("--batch-size", "0", "batch_size", ">= 1"),
+    ("--lr", "0", "lr", "in (0, inf), got 0.0"),
+    ("--w", "-1", "emission_weight", "finite and >= 0, got -1.0"),
+    ("--alpha", "inf", "prior_scale", "finite and >= 0, got inf"),
+    ("--beam", "0", "beam_width", ">= 1, got 0"),
+    ("--prior-floor", "1", "prior_floor", "in (0, 1), got 1.0"),
+    ("--seed", "-3", "seed", ">= 0, got -3"),
+]
+
+
+def test_knob_range_errors_cover_every_knob_flag():
+    assert sorted(f for f, *_ in KNOB_RANGE_ERRORS) == sorted(
+        cli._flag(dest) for *_, dest, _, _ in cli._KNOBS if dest is not None)
+
+
+@pytest.mark.parametrize("flag, value, field, text", KNOB_RANGE_ERRORS)
+def test_knob_range_error_names_the_flag_before_loading_anything(tmp_path, capsys, flag, value,
+                                                                 field, text):
+    commands, = [commands for *_, dest, _, commands in cli._KNOBS
+                 if dest is not None and cli._flag(dest) == flag]
+    for command in commands:
+        argv = _argv_loading_nothing(command, str(tmp_path / "missing"))
+        out = tmp_path / "out"
+        argv += ["--out-checkpoint" if command in ("train-source", "hybrid") else "--out", str(out)]
+        assert cli.main(argv + [flag, value]) == 2, command
+        assert capsys.readouterr().err == f"error: {flag}: {field} must be {text}\n", command
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-source", "hybrid"])
+def test_config_range_error_names_the_file_and_key(tmp_path, capsys, command):
+    cfg = tmp_path / "e.cfg"
+    cfg.write_text("lambda = 2\nbeam_width = 0\n", encoding="utf-8")
+    argv = _argv_loading_nothing(command, str(tmp_path / "missing"))
+    argv += ["--out-checkpoint", str(tmp_path / "c.ckpt"), "--config", str(cfg)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: lambda: aux_loss_weight must be in [0, 1]\n"
+    if command == "hybrid":  # a flag overrides the config file, and so does its name
+        assert cli.main(argv + ["--lambda", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}: beam_width: beam_width must be >= 1, got 0\n"
+        assert cli.main(argv + ["--lambda", "0.5", "--beam", "-2"]) == 2
+        assert capsys.readouterr().err == "error: --beam: beam_width must be >= 1, got -2\n"
 
 
 def test_numeric_failure_exits_three(pipe, tmp_path, monkeypatch, capsys):

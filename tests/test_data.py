@@ -4,8 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from seqtransfer import (FormatError, Sample, Vocabulary, labeled, load_manifest, read_frames,
-                         read_lines, write_frames, write_manifest)
+from seqtransfer import (FormatError, Sample, Vocabulary, cli, labeled, load_manifest,
+                         read_frames, read_lines, write_frames, write_manifest)
 from seqtransfer.data import FRAME_MAGIC
 
 
@@ -37,12 +37,13 @@ def test_frame_bad_magic(tmp_path):
 
 
 def test_frame_truncated_payload(tmp_path):
-    frames = np.zeros((3, 4), dtype=np.float32)
     p = tmp_path / "x.frm"
-    write_frames(p, frames)
-    p.write_bytes(p.read_bytes()[:-5])
-    with pytest.raises(FormatError):
-        read_frames(p)
+    write_frames(p, np.ones((3, 4), dtype=np.float32))
+    blob = p.read_bytes()
+    for n in range(len(blob)):  # every offset, header included
+        p.write_bytes(blob[:n])
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: "):
+            read_frames(p)
 
 
 def test_frame_degenerate_shape(tmp_path):
@@ -148,3 +149,22 @@ def test_missing_frame_file(tmp_path):
     p.write_text("id0\tframes/id0.frm\thello\n", encoding="utf-8")
     with pytest.raises((FormatError, OSError)):
         load_manifest(p)
+
+
+@pytest.mark.parametrize("path, message", [
+    ("", "empty frame path"),
+    ("frames/gone.frm", "[Errno 2] No such file or directory"),
+])
+def test_bad_frame_path_names_the_manifest_row(tmp_path, capsys, path, message):
+    write_frames(tmp_path / "ok.frm", np.zeros((2, 3), dtype=np.float32))
+    p = tmp_path / "manifest.tsv"
+    p.write_text(f"id0\tok.frm\tab\nid1\t{path}\tba\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{p}:2: {message}')}"):
+        load_manifest(p)
+    Vocabulary("ab").save(tmp_path / "vocab.json")
+    ck = tmp_path / "c.ckpt"
+    assert cli.main(["train-source", "--data", str(p), "--vocab", str(tmp_path / "vocab.json"),
+                     "--out-checkpoint", str(ck)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}:2: {message}") and err.count("\n") == 1
+    assert not ck.exists()

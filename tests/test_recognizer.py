@@ -1,12 +1,14 @@
 import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtransfer import (FormatError, Recognizer, RecognizerConfig, Vocabulary, backward,
+from seqtransfer import (FormatError, Recognizer, RecognizerConfig, Vocabulary, backward, cli,
                          ctc_loss, forward, forward_batch, init_recognizer, load_checkpoint,
                          param_shapes, save_checkpoint)
 from seqtransfer.recognizer import CHECKPOINT_MAGIC, _scan, _scan_grad
@@ -321,12 +323,13 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 def test_checkpoint_truncated(tmp_path):
-    m = tiny_model()
     p = tmp_path / "model.ckpt"
-    save_checkpoint(m, p)
-    p.write_bytes(p.read_bytes()[:-9])
-    with pytest.raises(FormatError):
-        load_checkpoint(p)
+    save_checkpoint(tiny_model(), p)
+    blob = p.read_bytes()
+    for n in range(len(blob)):  # every offset, each a one-line error naming the file
+        p.write_bytes(blob[:n])
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: "):
+            load_checkpoint(p)
 
 
 def test_checkpoint_flipped_count(tmp_path):
@@ -335,7 +338,6 @@ def test_checkpoint_flipped_count(tmp_path):
     save_checkpoint(m, p)
     blob = p.read_bytes()
     # corrupt the first section's element count field
-    import struct
     base = len(CHECKPOINT_MAGIC) + 20 + 8
     vlen = struct.unpack_from("<I", blob, base)[0]
     pos = base + 4 + vlen
@@ -355,6 +357,49 @@ def test_checkpoint_non_finite_parameter(tmp_path):
     save_checkpoint(m, p)
     with pytest.raises(FormatError, match=r"model\.ckpt: section 'main_b' holds non-finite"):
         load_checkpoint(p)
+
+
+def _split_sections(blob: bytes) -> tuple[bytes, list[bytes]]:
+    """A checkpoint's bytes before its first section, and each section's bytes."""
+    pos = len(CHECKPOINT_MAGIC) + 20 + 8
+    pos += 4 + struct.unpack_from("<I", blob, pos)[0]
+    head, sections = blob[:pos], []
+    while pos < len(blob):
+        nlen = struct.unpack_from("<I", blob, pos)[0]
+        count = struct.unpack_from("<I", blob, pos + 4 + nlen)[0]
+        end = pos + 8 + nlen + 4 * count
+        sections.append(blob[pos:end])
+        pos = end
+    return head, sections
+
+
+@pytest.mark.parametrize("edit", [
+    lambda s: s[:-1] + [s[-1].replace(b"main_b", b"main_c")],  # renamed
+    lambda s: s[:1] + s[:1] + s[2:],  # the first section repeated in place of the second
+    lambda s: s[:-1],  # missing
+    lambda s: s[:4] + [s[7], s[5], s[6], s[4]] + s[8:],  # fwd_b and bwd_b swapped
+    lambda s: s + [b"\x00\x00\x00"],  # bytes after the last section
+], ids=["renamed", "repeated", "missing", "out-of-order", "trailing-bytes"])
+def test_checkpoint_with_bad_sections_exits_two_naming_the_file(tmp_path, capsys, edit):
+    p = tmp_path / "model.ckpt"
+    save_checkpoint(tiny_model(), p)
+    head, sections = _split_sections(p.read_bytes())
+    assert (sections[4][4:9], sections[7][4:9]) == (b"fwd_b", b"bwd_b")  # the same shape
+    p.write_bytes(head + b"".join(edit(sections)))
+    with pytest.raises(FormatError):
+        load_checkpoint(p)
+    assert cli.main(["eval", "--checkpoint", str(p), "--data", str(tmp_path / "missing")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ") and err.count("\n") == 1
+
+
+def test_checkpoint_saves_sections_in_param_shapes_order(tmp_path):
+    m = tiny_model(seed=3)
+    a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(m, a)
+    m.params = dict(reversed(m.params.items()))
+    save_checkpoint(m, b)
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_param_shapes_cover_all_params():

@@ -22,8 +22,10 @@ working tree won (a tie counts for neither side), the no-regression gate:
 - `ok`: otherwise;
 
 and whether the runs support a claimed gain (`claim`): `yes` when there
-are at least ten pairs, the working tree won at least 9/10 of them, and its
-median is better than the parent's by more than the parent's IQR.
+are at least ten pairs, the working tree won at least 9/10 of them, its
+median is better than the parent's by more than the parent's IQR, and its
+share of failed calls (failed / attempted over all its runs) is no larger
+than the parent's.
 
 It also says whether every output digest was the same on both sides, and
 lists failed calls.  Each pair's values go to stderr as
@@ -124,6 +126,8 @@ def iqr(values: list[float]) -> float:
 def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> list[dict]:
     """One row per end-to-end metric over the paired runs (runs[side][i] is
     pair i's run of that side)."""
+    failed_share = {side: sum(r["result"]["failed"] for r in runs[side])
+                    / max(1, sum(r["result"]["attempted"] for r in runs[side])) for side in SIDES}
     rows = []
     for spec in end_to_end:
         name, higher = spec["name"], spec["better"] == "higher"
@@ -140,7 +144,8 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> list[dict]
                      "parent": parent_med, "change": change_med, "parent_iqr": spread,
                      "ratio": change_med / parent_med if parent_med else float("nan"),
                      "won": won, "pairs": pairs, "beyond_iqr": gain > spread,
-                     "claim": pairs >= 10 and 10 * won >= 9 * pairs and gain > spread,
+                     "claim": pairs >= 10 and 10 * won >= 9 * pairs and gain > spread
+                     and failed_share["change"] <= failed_share["parent"],
                      "gate": "worse" if -gain > bound else
                      "unresolved" if spread > bound and not every_run_better else "ok"})
     return rows
