@@ -218,10 +218,11 @@ def cmd_train_lm(args) -> int:
 def cmd_train_source(args) -> int:
     cfg = read_config(args.config) if args.config else {}
     tcfg = _build(TrainConfig, args, cfg, adam=_build(AdamConfig, args, cfg))
+    # every knob is checked before any load; the least valid data sizes stand in till then
+    rcfg = _build(RecognizerConfig, args, cfg, label_count=2, input_dim=1, seed=tcfg.seed)
     vocab = Vocabulary.load(args.vocab)
     train = load_manifest(args.data, vocab=vocab)
-    rcfg = _build(RecognizerConfig, args, cfg, label_count=vocab.emit_size, seed=tcfg.seed,
-                  input_dim=train[0].frames.shape[1])
+    rcfg = replace(rcfg, label_count=vocab.emit_size, input_dim=train[0].frames.shape[1])
     model = init_recognizer(rcfg, vocab)
     val = _load_val(args.val, rcfg.input_dim) if args.val else None
     res = train_source(model, train, tcfg, val)
@@ -284,13 +285,12 @@ def _require(args, key: str, cfg: dict) -> str:
 # -- decode / eval ------------------------------------------------------------
 
 def _load_decode_inputs(args):
-    dcfg = _build(DecoderConfig, args, {})  # before any load, as train-source and hybrid do
     model = load_checkpoint(args.checkpoint)
     dataset = load_manifest(args.data, model.cfg.input_dim)
     lm = load_arpa(args.lm) if args.lm else None
     if lm is not None and lm.vocab != model.vocab:
         raise ValueError("the LM and the checkpoint use different vocabularies")
-    return model, dataset, lm, dcfg
+    return model, dataset, lm
 
 
 def _decode_all(model, dataset, lm, dcfgs) -> list[list[str]]:
@@ -317,7 +317,8 @@ def _write_out(args, lines: list[str]) -> None:
 
 
 def cmd_decode(args) -> int:
-    model, dataset, lm, dcfg = _load_decode_inputs(args)
+    dcfg = _build(DecoderConfig, args, {})  # before any load, as train-source and hybrid do
+    model, dataset, lm = _load_decode_inputs(args)
     if args.report and len(labeled(dataset)) != len(dataset):
         raise ValueError("--report needs a fully labeled manifest")
     hyps, = _decode_all(model, dataset, lm, [dcfg])
@@ -330,13 +331,10 @@ def cmd_decode(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, dataset, lm, dcfg = _load_decode_inputs(args)
-    if len(labeled(dataset)) != len(dataset):
-        raise ValueError("eval needs a fully labeled manifest")
-    refs = [s.transcription for s in dataset]
-
-    if args.sweep_w or args.sweep_alpha:
-        if lm is None:
+    dcfg = _build(DecoderConfig, args, {})
+    sweeping = args.sweep_w or args.sweep_alpha
+    if sweeping:  # every sweep point is checked before any load, too
+        if not args.lm:
             raise UsageError("a sweep needs --lm")
         if args.report:
             raise UsageError("--report needs a single (w, alpha) point, not a sweep")
@@ -346,8 +344,18 @@ def cmd_eval(args) -> int:
         except ValueError:
             raise UsageError("sweep lists must be comma-separated numbers") from None
         points = [(w, a) for w in ws for a in alphas]
-        sweep = _decode_all(model, dataset, lm, [
-            replace(dcfg, emission_weight=w, prior_scale=a) for w, a in points])
+        try:
+            dcfgs = [replace(dcfg, emission_weight=w, prior_scale=a) for w, a in points]
+        except ValueError as e:  # dcfg passed, so a swept value failed: name its list
+            flag = "--sweep-w" if str(e).startswith("emission_weight") else "--sweep-alpha"
+            raise ValueError(f"{flag}: {e}") from None
+    model, dataset, lm = _load_decode_inputs(args)
+    if len(labeled(dataset)) != len(dataset):
+        raise ValueError("eval needs a fully labeled manifest")
+    refs = [s.transcription for s in dataset]
+
+    if sweeping:
+        sweep = _decode_all(model, dataset, lm, dcfgs)
         _write_out(args, ["w\talpha\tcer"] + [
             f"{w:g}\t{a:g}\t{cer(refs, hyps).cer:.6f}" for (w, a), hyps in zip(points, sweep)])
         return 0

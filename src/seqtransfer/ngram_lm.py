@@ -224,80 +224,70 @@ def save_arpa(lm: NgramLM, path) -> None:
         f.write("\n\\end\\\n")
 
 
-def _check_entry(path, k: int, line: str) -> None:
-    """The checks of one k-gram entry line that need no vocabulary, in
-    order; raises FormatError at the first that fails."""
-    s = line.strip()
-    fields = line.split("\t")
-    if len(fields) not in (2, 3):
-        raise FormatError(f"{path}: {k}-gram entry needs 2 or 3 fields: {s!r}")
-    try:
-        lp = float(fields[0]) * _LN10
-        bo = float(fields[2]) * _LN10 if len(fields) == 3 else None
-    except ValueError:
-        raise FormatError(f"{path}: non-numeric field in {k}-gram entry {s!r}") from None
-    # -inf is a zero probability or backoff weight; NaN and +inf mean nothing
-    if not lp < math.inf or (bo is not None and not bo < math.inf):
-        raise FormatError(f"{path}: NaN or +inf field in {k}-gram entry {s!r}")
-    # a backoff weight may exceed 1, a probability may not
-    if lp > 0.0:
-        raise FormatError(f"{path}: positive log10 probability in {k}-gram entry {s!r}")
-    toks = fields[1].split(" ")
-    if len(toks) != k:
-        raise FormatError(f"{path}: {k}-gram entry has {len(toks)} tokens: {s!r}")
-
-
 def _parse_section(path, k: int, lines: list[str]):
     """The k-grams section's entry lines, checked and parsed a column at a
     time: log probabilities, every entry's k tokens in one list, which entries
-    carry a backoff weight, and those weights.  When a column check fails,
-    _check_entry reports the first failing entry."""
+    carry a backoff weight, and those weights.  The entry rules, in the order
+    they are checked: 2 or 3 tab-separated fields, numeric fields, no NaN or
+    +inf field, a log10 probability <= 0, and k tokens.  A section that breaks
+    one is parsed again an entry at a time, so the first bad entry in file
+    order is reported, with the first rule it breaks."""
     if not lines:
         return [], [], [], []
+    s = lines[0].strip()  # the entry that a one-entry section's fault quotes
     fields = list(map(str.split, lines, repeat("\t")))
     try:
         if not set(map(len, fields)) <= {2, 3}:
-            raise ValueError
+            raise ValueError(f"{k}-gram entry needs 2 or 3 fields: {s!r}")
         lp_col, tok_col, bo_col = (list(zip_longest(*fields)) + [()])[:3]
+        has_bo = [x is not None for x in bo_col]
+        try:
+            with np.errstate(over="ignore"):
+                lps = np.array(list(map(float, lp_col))) * _LN10
+                weights = np.array(list(map(float, compress(bo_col, has_bo)))) * _LN10
+        except ValueError:
+            raise ValueError(f"non-numeric field in {k}-gram entry {s!r}") from None
+        # -inf is a zero probability or backoff weight; NaN and +inf mean nothing
+        if not ((lps < math.inf).all() and (weights < math.inf).all()):
+            raise ValueError(f"NaN or +inf field in {k}-gram entry {s!r}")
+        # a backoff weight may exceed 1, a probability may not
+        if (lps > 0.0).any():
+            raise ValueError(f"positive log10 probability in {k}-gram entry {s!r}")
         # a tab never occurs inside a field, so it marks the end of an entry's
         # tokens; every entry has k of them when the marks fall every k + 1
         toks = " \t ".join(tok_col).split(" ")
         if len(toks) != len(lines) * (k + 1) - 1 or \
                 toks[k::k + 1].count("\t") != len(lines) - 1:
-            raise ValueError
-        del toks[k::k + 1]
-        has_bo = [x is not None for x in bo_col]
-        with np.errstate(over="ignore"):
-            lps = np.array(list(map(float, lp_col))) * _LN10
-            weights = np.array(list(map(float, compress(bo_col, has_bo)))) * _LN10
-        if not ((lps < math.inf).all() and (weights < math.inf).all()) or (lps > 0.0).any():
-            raise ValueError
-    except ValueError:
-        for line in lines:
-            _check_entry(path, k, line)
-        raise AssertionError("a column check failed on entries that each pass") from None
+            raise ValueError(f"{k}-gram entry has {len(toks)} tokens: {s!r}")
+    except ValueError as fault:
+        if len(lines) == 1:
+            raise FormatError(f"{path}: {fault}") from None
+        # parsed again an entry at a time, the first entry that breaks a rule raises
+        return [sum(col, []) for col in zip(*(_parse_section(path, k, [x]) for x in lines))]
+    del toks[k::k + 1]
     return lps.tolist(), toks, has_bo, weights.tolist()
 
 
 def load_arpa(path) -> NgramLM:
     """Parse ARPA text back into a queryable model whose probability and
-    backoff tables answer every query the writing model could.  Each
-    section is parsed in bulk, a column at a time; a file that fails a check
-    is reported at its first offending line, as a line-by-line reader would."""
+    backoff tables answer every query the writing model could.  Sections are
+    parsed in bulk, a column at a time.  A malformed file raises FormatError
+    at its first fault in this order: the header; then, in file order, the
+    section markers and the entries, each entry at the first rule it breaks
+    (_parse_section); then the entry counts, the unigram characters, unknown
+    tokens, repeated n-grams, and a missing usable symbol."""
     raw = read_lines(path)
 
-    pos = 0
-    while pos < len(raw) and raw[pos].strip() == "":
-        pos += 1
-    if pos >= len(raw) or raw[pos].strip() != "\\data\\":
+    pos = next((i for i, line in enumerate(raw) if line.strip()), len(raw))
+    if pos == len(raw) or raw[pos].strip() != "\\data\\":
         raise FormatError(f"{path}: missing \\data\\ header")
     pos += 1
     declared: dict[int, int] = {}
     while pos < len(raw) and raw[pos].strip():
         line = raw[pos].strip()
-        if not line.startswith("ngram "):
-            raise FormatError(f"{path}: bad header line {line!r}")
         try:
+            if not line.startswith("ngram "):
+                raise ValueError
             k, n = line[len("ngram "):].split("=")
             declared[int(k)] = int(n)
         except ValueError:
@@ -366,15 +356,12 @@ def load_arpa(path) -> NgramLM:
         probs.update(zip(grams, lps))
         if len(probs) - before != len(lps):  # an unknown token or a repeated n-gram
             seen = set()
-            for i in range(0, len(toks), k):
-                try:
-                    gram = tuple(map(ids.__getitem__, toks[i:i + k]))
-                except KeyError as e:
-                    raise FormatError(f"{path}: token {e.args[0]!r} in the {k}-grams "
-                                      "section never appeared as a unigram") from None
+            for gram in zip(*[iter(toks)] * k):  # the first faulty entry in file order
+                if (bad := next((t for t in gram if t not in ids), None)) is not None:
+                    raise FormatError(f"{path}: token {bad!r} in the {k}-grams "
+                                      "section never appeared as a unigram")
                 if gram in seen:
-                    raise FormatError(f"{path}: {k}-gram {' '.join(toks[i:i + k])!r} "
-                                      "appears twice")
+                    raise FormatError(f"{path}: {k}-gram {' '.join(gram)!r} appears twice")
                 seen.add(gram)
         backoffs.update(zip(compress(grams, has_bo), weights))
     probs.pop((bos,), None)  # BOS is never predicted; its unigram only carries a backoff

@@ -141,8 +141,11 @@ def _scan_grad(grads: list, states: list, u: np.ndarray) -> list:
     and in scan order, the loss gradient reaching recurrence k's states from
     outside the recurrences, and states[k] those states, as _scan returns
     them.  Returns the gradients reaching the drives, laid out the same.
-    Each sample is padded reversed, so all carries step back together."""
+    Each sample is padded reversed, so all carries step back together; the
+    lists in grads are emptied once padded, which frees what only they hold."""
     deltas = _pad([[g[::-1] for g in gs] for gs in grads], np.float64)  # deltas overwrite grads
+    for gs in grads:
+        gs.clear()
     keep = _pad([[1.0 - s[::-1].astype(np.float64) ** 2 for s in ss] for ss in states], np.float64)
     u = u.astype(np.float64)[:, None]
     carry = np.zeros_like(keep[0])  # d loss / d state[i] from step i+1
@@ -223,10 +226,10 @@ def backward(model: Recognizer, cache: dict, aux_grad,
         raise ValueError("head gradients must match the posterior shapes")
 
     dgs = [gm[b, :len(h)] @ p["main_w"] for b, h in enumerate(hs)]
+    dgs = [[dg[:, :rd] for dg in dgs], [dg[::-1, rd:] for dg in dgs]]  # _scan_grad frees them
     # each recurrence's states and the gradients reaching them, in scan order
     states = [[g[:, :rd] for g in gs], [g[::-1, rd:] for g in gs]]
-    dls = _scan_grad([[dg[:, :rd] for dg in dgs], [dg[::-1, rd:] for dg in dgs]], states,
-                     np.stack([p["fwd_u"], p["bwd_u"]]))
+    dls = _scan_grad(dgs, states, np.stack([p["fwd_u"], p["bwd_u"]]))
     for b, (w, h, g) in enumerate(zip(cache["w"], hs, gs)):
         ga_b, gm_b = ga[b, :len(h)], gm[b, :len(h)]
         grads = {"main_w": gm_b.T @ g, "main_b": gm_b.sum(axis=0),

@@ -522,6 +522,27 @@ def test_negative_seed_exits_two_before_loading_anything(tmp_path, capsys, comma
     assert not ck.exists()
 
 
+@pytest.mark.parametrize("knob, line", [
+    (["--seed", str(2 ** 64)], "--seed: seed must fit in an unsigned 64-bit integer"),
+    ("feature_dim = 0", "CFG: feature_dim: feature_dim must be >= 1"),
+])
+def test_train_source_recognizer_knobs_exit_two_before_loading_anything(tmp_path, capsys,
+                                                                        knob, line):
+    missing = str(tmp_path / "missing")
+    ck = tmp_path / "c.ckpt"
+    if isinstance(knob, str):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(knob + "\n", encoding="utf-8")
+        knob, line = ["--config", str(cfg)], line.replace("CFG", str(cfg))
+    knob += ["--out-checkpoint", str(ck)]
+    assert cli.main(_argv_loading_nothing("train-source", missing) + knob) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not ck.exists()
+    if knob[0] == "--seed":  # hybrid builds no recognizer, so it takes the seed
+        assert cli.main(_argv_loading_nothing("hybrid", missing) + knob) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file")
+
+
 def _argv_loading_nothing(command: str, missing: str) -> list[str]:
     """command's required options, every input path missing: loading any
     file would fail differently from a knob check."""
@@ -791,15 +812,21 @@ def test_eval_sweep_with_report_is_usage_error(pipe, tmp_path, capsys):
     assert not report.exists()
 
 
-@pytest.mark.parametrize("flags", [["--w", "nan"], ["--w", "inf"], ["--alpha", "inf"],
-                                   ["--sweep-w", "nan,0.4"]])
-def test_eval_non_finite_decoder_weight_exits_two(pipe, capsys, flags):
-    rc = cli.main(["eval", "--checkpoint", str(pipe["ck"]),
-                   "--data", str(pipe["data"] / "source" / "val" / "manifest.tsv"),
-                   "--lm", str(pipe["lm"]), "--beam", "2"] + flags)
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "must be finite" in err
+@pytest.mark.parametrize("flags, line", [
+    (["--w", "nan"], "--w: emission_weight must be finite and >= 0, got nan"),
+    (["--w", "inf"], "--w: emission_weight must be finite and >= 0, got inf"),
+    (["--alpha", "inf"], "--alpha: prior_scale must be finite and >= 0, got inf"),
+    (["--sweep-w", "nan,0.4"], "--sweep-w: emission_weight must be finite and >= 0, got nan"),
+    (["--sweep-alpha", "0.5,inf"], "--sweep-alpha: prior_scale must be finite and >= 0, got inf"),
+], ids=[f"flags{i}" for i in range(5)])
+def test_eval_non_finite_decoder_weight_exits_two(pipe, tmp_path, capsys, flags, line):
+    missing = str(tmp_path / "missing")  # with every input missing, nothing may load first
+    for argv in (["eval", "--checkpoint", str(pipe["ck"]),
+                  "--data", str(pipe["data"] / "source" / "val" / "manifest.tsv"),
+                  "--lm", str(pipe["lm"])],
+                 _argv_loading_nothing("eval", missing) + ["--lm", missing]):
+        assert cli.main(argv + ["--beam", "2"] + flags) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
 
 
 def test_eval_overflowing_decoder_weight_exits_three(pipe, capsys):

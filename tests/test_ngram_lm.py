@@ -554,6 +554,39 @@ ARPA_PINNED_FAULTS = {
         "entry outside any section: '-0.1\\ta'"),
 }
 
+# Each entry-rule fault of ARPA_FAULTS, and the whole message it gives alone.
+_ENTRY_RULE_FAULTS = {
+    "field_count": "2-gram entry needs 2 or 3 fields: '-0.2\\ta b\\t-0.1\\t0'",
+    "non_numeric": "non-numeric field in 2-gram entry 'x\\ta b'",
+    "nan_backoff": "NaN or +inf field in 1-gram entry '-99\\t<s>\\tnan'",
+    "positive": "positive log10 probability in 2-gram entry '0.2\\ta b'",
+    "token_count": "2-gram entry has 3 tokens: '-0.2\\ta b a'",
+}
+_MORE_CHARS = "cdefghijklmnopqrstuv"  # 20 more characters: a unigram and a bigram "c a" each
+_UNIGRAMS = "-0.5\ta\n-0.6\tb\n-0.7\t</s>\n-99\t<s>\t-0.3\n"  # _SMALL_ARPA's unigram lines
+
+
+def _in_long_section(case, at):
+    """Edits of _SMALL_ARPA that put ARPA_FAULTS[case]'s faulty entry first,
+    in the middle or last (at) of its section, among 20 more valid entries;
+    without the fault the file loads."""
+    old, new, _ = ARPA_FAULTS[case]
+    unigrams = _UNIGRAMS.splitlines() + [f"-1.5\t{c}" for c in _MORE_CHARS]
+    bigrams = ["-0.2\ta b"] + [f"-0.3\t{c} a" for c in _MORE_CHARS]
+    entries = unigrams if old in _UNIGRAMS else bigrams
+    bad = entries.pop(next(i for i, x in enumerate(entries) if old in x)).replace(old, new)
+    entries.insert({"first": 0, "middle": len(entries) // 2, "last": len(entries)}[at], bad)
+    return ("ngram 1=4\nngram 2=1", "ngram 1=24\nngram 2=21",
+            _UNIGRAMS, "\n".join(unigrams) + "\n", "-0.2\ta b\n", "\n".join(bigrams) + "\n")
+
+
+# a section the bulk parse rejects is parsed again, to the message the entry gives alone
+ARPA_PINNED_FAULTS.update({f"{case}_{at}_in_long_section": (_in_long_section(case, at), message)
+                           for case, message in _ENTRY_RULE_FAULTS.items()
+                           for at in ("first", "middle", "last")})
+ARPA_PINNED_FAULTS.update({f"{case}_alone": (ARPA_FAULTS[case][:2], message)
+                           for case, message in _ENTRY_RULE_FAULTS.items()})
+
 
 @pytest.mark.parametrize("case", sorted(ARPA_PINNED_FAULTS))
 def test_arpa_pinned_fault_messages(tmp_path, case):

@@ -262,7 +262,7 @@ def test_joint_scans_equal_one_scan_per_recurrence(rng, B, dtype):
         assert [s.tobytes() for s in states[k]] == [s.tobytes() for s in alone[k]]
 
     grads = [[rng.normal(0, 1, (t, R)) for t in lengths] for _ in range(2)]
-    got = _scan_grad(grads, states, u)
+    got = _scan_grad([list(gs) for gs in grads], states, u)  # it empties the lists it is handed
     for k in range(2):
         want = scan_grad_reference(grads[k], states[k], u[k])
         assert [g.tobytes() for g in got[k]] == [g.tobytes() for g in want]
