@@ -21,17 +21,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .ctc import greedy_kernel
 from .data import labeled, load_manifest, read_lines
-from .decoder import DecoderConfig, lm_beam_decode, priors_kernel
+from .decoder import DecoderConfig
 from .errors import FormatError, NumericError
 from .metrics import cer, write_report
 from .ngram_lm import build_lm, load_arpa, perplexity, save_arpa
-from .recognizer import RecognizerConfig, forward_chunks, init_recognizer, load_checkpoint, \
-    save_checkpoint
+from .recognizer import RecognizerConfig, init_recognizer, load_checkpoint, save_checkpoint
 from .synth_data import STOCK_SHARED_CHARS, STOCK_TARGET_EXTRA, generate_dataset, \
     make_language_pair, sample_corpus
-from .trainer import AdamConfig, TrainConfig, hybrid_train, train_source, write_metrics
+from .trainer import AdamConfig, TrainConfig, decode_dataset, hybrid_train, train_source, \
+    write_metrics
 from .vocab import Vocabulary
 
 
@@ -199,6 +198,8 @@ def cmd_gen_data(args) -> int:
 def cmd_train_lm(args) -> int:
     if args.order < 1:
         raise UsageError("--order must be >= 1")
+    if not 0.0 < args.discount < 1.0:  # NaN fails it too
+        raise UsageError(f"--discount must be in (0, 1), got {args.discount}")
     corpus = read_lines(args.corpus)
     vocab = Vocabulary.load(args.vocab) if args.vocab else None
     lm = build_lm(corpus, order=args.order, discount=args.discount,
@@ -249,11 +250,12 @@ def cmd_hybrid(args) -> int:
     cfg = read_config(args.config) if args.config else {}
     tcfg = _build(TrainConfig, args, cfg, adam=_build(AdamConfig, args, cfg))
     dcfg = _build(DecoderConfig, args, cfg)
+    source_path, target_path = (_require(args, k, cfg) for k in ("source_data", "target_data"))
     model = load_checkpoint(args.init_checkpoint)
     lm_path = args.lm or cfg.get("lm")
     lm = load_arpa(lm_path) if lm_path else None
-    source = load_manifest(_require(args, "source_data", cfg), model.cfg.input_dim, model.vocab)
-    target = load_manifest(_require(args, "target_data", cfg), model.cfg.input_dim)
+    source = load_manifest(source_path, model.cfg.input_dim, model.vocab)
+    target = load_manifest(target_path, model.cfg.input_dim)
     val_path = args.val_data or cfg.get("val_data")
     val = _load_val(val_path, model.cfg.input_dim) if val_path else None
     res = hybrid_train(model, source, target, lm, tcfg, dcfg, val)
@@ -293,21 +295,6 @@ def _load_decode_inputs(args):
     return model, dataset, lm
 
 
-def _decode_all(model, dataset, lm, dcfgs) -> list[list[str]]:
-    """Hypothesis texts in dataset order, one list per decoder config; beam
-    decoding when an LM is present, greedy otherwise.  The posteriors, and
-    the label priors beam decoding estimates from them, are computed once,
-    unchecked, for all configs, which share one prior_floor."""
-    frames = [s.frames for s in dataset]
-    if lm is None:
-        hyps = forward_chunks(model, frames, each=greedy_kernel)
-        return [list(map(model.vocab.decode, hyps))] * len(dcfgs)
-    mains = forward_chunks(model, frames)
-    priors = priors_kernel(mains, dcfgs[0].prior_floor)
-    return [[model.vocab.decode(lm_beam_decode(m, lm, priors, d)[0]) for m in mains]
-            for d in dcfgs]
-
-
 def _write_out(args, lines: list[str]) -> None:
     if args.out:
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -321,7 +308,7 @@ def cmd_decode(args) -> int:
     model, dataset, lm = _load_decode_inputs(args)
     if args.report and len(labeled(dataset)) != len(dataset):
         raise ValueError("--report needs a fully labeled manifest")
-    hyps, = _decode_all(model, dataset, lm, [dcfg])
+    hyps, = decode_dataset(model, dataset, lm, [dcfg])
     _write_out(args, [f"{s.sample_id}\t{h}" for s, h in zip(dataset, hyps)])
     if args.report:
         report = cer([s.transcription for s in dataset], hyps)
@@ -333,38 +320,34 @@ def cmd_decode(args) -> int:
 def cmd_eval(args) -> int:
     dcfg = _build(DecoderConfig, args, {})
     sweeping = args.sweep_w or args.sweep_alpha
-    if sweeping:  # every sweep point is checked before any load, too
-        if not args.lm:
-            raise UsageError("a sweep needs --lm")
-        if args.report:
-            raise UsageError("--report needs a single (w, alpha) point, not a sweep")
-        try:
-            ws = [float(x) for x in (args.sweep_w or str(dcfg.emission_weight)).split(",")]
-            alphas = [float(x) for x in (args.sweep_alpha or str(dcfg.prior_scale)).split(",")]
-        except ValueError:
-            raise UsageError("sweep lists must be comma-separated numbers") from None
-        points = [(w, a) for w in ws for a in alphas]
-        try:
-            dcfgs = [replace(dcfg, emission_weight=w, prior_scale=a) for w, a in points]
-        except ValueError as e:  # dcfg passed, so a swept value failed: name its list
-            flag = "--sweep-w" if str(e).startswith("emission_weight") else "--sweep-alpha"
-            raise ValueError(f"{flag}: {e}") from None
+    if sweeping and not args.lm:
+        raise UsageError("a sweep needs --lm")
+    if sweeping and args.report:
+        raise UsageError("--report needs a single (w, alpha) point, not a sweep")
+    # a single point is a sweep of one; every point is checked before any load, too
+    try:
+        ws = [float(x) for x in (args.sweep_w or str(dcfg.emission_weight)).split(",")]
+        alphas = [float(x) for x in (args.sweep_alpha or str(dcfg.prior_scale)).split(",")]
+    except ValueError:
+        raise UsageError("sweep lists must be comma-separated numbers") from None
+    points = [(w, a) for w in ws for a in alphas]
+    try:
+        dcfgs = [replace(dcfg, emission_weight=w, prior_scale=a) for w, a in points]
+    except ValueError as e:  # dcfg passed, so a swept value failed: name its list
+        flag = "--sweep-w" if str(e).startswith("emission_weight") else "--sweep-alpha"
+        raise ValueError(f"{flag}: {e}") from None
     model, dataset, lm = _load_decode_inputs(args)
     if len(labeled(dataset)) != len(dataset):
         raise ValueError("eval needs a fully labeled manifest")
     refs = [s.transcription for s in dataset]
-
+    reports = [cer(refs, hyps) for hyps in decode_dataset(model, dataset, lm, dcfgs)]
     if sweeping:
-        sweep = _decode_all(model, dataset, lm, dcfgs)
         _write_out(args, ["w\talpha\tcer"] + [
-            f"{w:g}\t{a:g}\t{cer(refs, hyps).cer:.6f}" for (w, a), hyps in zip(points, sweep)])
-        return 0
-
-    hyps, = _decode_all(model, dataset, lm, [dcfg])
-    report = cer(refs, hyps)
-    if args.report:
-        write_report(report, args.report)
-    _write_out(args, [f"cer\t{report.cer:.6f}"])
+            f"{w:g}\t{a:g}\t{r.cer:.6f}" for (w, a), r in zip(points, reports)])
+    else:
+        if args.report:
+            write_report(reports[0], args.report)
+        _write_out(args, [f"cer\t{reports[0].cer:.6f}"])
     return 0
 
 

@@ -84,8 +84,11 @@ def make_language_pair(base_seed: int, shared_chars, source_extra="", target_ext
     if (s_extra | t_extra) & set(shared) or s_extra & t_extra:
         raise ValueError("extra characters must be disjoint from the shared set "
                          "and from each other")
-    if style_strength < 0 or noise_sigma < 0:
-        raise ValueError("style_strength and noise_sigma must be >= 0")
+    for name, value in (("style_strength", style_strength), ("noise_sigma", noise_sigma)):
+        if not 0.0 <= value < np.inf:  # NaN fails it too
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    if input_dim < 1:
+        raise ValueError(f"input_dim must be >= 1, got {input_dim}")
 
     specs = []
     for idx, (name, extra) in enumerate((("source", s_extra), ("target", t_extra))):

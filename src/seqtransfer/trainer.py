@@ -21,7 +21,7 @@ import numpy as np
 
 from .ctc import check_labels, ctc_kernel, greedy_kernel, min_frames
 from .data import Sample, labeled
-from .decoder import DecoderConfig, beam_search, priors_kernel
+from .decoder import DecoderConfig, beam_search, lm_beam_decode, priors_kernel
 from .errors import NumericError
 from .metrics import cer
 from .ngram_lm import NgramLM
@@ -136,14 +136,28 @@ def _usable(frames: np.ndarray, label_ids: tuple[int, ...]) -> bool:
     return bool(label_ids) and frames.shape[0] >= min_frames(label_ids)
 
 
+def decode_dataset(model: Recognizer, samples: Sequence[Sample], lm: NgramLM | None = None,
+                   dcfgs: Sequence[DecoderConfig] = (DecoderConfig(),)) -> list[list[str]]:
+    """Hypothesis texts in sample order, one list per decoder config; beam
+    decoding when an LM is present, greedy otherwise.  One forward_chunks pass,
+    and the label priors beam decoding estimates from it, serve every config,
+    unchecked; the configs share one prior_floor."""
+    frames = [s.frames for s in samples]
+    if lm is None:
+        hyps = forward_chunks(model, frames, each=greedy_kernel)
+        return [list(map(model.vocab.decode, hyps))] * len(dcfgs)
+    mains = forward_chunks(model, frames)
+    priors = priors_kernel(mains, dcfgs[0].prior_floor)
+    return [[model.vocab.decode(lm_beam_decode(m, lm, priors, d)[0]) for m in mains]
+            for d in dcfgs]
+
+
 def greedy_eval(model: Recognizer, samples: Sequence[Sample]) -> float:
-    """Pooled CER of greedy decodes against the stored transcriptions: forward_chunks'
-    chunks of 32, whatever the batch size, through greedy_kernel, unchecked."""
+    """Pooled CER of decode_dataset's greedy decodes against the stored transcriptions."""
     for s in samples:
         if s.transcription is None:
             raise ValueError(f"sample {s.sample_id} has no transcription to score against")
-    hyps = forward_chunks(model, [s.frames for s in samples], each=greedy_kernel)
-    return cer([s.transcription for s in samples], list(map(model.vocab.decode, hyps))).cer
+    return cer([s.transcription for s in samples], decode_dataset(model, samples)[0]).cer
 
 
 @dataclass

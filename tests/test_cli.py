@@ -206,10 +206,17 @@ def test_order_one_lm_has_only_unigrams(pipe, tmp_path):
     assert load_arpa(out).order == 1
 
 
-def test_train_lm_rejects_bad_order(pipe, tmp_path):
-    rc = cli.main(["train-lm", "--corpus", str(pipe["data"] / "target" / "corpus.txt"),
-                   "--out", str(tmp_path / "x.arpa"), "--order", "0"])
-    assert rc == 1
+def test_train_lm_rejects_bad_order(pipe, tmp_path, capsys):
+    real = pipe["data"] / "target" / "corpus.txt"
+    # the flags are checked before the corpus is read
+    for corpus, flag, value in ((real, "--order", "0"), (real, "--discount", "nan"),
+                                (tmp_path / "nope.txt", "--discount", "1.5")):
+        rc = cli.main(["train-lm", "--corpus", str(corpus),
+                       "--out", str(tmp_path / "x.arpa"), flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be") and err.count("\n") == 1
+        assert not (tmp_path / "x.arpa").exists()
 
 
 def test_perplexity_flag_matches_api(pipe, tmp_path, capsys):
@@ -679,12 +686,15 @@ def test_hybrid_without_lm_and_full_source_fraction(pipe, tmp_path):
 
 
 def test_hybrid_requires_target_data(pipe, tmp_path, capsys):
-    rc = cli.main(["hybrid", "--source-data",
-                   str(pipe["data"] / "source" / "train" / "manifest.tsv"),
-                   "--init-checkpoint", str(pipe["ck"]),
-                   "--out-checkpoint", str(tmp_path / "x.ckpt")])
-    assert rc == 1
-    assert "--target-data" in capsys.readouterr().err
+    source = ["--source-data", str(pipe["data"] / "source" / "train" / "manifest.tsv")]
+    nope = ["--init-checkpoint", str(tmp_path / "nope.ckpt")]
+    # the data paths are resolved before the checkpoint or the LM is read
+    for flags, missing in ((source + ["--init-checkpoint", str(pipe["ck"])], "--target-data"),
+                           (nope, "--source-data"),
+                           (nope + ["--lm", str(tmp_path / "nope.arpa")], "--source-data")):
+        rc = cli.main(["hybrid", *flags, "--out-checkpoint", str(tmp_path / "x.ckpt")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {missing} is required (flag or config)\n"
 
 
 def test_mismatched_lm_vocab_exits_two(pipe, tmp_path, capsys):
@@ -742,6 +752,9 @@ def test_eval_prints_pooled_cer(pipe, capsys):
     line = capsys.readouterr().out.splitlines()[-1]
     name, value = line.split("\t")
     assert name == "cer" and 0.0 <= float(value)
+    model = load_checkpoint(pipe["ck"])
+    samples = load_manifest(pipe["data"] / "source" / "test" / "manifest.tsv")
+    assert value == f"{greedy_eval(model, samples):.6f}"
 
 
 def test_eval_rejects_unlabeled_manifest(pipe, capsys):

@@ -64,6 +64,13 @@ def test_overlapping_extras_rejected():
         make_language_pair(1, "")
 
 
+def test_non_finite_rendering_arguments_and_empty_frames_rejected():
+    for name, value in (("style_strength", np.nan), ("style_strength", np.inf),
+                        ("noise_sigma", np.nan), ("noise_sigma", np.inf), ("input_dim", 0)):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            make_language_pair(1, "abc", **{name: value})
+
+
 def test_target_extras_never_in_source_text():
     src, _ = make_language_pair(9, "ab", target_extra="é")
     rng = np.random.default_rng(0)

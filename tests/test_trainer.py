@@ -11,14 +11,14 @@ import seqtransfer.recognizer as recognizer_mod
 import seqtransfer.trainer as trainer_mod
 from seqtransfer import (AdamConfig, AdamState, DecoderConfig, NgramLM, NumericError,
                          RecognizerConfig, Sample, TrainConfig, Vocabulary, adam_step, beam_search,
-                         build_lm, cer, cli, composite_loss, ctc_loss, estimate_priors, forward,
+                         build_lm, cer, composite_loss, ctc_loss, estimate_priors, forward,
                          forward_batch, forward_chunks, greedy_decode, greedy_eval, hybrid_train,
                          init_recognizer, lm_beam_decode, make_language_pair, make_pseudo_label,
                          min_frames, prior_pass, render, sample_corpus, sample_text, train_source,
                          write_metrics)
 from seqtransfer.synth_data import STOCK_SHARED_CHARS, STOCK_TARGET_EXTRA
 from seqtransfer.recognizer import FORWARD_CHUNK
-from seqtransfer.trainer import MetricsRow
+from seqtransfer.trainer import MetricsRow, decode_dataset
 from conftest import (hybrid_train_reference, oracle_best, prior_pass_reference,
                       uniform_priors)
 
@@ -300,7 +300,7 @@ def test_chunked_forwards_match_per_sample_and_arrival_order_loops(lengths, size
     """forward_chunks returns each sample's main posteriors, in input order,
     bit-identical to a one-at-a-time forward, in chunks of FORWARD_CHUNK (two
     of them in the example) and of size; greedy_eval, prior_pass and
-    cli._decode_all read exactly what their old loops read at either chunk."""
+    decode_dataset read exactly what their old loops read at either chunk."""
     m = tiny_model(seed % 7, dtype=np.float32)
     rng = np.random.default_rng(seed)
     frames = [rng.normal(0, 1, (t, 3)).astype(np.float32) for t in lengths]
@@ -327,9 +327,9 @@ def test_chunked_forwards_match_per_sample_and_arrival_order_loops(lengths, size
             assert greedy_eval(m, samples) == cer(texts, old_hyps).cer
             priors = prior_pass(m, samples, pcfg, np.random.default_rng(seed), floor=1e-6)
             assert priors.tobytes() == want.tobytes()
-            assert cli._decode_all(m, samples, None, dcfgs) == [
+            assert decode_dataset(m, samples, None, dcfgs) == [
                 [m.vocab.decode(ids) for ids in greedy_decode(alone)]] * 2
-            assert cli._decode_all(m, samples, lm, dcfgs) == [
+            assert decode_dataset(m, samples, lm, dcfgs) == [
                 [m.vocab.decode(lm_beam_decode(a, lm, lm_priors, d)[0]) for a in alone]
                 for d in dcfgs]
 
