@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import labeled, load_manifest, read_lines
+from .data import labeled, load_manifest, read_lines, write_lines
 from .decoder import DecoderConfig
 from .errors import FormatError, NumericError
 from .metrics import cer, write_report
@@ -166,11 +166,11 @@ def cmd_gen_data(args) -> int:
             args.base_seed, args.shared_chars, args.source_extra, args.target_extra,
             style_strength=args.style_strength, noise_sigma=args.noise_sigma,
             input_dim=args.input_dim)
+        vocab = Vocabulary(set(source.chars) | set(target.chars))
     except ValueError as e:
         raise UsageError(str(e)) from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    vocab = Vocabulary(set(source.chars) | set(target.chars))
     vocab.save(out / "vocab.json")
 
     counts = {"train": args.n_train, "val": args.n_val, "test": args.n_test}
@@ -186,9 +186,7 @@ def cmd_gen_data(args) -> int:
                 corpus_path=(lang_dir / "corpus.txt") if split == "train" else None)
         rng = np.random.default_rng(np.random.SeedSequence((args.base_seed, 0xD5, li, 3)))
         n_unrelated = args.unrelated_lines if args.unrelated_lines else args.n_train
-        with open(lang_dir / "unrelated.txt", "w", encoding="utf-8") as f:
-            for line in sample_corpus(spec, n_unrelated, (lo, hi), rng):
-                f.write(line + "\n")
+        write_lines(lang_dir / "unrelated.txt", sample_corpus(spec, n_unrelated, (lo, hi), rng))
     print(f"wrote {out}/vocab.json and 6 manifests under {out}/")
     return 0
 
@@ -263,11 +261,10 @@ def cmd_hybrid(args) -> int:
     if args.metrics:
         write_metrics(res.rows, args.metrics)
     if args.priors_log:
-        with open(args.priors_log, "w", encoding="utf-8") as f:
-            for it, priors in enumerate(res.prior_history):
-                for label_id, p in enumerate(priors):
-                    name = "<blank>" if label_id == 0 else model.vocab.char_of(label_id)
-                    f.write(f"{it}\t{label_id}\t{name}\t{p:.10g}\n")
+        names = ["<blank>"] + list(model.vocab.chars)
+        write_lines(args.priors_log, [f"{it}\t{i}\t{names[i]}\t{p:.10g}"
+                                      for it, priors in enumerate(res.prior_history)
+                                      for i, p in enumerate(priors)])
     tail = ""
     if val is not None:
         vals = [r for r in res.rows if r.split == "val"]
@@ -297,7 +294,7 @@ def _load_decode_inputs(args):
 
 def _write_out(args, lines: list[str]) -> None:
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(args.out, lines)
     else:
         for line in lines:
             print(line)

@@ -1,5 +1,6 @@
-"""Samples, the line rule for text files, and the on-disk frame-file and
-manifest formats.  A dataset is a plain list of Samples.
+"""Samples, the line rule for reading and writing text files, and the
+on-disk frame-file and manifest formats.  A dataset is a plain list of
+Samples.
 
 A frame file holds one sample's T x D float32 feature matrix:
 
@@ -18,11 +19,14 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import FormatError
-from .vocab import Vocabulary
+
+if TYPE_CHECKING:
+    from .vocab import Vocabulary
 
 FRAME_MAGIC = b"FRM1"
 FRAME_HEADER = struct.Struct("<4sII")  # magic, T, D
@@ -52,6 +56,13 @@ def read_lines(path) -> list[str]:
     if not lines[-1]:  # a final newline ends the last line; an empty file has none
         lines.pop()
     return lines
+
+
+def write_lines(path, lines) -> None:
+    """Write lines as UTF-8 text, each ended by "\n".  The whole text is
+    encoded before the file is opened, so a character UTF-8 cannot hold
+    raises and leaves path as it was."""
+    Path(path).write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
 
 
 def write_frames(path, frames) -> None:
@@ -84,18 +95,18 @@ def read_frames(path) -> np.ndarray:
 
 def write_manifest(samples: list[Sample], manifest_path) -> Path:
     """Write frame files under <manifest dir>/frames/ and the manifest rows
-    pointing at them."""
+    pointing at them.  Every id and transcription is checked first, so a bad
+    one writes nothing."""
     manifest_path = Path(manifest_path)
+    if any(c in s.sample_id + (s.transcription or "") for s in samples for c in "\t\n\r"):
+        raise ValueError("tabs and newlines cannot appear in ids or transcriptions")
     (manifest_path.parent / "frames").mkdir(parents=True, exist_ok=True)
-    with open(manifest_path, "w", encoding="utf-8") as f:
-        for s in samples:
-            text = s.transcription or ""
-            for bad in ("\t", "\n", "\r"):
-                if bad in text or bad in s.sample_id:
-                    raise ValueError("tabs and newlines cannot appear in ids or transcriptions")
-            rel = f"frames/{s.sample_id}.frm"
-            write_frames(manifest_path.parent / rel, s.frames)
-            f.write(f"{s.sample_id}\t{rel}\t{text}\n")
+    rows = []
+    for s in samples:
+        rel = f"frames/{s.sample_id}.frm"
+        write_frames(manifest_path.parent / rel, s.frames)
+        rows.append(f"{s.sample_id}\t{rel}\t{s.transcription or ''}")
+    write_lines(manifest_path, rows)
     return manifest_path
 
 

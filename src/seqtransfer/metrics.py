@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .data import write_lines
+
 
 def edit_distance(a: str, b: str) -> int:
     """Levenshtein distance with unit insert/delete/substitute costs, by the
@@ -66,8 +68,6 @@ def cer(refs: Sequence[str], hyps: Sequence[str]) -> EvalReport:
 
 
 def write_report(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("ref\thyp\tedits\n")
-        for row in report.rows:
-            f.write(f"{row.ref}\t{row.hyp}\t{row.edits}\n")
-        f.write(f"# cer\t{report.cer:.6f}\t{report.total_edits}/{report.total_ref_chars}\n")
+    write_lines(path, ["ref\thyp\tedits"]
+                + [f"{row.ref}\t{row.hyp}\t{row.edits}" for row in report.rows]
+                + [f"# cer\t{report.cer:.6f}\t{report.total_edits}/{report.total_ref_chars}"])

@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import read_lines
+from .data import read_lines, write_lines
 from .errors import FormatError
 from .vocab import Vocabulary
 
@@ -203,25 +203,17 @@ def save_arpa(lm: NgramLM, path) -> None:
     def fmt(x: float) -> str:
         return f"{x / _LN10:.12g}"
 
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\\data\\\n")
-        for k, grams in enumerate(sections, 1):
-            f.write(f"ngram {k}={len(grams)}\n")
-        for k, grams in enumerate(sections, 1):
-            f.write(f"\n\\{k}-grams:\n")
-            for gram in grams:
-                toks = " ".join([tokens[i] for i in gram])
-                if gram == bos:
-                    lp = "-99"  # BOS is never predicted
-                else:
-                    # rounding in build_lm can leave log p a hair above 0
-                    lp = fmt(min(lm.probs[gram], 0.0))
-                bo = lm.backoffs.get(gram)
-                if bo is not None and k < lm.order:
-                    f.write(f"{lp}\t{toks}\t{fmt(bo)}\n")
-                else:
-                    f.write(f"{lp}\t{toks}\n")
-        f.write("\n\\end\\\n")
+    lines = ["\\data\\"] + [f"ngram {k}={len(grams)}" for k, grams in enumerate(sections, 1)]
+    for k, grams in enumerate(sections, 1):
+        lines += ["", f"\\{k}-grams:"]
+        for gram in grams:
+            toks = " ".join([tokens[i] for i in gram])
+            # BOS is never predicted; rounding in build_lm can leave log p a hair above 0
+            lp = "-99" if gram == bos else fmt(min(lm.probs[gram], 0.0))
+            bo = lm.backoffs.get(gram)
+            lines.append(f"{lp}\t{toks}\t{fmt(bo)}" if bo is not None and k < lm.order
+                         else f"{lp}\t{toks}")
+    write_lines(path, lines + ["", "\\end\\"])
 
 
 def _parse_section(path, k: int, lines: list[str]):

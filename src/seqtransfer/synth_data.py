@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Sample, write_manifest
+from .data import Sample, write_lines, write_manifest
 
 _PROTO_TAG = 0x70
 _STYLE_TAG = 0x57
@@ -188,8 +188,6 @@ def generate_dataset(spec: LanguageSpec, n_samples: int,
                               None if unlabeled else text))
     manifest = write_manifest(samples, out_dir / "manifest.tsv")
     if corpus_path is not None:
-        with open(corpus_path, "w", encoding="utf-8") as f:
-            for text in texts:
-                f.write(text + "\n")
+        write_lines(corpus_path, texts)
     return manifest
 

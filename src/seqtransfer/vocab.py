@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
+from .data import read_lines, write_lines
 from .errors import FormatError
 
 BLANK_ID = 0
@@ -27,6 +28,8 @@ class Vocabulary:
                 raise ValueError(f"vocabulary entries must be single characters, got {c!r}")
             if c in ("\n", "\r"):
                 raise ValueError("newline characters are not allowed in the vocabulary")
+            if "\ud800" <= c <= "\udfff":  # no UTF-8 file can hold a surrogate
+                raise ValueError(f"character {c!r} is a surrogate, which UTF-8 cannot encode")
         self.chars: tuple[str, ...] = tuple(uniq)
         self._ids = {c: i + 1 for i, c in enumerate(self.chars)}
         self.emit_size = 1 + len(self.chars)  # the labels a recognizer emits: blank, characters
@@ -58,17 +61,11 @@ class Vocabulary:
         return "".join([self.chars[i - 1] for i in ids] if ok else map(self.char_of, ids))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(list(self.chars), f, ensure_ascii=False)
-            f.write("\n")
+        write_lines(path, [json.dumps(list(self.chars), ensure_ascii=False)])
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        try:
-            with open(path, encoding="utf-8") as f:
-                return cls.from_json(f.read(), path)
-        except UnicodeDecodeError as e:
-            raise FormatError(f"{path}: not UTF-8 text ({e})") from None
+        return cls.from_json("\n".join(read_lines(path)), path)
 
     @classmethod
     def from_json(cls, text: str, where) -> "Vocabulary":

@@ -12,9 +12,10 @@ END_TO_END = [{"name": "frames_per_s", "unit": "frames/s", "better": "higher", "
               {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]
 
 
-def _run(fps, rss, digests=None, failed=0):
+def _run(fps, rss, digests=None, failed=0, raw=None):
     return {"record": {"digests": digests or {"hypotheses.part0": ["d0", "d0"],
-                                              "setup.lm": ["lm"] * 3}},
+                                              "setup.lm": ["lm"] * 3},
+                       "raw_call_s": {"untraced": raw or {"0": [0.01]}, "traced": {}}},
             "result": {"correct": failed == 0, "attempted": 10, "failed": failed,
                        "metrics": {"frames_per_s": {"value": fps, "unit": "frames/s"},
                                    "peak_rss_mb": {"value": rss, "unit": "MB"}}}}
@@ -122,6 +123,22 @@ def test_failed_calls_are_reported():
     runs = _runs()
     runs["change"][1] = _run(160, 40.9, failed=2)
     assert "change: 2 failed calls, 1 runs with problems" in ab_pairs.report(runs, END_TO_END)
+
+
+def test_raw_call_row_is_the_median_of_run_medians_with_no_gate():
+    parent = [{"0": [0.1, 0.3], "1": [0.2]}, {"0": [0.4]}, {"0": [0.3, 0.3, 0.9]}]
+    change = [{"0": [0.15]}, {"0": [0.1, 0.2, 0.6], "1": []}, {"0": []}]  # the last timed none
+    runs = {"parent": [_run(100, 40.0, raw=r) for r in parent],
+            "change": [_run(100, 40.0, raw=r) for r in change]}
+    assert ab_pairs.raw_call_s(runs["parent"]) == pytest.approx(0.3)  # of 0.2, 0.4, 0.3
+    assert ab_pairs.raw_call_s(runs["change"]) == pytest.approx(0.175)  # of 0.15, 0.2
+    row = [line for line in ab_pairs.report(runs, END_TO_END).splitlines()
+           if line.startswith("raw call s")]
+    assert len(row) == 1 and row[0].split()[3:6] == ["0.3", "0.175", "0.583"]
+    assert "no gate" in row[0] and not {"ok", "worse", "unresolved"} & set(row[0].split())
+    assert len(ab_pairs.summarize(runs, END_TO_END)) == len(END_TO_END)  # a row of the report only
+    runs["change"] = runs["change"][2:]
+    assert "nan" in ab_pairs.report(runs, END_TO_END).splitlines()[3]
 
 
 DECLARED = ["decode_lm", "train_source", "adapt"]

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import hashlib
+import json
 import re
 import struct
 
@@ -172,7 +173,7 @@ def test_gen_data_bad_numeric_flag_is_a_usage_error(tmp_path, capsys, flag, valu
 @pytest.mark.parametrize("flags", [
     ["--shared-chars", "a\tb"], ["--source-extra", "x\n"], ["--target-extra", "\r"],
     ["--shared-chars", ""], ["--shared-chars", "abc", "--source-extra", "c"],
-    ["--source-extra", "q", "--target-extra", "q"],
+    ["--source-extra", "q", "--target-extra", "q"], ["--shared-chars", "ab\udcff"],
 ])
 def test_gen_data_bad_character_set_is_a_usage_error(tmp_path, capsys, flags):
     """A character no manifest line can hold, an empty shared set or
@@ -265,6 +266,22 @@ def test_train_lm_extra_char_outside_vocab_exits_two(pipe, tmp_path, capsys):
     assert capsys.readouterr().err == \
         "error: extra character 'Z' is outside the fixed vocabulary\n"
     assert not out.exists()
+
+
+def test_train_lm_undecodable_extra_char_writes_nothing(pipe, tmp_path, capsys):
+    """An undecodable argv byte arrives as a surrogate, which no UTF-8 file can
+    hold: exit 2 with one line, and --out is left as it was."""
+    corpus = pipe["data"] / "target" / "corpus.txt"
+    kept = tmp_path / "kept.arpa"
+    kept.write_bytes(pipe["lm"].read_bytes())
+    for out in (tmp_path / "x.arpa", kept):
+        rc = cli.main(["train-lm", "--corpus", str(corpus), "--out", str(out),
+                       "--extra-chars", "\udcfe"])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: character '\\udcfe' is a surrogate, which UTF-8 cannot encode\n"
+    assert not (tmp_path / "x.arpa").exists()
+    assert kept.read_bytes() == pipe["lm"].read_bytes()
 
 
 @pytest.mark.parametrize("held_out", ["missing", "Z outside the vocabulary"])
@@ -1002,12 +1019,14 @@ def test_corrupt_checkpoint_exits_two(pipe, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("payload", [b"5", b"[1,2]",
+@pytest.mark.parametrize("payload", [b"5", b"[1,2]", pytest.param(None, id="surrogate"),
                                      pytest.param(b"[" * 100000, id="deeply-nested")])
 def test_checkpoint_vocabulary_not_a_char_list_exits_two(pipe, tmp_path, capsys, payload):
     blob = pipe["ck"].read_bytes()
     # magic (8), config (20) and seed (8), then the u32 vocabulary length
     nchars, = struct.unpack("<I", blob[36:40])
+    if payload is None:  # as many characters as the config's labels, the first "\ud800"
+        payload = json.dumps(["\ud800"] + json.loads(blob[40:40 + nchars])[1:]).encode()
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(blob[:36] + struct.pack("<I", len(payload)) + payload
                     + blob[40 + nchars:])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from seqtransfer import (FormatError, Sample, Vocabulary, cli, labeled, load_manifest,
-                         read_frames, read_lines, write_frames, write_manifest)
+                         read_frames, read_lines, write_frames, write_lines, write_manifest)
 from seqtransfer.data import FRAME_MAGIC
 
 
@@ -123,6 +123,27 @@ def test_read_lines_splits_only_at_newlines(tmp_path, text, lines):
         assert read_lines(p) == text.splitlines()
 
 
+@pytest.mark.parametrize("lines", [
+    [], [""], ["", ""], ["a", "", "b", ""], ["a\u2028b", "\x85", "c\x0cd", "é"],
+])
+def test_write_lines_round_trips_through_read_lines(tmp_path, lines):
+    p = tmp_path / "text.txt"
+    write_lines(p, lines)
+    assert p.read_bytes() == "".join(line + "\n" for line in lines).encode("utf-8")
+    assert read_lines(p) == lines
+
+
+def test_write_lines_encodes_before_it_opens(tmp_path):
+    """A line UTF-8 cannot hold raises and leaves the path as it was."""
+    new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+    old.write_bytes(b"kept\n")
+    for path in (new, old):
+        with pytest.raises(UnicodeEncodeError):
+            write_lines(path, ["a", "b\udcff"])
+    assert not new.exists()
+    assert old.read_bytes() == b"kept\n"
+
+
 def test_manifest_rejects_wrong_column_count(tmp_path):
     p = tmp_path / "manifest.tsv"
     p.write_text("id0\tframes/id0.frm\n", encoding="utf-8")
@@ -138,10 +159,13 @@ def test_manifest_rejects_empty_file(tmp_path):
 
 
 def test_manifest_rejects_tab_in_transcription(tmp_path, rng):
+    """Every row is checked before frames/ or any file is written."""
     from seqtransfer import write_manifest
-    ds = [Sample("x", rng.normal(0, 1, (2, 2)).astype(np.float32), "a\tb")]
+    frames = rng.normal(0, 1, (2, 2)).astype(np.float32)
+    ds = [Sample("ok", frames, "ab"), Sample("y", frames), Sample("x", frames, "a\tb")]
     with pytest.raises(ValueError):
         write_manifest(ds, tmp_path / "manifest.tsv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_frame_file(tmp_path):

@@ -65,6 +65,12 @@ def test_newline_rejected():
         Vocabulary("a\nb")
 
 
+def test_surrogate_rejected():
+    """No UTF-8 file can hold a surrogate; an undecodable argv byte becomes one."""
+    with pytest.raises(ValueError, match=r"^character '\\udcff' is a surrogate, which UTF-8"):
+        Vocabulary("ab\udcff")
+
+
 def test_multichar_entry_rejected():
     with pytest.raises(ValueError):
         Vocabulary(["ab"])
@@ -93,7 +99,7 @@ def test_load_rejects_non_list(tmp_path):
         Vocabulary.load(p)
 
 
-@pytest.mark.parametrize("payload", ["5", "[1,2]", '["ab"]', "[]",
+@pytest.mark.parametrize("payload", ["5", "[1,2]", '["ab"]', "[]", '["a", "\\ud800"]',
                                      pytest.param("[" * 100000, id="deeply-nested")])
 def test_load_rejects_json_that_is_not_a_char_list(tmp_path, payload):
     p = tmp_path / "vocab.json"

@@ -27,6 +27,12 @@ median is better than the parent's by more than the parent's IQR, and its
 share of failed calls (failed / attempted over all its runs) is no larger
 than the parent's.
 
+A `raw call s` row follows, for information only, with no gate and no
+claim: each side's median over its runs of a run's median untraced call
+seconds as measured (the record's `raw_call_s`, before calibration), and
+their ratio.  When the calibrated rate moves on a workload whose code did
+not change, this row tells a machine or layout effect from the code.
+
 It also says whether every output digest was the same on both sides, and
 lists failed calls.  Each pair's values go to stderr as
 the runs finish.  It writes nothing inside the repository; the temporary
@@ -151,6 +157,14 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> list[dict]
     return rows
 
 
+def raw_call_s(runs: list[dict]) -> float:
+    """The median over runs of each run's median untraced raw call seconds;
+    NaN when no run timed a call."""
+    meds = [statistics.median(calls) for r in runs if (calls := [
+        s for part in r["record"]["raw_call_s"]["untraced"].values() for s in part])]
+    return statistics.median(meds) if meds else float("nan")
+
+
 def digest_mismatches(runs: dict[str, list[dict]]) -> list[str]:
     """Digest keys whose values are not one and the same on both sides."""
     values: dict[str, dict[str, set]] = {}
@@ -171,6 +185,9 @@ def report(runs: dict[str, list[dict]], end_to_end: list[dict]) -> str:
                    f"{r['parent_iqr']:>12.4g}{r['ratio']:>8.3f}{r['won']:>5}/{r['pairs']:<2}"
                    f"  {'yes' if r['beyond_iqr'] else 'no':<10}  {r['gate']:<10}"
                    f"  {'yes' if r['claim'] else 'no':<5}  ({r['better']} is better)")
+    parent, change = (raw_call_s(runs[side]) for side in SIDES)
+    out.append(f"{'raw call s':<14}{parent:>12.4g}{change:>12.4g}{'':>12}{change / parent:>8.3f}"
+               "  (uncalibrated; informational, no gate)")
     bad = digest_mismatches(runs)
     out.append("digests: all equal between the sides" if not bad
                else f"digests: differ for {', '.join(bad)}")
