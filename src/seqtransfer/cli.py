@@ -141,7 +141,7 @@ def _build(cls, args, cfg: dict, **fixed):
 
 # -- gen-data --------------------------------------------------------------
 
-def cmd_gen_data(args) -> int:
+def cmd_gen_data(args):
     for name, low in (("n_train", 1), ("n_val", 1), ("n_test", 1), ("input_dim", 1),
                       ("base_seed", 0), ("unrelated_lines", 0)):
         if getattr(args, name) < low:
@@ -170,68 +170,70 @@ def cmd_gen_data(args) -> int:
     except ValueError as e:
         raise UsageError(str(e)) from None
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    vocab.save(out / "vocab.json")
-
     counts = {"train": args.n_train, "val": args.n_val, "test": args.n_test}
-    for li, spec in enumerate((source, target)):
-        lang_dir = out / spec.name
-        lang_dir.mkdir(exist_ok=True)
-        for si, split in enumerate(("train", "val", "test")):
-            rng = np.random.default_rng(
-                np.random.SeedSequence((args.base_seed, 0xD5, li, si)))
-            generate_dataset(
-                spec, counts[split], (lo, hi), rng, lang_dir / split,
-                unlabeled=(spec.name == "target" and split == "train"),
-                corpus_path=(lang_dir / "corpus.txt") if split == "train" else None)
-        rng = np.random.default_rng(np.random.SeedSequence((args.base_seed, 0xD5, li, 3)))
-        n_unrelated = args.unrelated_lines if args.unrelated_lines else args.n_train
-        write_lines(lang_dir / "unrelated.txt", sample_corpus(spec, n_unrelated, (lo, hi), rng))
-    print(f"wrote {out}/vocab.json and 6 manifests under {out}/")
-    return 0
+    def run():
+        out.mkdir(parents=True, exist_ok=True)
+        vocab.save(out / "vocab.json")
+        for li, spec in enumerate((source, target)):
+            lang_dir = out / spec.name
+            lang_dir.mkdir(exist_ok=True)
+            for si, split in enumerate(("train", "val", "test")):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence((args.base_seed, 0xD5, li, si)))
+                generate_dataset(
+                    spec, counts[split], (lo, hi), rng, lang_dir / split,
+                    unlabeled=(spec.name == "target" and split == "train"),
+                    corpus_path=(lang_dir / "corpus.txt") if split == "train" else None)
+            rng = np.random.default_rng(np.random.SeedSequence((args.base_seed, 0xD5, li, 3)))
+            lines = sample_corpus(spec, args.unrelated_lines or args.n_train, (lo, hi), rng)
+            write_lines(lang_dir / "unrelated.txt", lines)
+        print(f"wrote {out}/vocab.json and 6 manifests under {out}/")
+    return run
 
 
 # -- train-lm ---------------------------------------------------------------
 
-def cmd_train_lm(args) -> int:
+def cmd_train_lm(args):
     if args.order < 1:
         raise UsageError("--order must be >= 1")
     if not 0.0 < args.discount < 1.0:  # NaN fails it too
         raise UsageError(f"--discount must be in (0, 1), got {args.discount}")
-    corpus = read_lines(args.corpus)
-    vocab = Vocabulary.load(args.vocab) if args.vocab else None
-    lm = build_lm(corpus, order=args.order, discount=args.discount,
-                  extra_chars=args.extra_chars, vocab=vocab)
-    # a bad --perplexity-on file fails the run before the ARPA file is written
-    ppl = perplexity(lm, read_lines(args.perplexity_on)) if args.perplexity_on else None
-    save_arpa(lm, args.out)
-    print(f"wrote {args.out}: order {lm.order}, {len(lm.probs)} n-grams, "
-          f"{len(lm.vocab.chars)} characters")
-    if ppl is not None:
-        print(f"perplexity\t{ppl:.6f}")
-    return 0
+    def run():
+        corpus = read_lines(args.corpus)
+        vocab = Vocabulary.load(args.vocab) if args.vocab else None
+        lm = build_lm(corpus, order=args.order, discount=args.discount,
+                      extra_chars=args.extra_chars, vocab=vocab)
+        # a bad --perplexity-on file fails the run before the ARPA file is written
+        ppl = perplexity(lm, read_lines(args.perplexity_on)) if args.perplexity_on else None
+        save_arpa(lm, args.out)
+        print(f"wrote {args.out}: order {lm.order}, {len(lm.probs)} n-grams, "
+              f"{len(lm.vocab.chars)} characters")
+        if ppl is not None:
+            print(f"perplexity\t{ppl:.6f}")
+    return run
 
 
 # -- train-source -----------------------------------------------------------
 
-def cmd_train_source(args) -> int:
+def cmd_train_source(args):
     cfg = read_config(args.config) if args.config else {}
     tcfg = _build(TrainConfig, args, cfg, adam=_build(AdamConfig, args, cfg))
-    # every knob is checked before any load; the least valid data sizes stand in till then
+    # the least valid data sizes stand in for the vocabulary's and the frames'
     rcfg = _build(RecognizerConfig, args, cfg, label_count=2, input_dim=1, seed=tcfg.seed)
-    vocab = Vocabulary.load(args.vocab)
-    train = load_manifest(args.data, vocab=vocab)
-    rcfg = replace(rcfg, label_count=vocab.emit_size, input_dim=train[0].frames.shape[1])
-    model = init_recognizer(rcfg, vocab)
-    val = _load_val(args.val, rcfg.input_dim) if args.val else None
-    res = train_source(model, train, tcfg, val)
-    save_checkpoint(model, args.out_checkpoint)
-    if args.metrics:
-        write_metrics(res.rows, args.metrics)
-    last = [r for r in res.rows if r.split == "train"][-1]
-    print(f"wrote {args.out_checkpoint}: final train loss {last.loss:.4f}, "
-          f"train CER {last.cer:.4f}, skipped {res.skipped}")
-    return 0
+    def run():
+        vocab = Vocabulary.load(args.vocab)
+        train = load_manifest(args.data, vocab=vocab)
+        model = init_recognizer(replace(rcfg, label_count=vocab.emit_size,
+                                        input_dim=train[0].frames.shape[1]), vocab)
+        val = _load_val(args.val, model.cfg.input_dim) if args.val else None
+        res = train_source(model, train, tcfg, val)
+        save_checkpoint(model, args.out_checkpoint)
+        if args.metrics:
+            write_metrics(res.rows, args.metrics)
+        last = [r for r in res.rows if r.split == "train"][-1]
+        print(f"wrote {args.out_checkpoint}: final train loss {last.loss:.4f}, "
+              f"train CER {last.cer:.4f}, skipped {res.skipped}")
+    return run
 
 
 def _load_val(path, width: int):
@@ -244,41 +246,33 @@ def _load_val(path, width: int):
 
 # -- hybrid -------------------------------------------------------------------
 
-def cmd_hybrid(args) -> int:
+def cmd_hybrid(args):
     cfg = read_config(args.config) if args.config else {}
     tcfg = _build(TrainConfig, args, cfg, adam=_build(AdamConfig, args, cfg))
     dcfg = _build(DecoderConfig, args, cfg)
-    source_path, target_path = (_require(args, k, cfg) for k in ("source_data", "target_data"))
-    model = load_checkpoint(args.init_checkpoint)
-    lm_path = args.lm or cfg.get("lm")
-    lm = load_arpa(lm_path) if lm_path else None
-    source = load_manifest(source_path, model.cfg.input_dim, model.vocab)
-    target = load_manifest(target_path, model.cfg.input_dim)
-    val_path = args.val_data or cfg.get("val_data")
-    val = _load_val(val_path, model.cfg.input_dim) if val_path else None
-    res = hybrid_train(model, source, target, lm, tcfg, dcfg, val)
-    save_checkpoint(model, args.out_checkpoint)
-    if args.metrics:
-        write_metrics(res.rows, args.metrics)
-    if args.priors_log:
-        names = ["<blank>"] + list(model.vocab.chars)
-        write_lines(args.priors_log, [f"{it}\t{i}\t{names[i]}\t{p:.10g}"
-                                      for it, priors in enumerate(res.prior_history)
-                                      for i, p in enumerate(priors)])
-    tail = ""
-    if val is not None:
-        vals = [r for r in res.rows if r.split == "val"]
-        tail = f", final val CER {vals[-1].cer:.4f}"
-    print(f"wrote {args.out_checkpoint}: {res.source_only_steps} source-only steps, "
-          f"{res.skipped_decodes} skipped decodes{tail}")
-    return 0
-
-
-def _require(args, key: str, cfg: dict) -> str:
-    val = getattr(args, key, None) or cfg.get(key)
-    if not val:
-        raise UsageError(f"--{key.replace('_', '-')} is required (flag or config)")
-    return val
+    path = {k: getattr(args, k) or cfg.get(k) for k, t in _CONFIG_TYPES.items() if t is str}
+    for key in ("source_data", "target_data"):
+        if not path[key]:
+            raise UsageError(f"--{key.replace('_', '-')} is required (flag or config)")
+    def run():
+        model = load_checkpoint(args.init_checkpoint)
+        lm = load_arpa(path["lm"]) if path["lm"] else None
+        source = load_manifest(path["source_data"], model.cfg.input_dim, model.vocab)
+        target = load_manifest(path["target_data"], model.cfg.input_dim)
+        val = _load_val(path["val_data"], model.cfg.input_dim) if path["val_data"] else None
+        res = hybrid_train(model, source, target, lm, tcfg, dcfg, val)
+        save_checkpoint(model, args.out_checkpoint)
+        if args.metrics:
+            write_metrics(res.rows, args.metrics)
+        if args.priors_log:
+            names = ["<blank>"] + list(model.vocab.chars)
+            write_lines(args.priors_log, [f"{it}\t{i}\t{names[i]}\t{p:.10g}"
+                                          for it, priors in enumerate(res.prior_history)
+                                          for i, p in enumerate(priors)])
+        tail = f", final val CER {res.rows[-1].cer:.4f}" if val is not None else ""
+        print(f"wrote {args.out_checkpoint}: {res.source_only_steps} source-only steps, "
+              f"{res.skipped_decodes} skipped decodes{tail}")
+    return run
 
 
 # -- decode / eval ------------------------------------------------------------
@@ -300,29 +294,29 @@ def _write_out(args, lines: list[str]) -> None:
             print(line)
 
 
-def cmd_decode(args) -> int:
-    dcfg = _build(DecoderConfig, args, {})  # before any load, as train-source and hybrid do
-    model, dataset, lm = _load_decode_inputs(args)
-    if args.report and len(labeled(dataset)) != len(dataset):
-        raise ValueError("--report needs a fully labeled manifest")
-    hyps, = decode_dataset(model, dataset, lm, [dcfg])
-    _write_out(args, [f"{s.sample_id}\t{h}" for s, h in zip(dataset, hyps)])
-    if args.report:
-        report = cer([s.transcription for s in dataset], hyps)
-        write_report(report, args.report)
-        print(f"cer\t{report.cer:.6f}")
-    return 0
+def cmd_decode(args):
+    dcfg = _build(DecoderConfig, args, {})
+    def run():
+        model, dataset, lm = _load_decode_inputs(args)
+        if args.report and len(labeled(dataset)) != len(dataset):
+            raise ValueError("--report needs a fully labeled manifest")
+        hyps, = decode_dataset(model, dataset, lm, [dcfg])
+        _write_out(args, [f"{s.sample_id}\t{h}" for s, h in zip(dataset, hyps)])
+        if args.report:
+            report = cer([s.transcription for s in dataset], hyps)
+            write_report(report, args.report)
+            print(f"cer\t{report.cer:.6f}")
+    return run
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args):
     dcfg = _build(DecoderConfig, args, {})
     sweeping = args.sweep_w or args.sweep_alpha
     if sweeping and not args.lm:
         raise UsageError("a sweep needs --lm")
     if sweeping and args.report:
         raise UsageError("--report needs a single (w, alpha) point, not a sweep")
-    # a single point is a sweep of one; every point is checked before any load, too
-    try:
+    try:  # a single point is a sweep of one
         ws = [float(x) for x in (args.sweep_w or str(dcfg.emission_weight)).split(",")]
         alphas = [float(x) for x in (args.sweep_alpha or str(dcfg.prior_scale)).split(",")]
     except ValueError:
@@ -333,19 +327,20 @@ def cmd_eval(args) -> int:
     except ValueError as e:  # dcfg passed, so a swept value failed: name its list
         flag = "--sweep-w" if str(e).startswith("emission_weight") else "--sweep-alpha"
         raise ValueError(f"{flag}: {e}") from None
-    model, dataset, lm = _load_decode_inputs(args)
-    if len(labeled(dataset)) != len(dataset):
-        raise ValueError("eval needs a fully labeled manifest")
-    refs = [s.transcription for s in dataset]
-    reports = [cer(refs, hyps) for hyps in decode_dataset(model, dataset, lm, dcfgs)]
-    if sweeping:
-        _write_out(args, ["w\talpha\tcer"] + [
-            f"{w:g}\t{a:g}\t{r.cer:.6f}" for (w, a), r in zip(points, reports)])
-    else:
-        if args.report:
-            write_report(reports[0], args.report)
-        _write_out(args, [f"cer\t{reports[0].cer:.6f}"])
-    return 0
+    def run():
+        model, dataset, lm = _load_decode_inputs(args)
+        if len(labeled(dataset)) != len(dataset):
+            raise ValueError("eval needs a fully labeled manifest")
+        refs = [s.transcription for s in dataset]
+        reports = [cer(refs, hyps) for hyps in decode_dataset(model, dataset, lm, dcfgs)]
+        if sweeping:
+            _write_out(args, ["w\talpha\tcer"] + [
+                f"{w:g}\t{a:g}\t{r.cer:.6f}" for (w, a), r in zip(points, reports)])
+        else:
+            if args.report:
+                write_report(reports[0], args.report)
+            _write_out(args, [f"cer\t{reports[0].cer:.6f}"])
+    return run
 
 
 # -- parser -------------------------------------------------------------------
@@ -461,7 +456,12 @@ def main(argv=None) -> int:
             if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
                 raise OSError(f"--{dest.replace('_', '-')} {out}: "
                               "not a file in an existing directory")
-        return args.func(args)
+        # args.func is the plan: it reads argv and the --config file only, checks every
+        # knob, sweep point, character set and data path, and returns the run, which
+        # loads, computes, writes and prints
+        run = args.func(args)
+        run()
+        return 0
     except (UsageError, NumericError, ValueError, OSError) as e:  # FormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1 if isinstance(e, UsageError) else 3 if isinstance(e, NumericError) else 2

@@ -65,13 +65,15 @@ def write_lines(path, lines) -> None:
     Path(path).write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
 
 
-def write_frames(path, frames) -> None:
+def _encode_frames(frames) -> bytes:
     arr = np.ascontiguousarray(frames, dtype="<f4")
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"frames must be a nonempty T x D matrix, got shape {arr.shape}")
-    with open(path, "wb") as f:
-        f.write(FRAME_HEADER.pack(FRAME_MAGIC, *arr.shape))
-        f.write(arr.tobytes())
+    return FRAME_HEADER.pack(FRAME_MAGIC, *arr.shape) + arr.tobytes()
+
+
+def write_frames(path, frames) -> None:
+    Path(path).write_bytes(_encode_frames(frames))
 
 
 def read_frames(path) -> np.ndarray:
@@ -95,16 +97,17 @@ def read_frames(path) -> np.ndarray:
 
 def write_manifest(samples: list[Sample], manifest_path) -> Path:
     """Write frame files under <manifest dir>/frames/ and the manifest rows
-    pointing at them.  Every id and transcription is checked first, so a bad
-    one writes nothing."""
+    pointing at them.  Every id, transcription and frame matrix is checked
+    first, so a bad one writes nothing."""
     manifest_path = Path(manifest_path)
     if any(c in s.sample_id + (s.transcription or "") for s in samples for c in "\t\n\r"):
         raise ValueError("tabs and newlines cannot appear in ids or transcriptions")
+    blobs = [_encode_frames(s.frames) for s in samples]
     (manifest_path.parent / "frames").mkdir(parents=True, exist_ok=True)
     rows = []
-    for s in samples:
+    for s, blob in zip(samples, blobs):
         rel = f"frames/{s.sample_id}.frm"
-        write_frames(manifest_path.parent / rel, s.frames)
+        (manifest_path.parent / rel).write_bytes(blob)
         rows.append(f"{s.sample_id}\t{rel}\t{s.transcription or ''}")
     write_lines(manifest_path, rows)
     return manifest_path

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -263,15 +264,13 @@ def save_checkpoint(model: Recognizer, path) -> None:
     bit-exact."""
     cfg = model.cfg
     chars_blob = json.dumps(list(model.vocab.chars), ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, cfg.input_dim, cfg.context_radius,
-                                       cfg.feature_dim, cfg.recurrent_dim, cfg.label_count,
-                                       cfg.seed, len(chars_blob)))
-        f.write(chars_blob)
-        for name in param_shapes(cfg):
-            arr = model.params[name]
-            f.write(_section_head(name, arr.size))
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    head = CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, cfg.input_dim, cfg.context_radius,
+                                  cfg.feature_dim, cfg.recurrent_dim, cfg.label_count,
+                                  cfg.seed, len(chars_blob))
+    sections = [_section_head(name, model.params[name].size)
+                + np.ascontiguousarray(model.params[name], dtype="<f4").tobytes()
+                for name in param_shapes(cfg)]
+    Path(path).write_bytes(b"".join([head, chars_blob, *sections]))
 
 
 def load_checkpoint(path) -> Recognizer:

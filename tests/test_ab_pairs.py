@@ -13,9 +13,10 @@ END_TO_END = [{"name": "frames_per_s", "unit": "frames/s", "better": "higher", "
 
 
 def _run(fps, rss, digests=None, failed=0, raw=None):
+    """A run record; by default its one raw call takes 1 / fps seconds."""
     return {"record": {"digests": digests or {"hypotheses.part0": ["d0", "d0"],
                                               "setup.lm": ["lm"] * 3},
-                       "raw_call_s": {"untraced": raw or {"0": [0.01]}, "traced": {}}},
+                       "raw_call_s": {"untraced": raw or {"0": [1 / fps]}, "traced": {}}},
             "result": {"correct": failed == 0, "attempted": 10, "failed": failed,
                        "metrics": {"frames_per_s": {"value": fps, "unit": "frames/s"},
                                    "peak_rss_mb": {"value": rss, "unit": "MB"}}}}
@@ -73,6 +74,22 @@ def test_claim_refused_when_the_change_fails_a_larger_share_of_calls():
     assert not claim(none, [1] + none[1:])  # one more failed call of 100 attempted
     assert claim([1] + none[1:], [0] * 9 + [1])  # the same share on both sides
     assert not claim([1] + none[1:], [1, 1] + none[2:])
+
+
+def test_frames_per_s_claim_needs_the_raw_call_seconds_lower_too():
+    parent = [100, 102, 98, 101, 99, 100, 103, 97, 100, 101]
+
+    def claims(change_raw):
+        runs = {"parent": [_run(v, 40.0, raw={"0": [0.01]}) for v in parent],
+                "change": [_run(v + 10, 40.0, raw={"0": [change_raw]}) for v in parent]}
+        fps = ab_pairs.summarize(runs, END_TO_END)[0]
+        assert (fps["won"], fps["pairs"]) == (10, 10) and fps["beyond_iqr"]
+        return fps["claim"]
+
+    assert claims(0.0099)
+    assert not claims(0.01)  # a faster calibrated rate from calibration drift alone
+    assert not claims(0.0101)
+    assert not claims(float("nan"))  # no raw call timed
 
 
 def test_gate_reads_worse_unresolved_or_ok():

@@ -4,8 +4,10 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,50 +145,6 @@ def test_gen_data_and_train_lm_write_the_pinned_bytes(tmp_path, capsys):
     assert tree_sha256(tmp_path) == PINNED_TREE_SHA256
 
 
-def test_gen_data_rejects_zero_train(tmp_path, capsys):
-    rc = cli.main(["gen-data", "--out", str(tmp_path / "x"), "--n-train", "0"])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
-
-
-def test_gen_data_rejects_bad_text_len(tmp_path):
-    rc = cli.main(["gen-data", "--out", str(tmp_path / "x"), "--n-train", "2",
-                   "--n-val", "1", "--n-test", "1", "--text-len", "banana"])
-    assert rc == 1
-
-
-@pytest.mark.parametrize("flag, value", [
-    ("--base-seed", "-1"), ("--unrelated-lines", "-3"), ("--input-dim", "0"),
-    ("--style-strength", "nan"), ("--style-strength", "-1"), ("--style-strength", "inf"),
-    ("--noise-sigma", "nan"), ("--noise-sigma", "-1"),
-])
-def test_gen_data_bad_numeric_flag_is_a_usage_error(tmp_path, capsys, flag, value):
-    out = tmp_path / "x"
-    rc = cli.main(["gen-data", "--out", str(out), "--n-train", "2", "--n-val", "1",
-                   "--n-test", "1", "--text-len", "2,3", flag, value])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {flag} must be ") and err.count("\n") == 1
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("flags", [
-    ["--shared-chars", "a\tb"], ["--source-extra", "x\n"], ["--target-extra", "\r"],
-    ["--shared-chars", ""], ["--shared-chars", "abc", "--source-extra", "c"],
-    ["--source-extra", "q", "--target-extra", "q"], ["--shared-chars", "ab\udcff"],
-])
-def test_gen_data_bad_character_set_is_a_usage_error(tmp_path, capsys, flags):
-    """A character no manifest line can hold, an empty shared set or
-    overlapping sets: exit 1 with one line, before anything is written."""
-    out = tmp_path / "x"
-    rc = cli.main(["gen-data", "--out", str(out), "--n-train", "2", "--n-val", "1",
-                   "--n-test", "1", "--text-len", "2,3"] + flags)
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not out.exists()
-
-
 # -- train-lm ----------------------------------------------------------------
 
 def test_trained_lm_is_loadable(pipe):
@@ -205,19 +163,6 @@ def test_order_one_lm_has_only_unigrams(pipe, tmp_path):
     assert "\\1-grams:" in text
     assert "\\2-grams:" not in text
     assert load_arpa(out).order == 1
-
-
-def test_train_lm_rejects_bad_order(pipe, tmp_path, capsys):
-    real = pipe["data"] / "target" / "corpus.txt"
-    # the flags are checked before the corpus is read
-    for corpus, flag, value in ((real, "--order", "0"), (real, "--discount", "nan"),
-                                (tmp_path / "nope.txt", "--discount", "1.5")):
-        rc = cli.main(["train-lm", "--corpus", str(corpus),
-                       "--out", str(tmp_path / "x.arpa"), flag, value])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {flag} must be") and err.count("\n") == 1
-        assert not (tmp_path / "x.arpa").exists()
 
 
 def test_perplexity_flag_matches_api(pipe, tmp_path, capsys):
@@ -343,36 +288,7 @@ def test_flag_beats_config_beats_default(pipe, tmp_path):
     assert len(m2.read_text(encoding="utf-8").splitlines()) == 1  # flag wins
 
 
-def test_unknown_config_key_is_usage_error(pipe, tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("wat = 1\n", encoding="utf-8")
-    rc = cli.main(["train-source", "--data",
-                   str(pipe["data"] / "source" / "train" / "manifest.tsv"),
-                   "--vocab", str(pipe["data"] / "vocab.json"),
-                   "--out-checkpoint", str(tmp_path / "c.ckpt"), "--config", str(cfg)])
-    assert rc == 1
-    assert "unknown config key" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("line", ["lm = ", "val_data =", "epochs = # none"])
-def test_empty_config_value_is_usage_error(pipe, tmp_path, capsys, line):
-    # "lm = " would otherwise run the uniform-LM control, "val_data =" skip validation
-    data = pipe["data"]
-    cfg = tmp_path / "empty.cfg"
-    cfg.write_text(f"outer_iters = 1\n{line}\n", encoding="utf-8")
-    out = tmp_path / "x.ckpt"
-    rc = cli.main(["hybrid", "--source-data", str(data / "source" / "train" / "manifest.tsv"),
-                   "--target-data", str(data / "target" / "train" / "manifest.tsv"),
-                   "--init-checkpoint", str(pipe["ck"]), "--out-checkpoint", str(out),
-                   "--config", str(cfg), "--prior-pass-batches", "1",
-                   "--train-pass-batches", "1", "--batch-size", "2", "--beam", "2"])
-    assert rc == 1
-    key = line.split("=")[0].strip()
-    assert capsys.readouterr().err == f"error: {cfg}:2: empty value for {key}\n"
-    assert not out.exists()
-
-
-def test_train_source_reads_input_width_from_its_data(tmp_path, capsys):
+def test_train_source_reads_input_width_from_its_data(tmp_path):
     data = tmp_path / "data"
     assert cli.main(["gen-data", "--out", str(data), "--n-train", "3", "--n-val", "1",
                      "--n-test", "1", "--text-len", "2,3", "--input-dim", "8"]) == 0
@@ -381,33 +297,6 @@ def test_train_source_reads_input_width_from_its_data(tmp_path, capsys):
     ck = tmp_path / "c.ckpt"
     assert cli.main(common + ["--out-checkpoint", str(ck)]) == 0
     assert load_checkpoint(ck).cfg.input_dim == 8
-    capsys.readouterr()
-
-    cfg = tmp_path / "e.cfg"
-    cfg.write_text("input_dim = 16\n", encoding="utf-8")
-    rc = cli.main(common + ["--out-checkpoint", str(tmp_path / "d.ckpt"), "--config", str(cfg)])
-    assert rc == 1
-    assert "unknown config key 'input_dim'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flags, field", [
-    (["--lr", "nan"], "lr"), (["--lr", "inf"], "lr"), (["--lr", "-1"], "lr"),
-    (["--config", "beta1"], "beta1"), (["--config", "beta2"], "beta2"),
-    (["--config", "eps"], "eps")])
-def test_bad_adam_setting_exits_two_before_loading_data(tmp_path, capsys, flags, field):
-    if flags[0] == "--config":  # the fields without a flag come from the config file
-        cfg = tmp_path / "e.cfg"
-        cfg.write_text(f"{field} = {'0' if field == 'eps' else '1.0'}\n", encoding="utf-8")
-        flags = ["--config", str(cfg)]
-    missing = str(tmp_path / "missing.tsv")  # loading any data would fail differently
-    for command in (["train-source", "--data", missing, "--vocab", missing],
-                    ["hybrid", "--source-data", missing, "--target-data", missing,
-                     "--init-checkpoint", missing]):
-        ck = tmp_path / "c.ckpt"
-        assert cli.main(command + ["--out-checkpoint", str(ck)] + flags) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and f"{field} must be in" in err
-        assert not ck.exists()
 
 
 @pytest.fixture(scope="module")
@@ -420,7 +309,7 @@ def narrow(tmp_path_factory):
 
 
 def _refuse(*args, **kwargs):
-    pytest.fail("training started")
+    pytest.fail("a file was loaded or training started")
 
 
 def test_train_source_checks_val_width_before_training(pipe, narrow, tmp_path, monkeypatch,
@@ -526,109 +415,6 @@ def test_non_finite_frame_value_exits_two_at_load(pipe, tmp_path, monkeypatch, c
     assert not ck.exists() and not metrics.exists()
 
 
-@pytest.mark.parametrize("command", ["train-source", "hybrid"])
-@pytest.mark.parametrize("via", ["flag", "config"])
-def test_negative_seed_exits_two_before_loading_anything(tmp_path, capsys, command, via):
-    missing = str(tmp_path / "missing")  # loading any file would fail differently
-    argv = (["train-source", "--data", missing, "--vocab", missing] if command == "train-source"
-            else ["hybrid", "--source-data", missing, "--target-data", missing,
-                  "--init-checkpoint", missing])
-    if via == "flag":
-        argv += ["--seed", "-1"]
-    else:
-        cfg = tmp_path / "s.cfg"
-        cfg.write_text("seed = -1\n", encoding="utf-8")
-        argv += ["--config", str(cfg)]
-    ck = tmp_path / "c.ckpt"
-    assert cli.main(argv + ["--out-checkpoint", str(ck)]) == 2
-    where = "--seed" if via == "flag" else f"{tmp_path / 's.cfg'}: seed"
-    assert capsys.readouterr().err == f"error: {where}: seed must be >= 0, got -1\n"
-    assert not ck.exists()
-
-
-@pytest.mark.parametrize("knob, line", [
-    (["--seed", str(2 ** 64)], "--seed: seed must fit in an unsigned 64-bit integer"),
-    ("feature_dim = 0", "CFG: feature_dim: feature_dim must be >= 1"),
-])
-def test_train_source_recognizer_knobs_exit_two_before_loading_anything(tmp_path, capsys,
-                                                                        knob, line):
-    missing = str(tmp_path / "missing")
-    ck = tmp_path / "c.ckpt"
-    if isinstance(knob, str):
-        cfg = tmp_path / "r.cfg"
-        cfg.write_text(knob + "\n", encoding="utf-8")
-        knob, line = ["--config", str(cfg)], line.replace("CFG", str(cfg))
-    knob += ["--out-checkpoint", str(ck)]
-    assert cli.main(_argv_loading_nothing("train-source", missing) + knob) == 2
-    assert capsys.readouterr().err == f"error: {line}\n"
-    assert not ck.exists()
-    if knob[0] == "--seed":  # hybrid builds no recognizer, so it takes the seed
-        assert cli.main(_argv_loading_nothing("hybrid", missing) + knob) == 2
-        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file")
-
-
-def _argv_loading_nothing(command: str, missing: str) -> list[str]:
-    """command's required options, every input path missing: loading any
-    file would fail differently from a knob check."""
-    return {"train-source": ["train-source", "--data", missing, "--vocab", missing],
-            "hybrid": ["hybrid", "--source-data", missing, "--target-data", missing,
-                       "--init-checkpoint", missing],
-            "decode": ["decode", "--checkpoint", missing, "--data", missing],
-            "eval": ["eval", "--checkpoint", missing, "--data", missing]}[command]
-
-
-KNOB_RANGE_ERRORS = [  # (flag, bad value, field, range text)
-    ("--epochs", "0", "epochs", ">= 1"),
-    ("--outer-iters", "0", "outer_iters", ">= 1"),
-    ("--prior-pass-batches", "0", "prior_pass_batches", ">= 1"),
-    ("--train-pass-batches", "0", "train_pass_batches", ">= 1"),
-    ("--rho", "1.5", "source_fraction", "in [0, 1]"),
-    ("--lambda", "-0.5", "aux_loss_weight", "in [0, 1]"),
-    ("--batch-size", "0", "batch_size", ">= 1"),
-    ("--lr", "0", "lr", "in (0, inf), got 0.0"),
-    ("--w", "-1", "emission_weight", "finite and >= 0, got -1.0"),
-    ("--alpha", "inf", "prior_scale", "finite and >= 0, got inf"),
-    ("--beam", "0", "beam_width", ">= 1, got 0"),
-    ("--prior-floor", "1", "prior_floor", "in (0, 1), got 1.0"),
-    ("--seed", "-3", "seed", ">= 0, got -3"),
-]
-
-
-def test_knob_range_errors_cover_every_knob_flag():
-    assert sorted(f for f, *_ in KNOB_RANGE_ERRORS) == sorted(
-        cli._flag(dest) for *_, dest, _, _ in cli._KNOBS if dest is not None)
-
-
-@pytest.mark.parametrize("flag, value, field, text", KNOB_RANGE_ERRORS)
-def test_knob_range_error_names_the_flag_before_loading_anything(tmp_path, capsys, flag, value,
-                                                                 field, text):
-    commands, = [commands for *_, dest, _, commands in cli._KNOBS
-                 if dest is not None and cli._flag(dest) == flag]
-    for command in commands:
-        argv = _argv_loading_nothing(command, str(tmp_path / "missing"))
-        out = tmp_path / "out"
-        argv += ["--out-checkpoint" if command in ("train-source", "hybrid") else "--out", str(out)]
-        assert cli.main(argv + [flag, value]) == 2, command
-        assert capsys.readouterr().err == f"error: {flag}: {field} must be {text}\n", command
-        assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["train-source", "hybrid"])
-def test_config_range_error_names_the_file_and_key(tmp_path, capsys, command):
-    cfg = tmp_path / "e.cfg"
-    cfg.write_text("lambda = 2\nbeam_width = 0\n", encoding="utf-8")
-    argv = _argv_loading_nothing(command, str(tmp_path / "missing"))
-    argv += ["--out-checkpoint", str(tmp_path / "c.ckpt"), "--config", str(cfg)]
-    assert cli.main(argv) == 2
-    assert capsys.readouterr().err == f"error: {cfg}: lambda: aux_loss_weight must be in [0, 1]\n"
-    if command == "hybrid":  # a flag overrides the config file, and so does its name
-        assert cli.main(argv + ["--lambda", "0.5"]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: {cfg}: beam_width: beam_width must be >= 1, got 0\n"
-        assert cli.main(argv + ["--lambda", "0.5", "--beam", "-2"]) == 2
-        assert capsys.readouterr().err == "error: --beam: beam_width must be >= 1, got -2\n"
-
-
 def test_numeric_failure_exits_three(pipe, tmp_path, monkeypatch, capsys):
     def blow_up(*a, **kw):
         raise NumericError("loss went non-finite")
@@ -700,18 +486,6 @@ def test_hybrid_without_lm_and_full_source_fraction(pipe, tmp_path):
                    "--train-pass-batches", "1", "--batch-size", "2", "--beam", "2"])
     assert rc == 0
     assert load_checkpoint(tmp_path / "u.ckpt").vocab == load_checkpoint(pipe["ck"]).vocab
-
-
-def test_hybrid_requires_target_data(pipe, tmp_path, capsys):
-    source = ["--source-data", str(pipe["data"] / "source" / "train" / "manifest.tsv")]
-    nope = ["--init-checkpoint", str(tmp_path / "nope.ckpt")]
-    # the data paths are resolved before the checkpoint or the LM is read
-    for flags, missing in ((source + ["--init-checkpoint", str(pipe["ck"])], "--target-data"),
-                           (nope, "--source-data"),
-                           (nope + ["--lm", str(tmp_path / "nope.arpa")], "--source-data")):
-        rc = cli.main(["hybrid", *flags, "--out-checkpoint", str(tmp_path / "x.ckpt")])
-        assert rc == 1
-        assert capsys.readouterr().err == f"error: {missing} is required (flag or config)\n"
 
 
 def test_mismatched_lm_vocab_exits_two(pipe, tmp_path, capsys):
@@ -823,42 +597,6 @@ def test_eval_sweep_rows_equal_single_point_runs(pipe, tmp_path, capsys):
         assert capsys.readouterr().out.splitlines()[-1] == f"cer\t{value}"
 
 
-def test_eval_sweep_requires_lm(pipe, capsys):
-    rc = cli.main(["eval", "--checkpoint", str(pipe["ck"]),
-                   "--data", str(pipe["data"] / "source" / "val" / "manifest.tsv"),
-                   "--sweep-w", "0.3,0.5"])
-    assert rc == 1
-    assert "--lm" in capsys.readouterr().err
-
-
-def test_eval_sweep_with_report_is_usage_error(pipe, tmp_path, capsys):
-    report = tmp_path / "r.tsv"
-    rc = cli.main(["eval", "--checkpoint", str(pipe["ck"]),
-                   "--data", str(pipe["data"] / "source" / "val" / "manifest.tsv"),
-                   "--lm", str(pipe["lm"]), "--beam", "2",
-                   "--sweep-w", "0.3", "--report", str(report)])
-    assert rc == 1
-    assert "--report" in capsys.readouterr().err
-    assert not report.exists()
-
-
-@pytest.mark.parametrize("flags, line", [
-    (["--w", "nan"], "--w: emission_weight must be finite and >= 0, got nan"),
-    (["--w", "inf"], "--w: emission_weight must be finite and >= 0, got inf"),
-    (["--alpha", "inf"], "--alpha: prior_scale must be finite and >= 0, got inf"),
-    (["--sweep-w", "nan,0.4"], "--sweep-w: emission_weight must be finite and >= 0, got nan"),
-    (["--sweep-alpha", "0.5,inf"], "--sweep-alpha: prior_scale must be finite and >= 0, got inf"),
-], ids=[f"flags{i}" for i in range(5)])
-def test_eval_non_finite_decoder_weight_exits_two(pipe, tmp_path, capsys, flags, line):
-    missing = str(tmp_path / "missing")  # with every input missing, nothing may load first
-    for argv in (["eval", "--checkpoint", str(pipe["ck"]),
-                  "--data", str(pipe["data"] / "source" / "val" / "manifest.tsv"),
-                  "--lm", str(pipe["lm"])],
-                 _argv_loading_nothing("eval", missing) + ["--lm", missing]):
-        assert cli.main(argv + ["--beam", "2"] + flags) == 2
-        assert capsys.readouterr().err == f"error: {line}\n"
-
-
 def test_eval_overflowing_decoder_weight_exits_three(pipe, capsys):
     rc = cli.main(["eval", "--checkpoint", str(pipe["ck"]),
                    "--data", str(pipe["data"] / "source" / "val" / "manifest.tsv"),
@@ -870,9 +608,202 @@ def test_eval_overflowing_decoder_weight_exits_three(pipe, capsys):
 
 # -- exit codes and help --------------------------------------------------------
 
-def test_unknown_flag_is_usage_error(capsys):
-    assert cli.main(["train-lm", "--corpus", "x", "--out", "y", "--bogus"]) == 1
-    capsys.readouterr()
+def _argv_loading_nothing(command: str, missing: str) -> list[str]:
+    """command's required options, every input path missing: loading any
+    file would fail differently from a check of argv or the config file."""
+    inputs = {"gen-data": [], "train-lm": ["--corpus"], "train-source": ["--data", "--vocab"],
+              "hybrid": ["--source-data", "--target-data", "--init-checkpoint"],
+              "decode": ["--checkpoint", "--data"], "eval": ["--checkpoint", "--data"]}
+    return [command] + [arg for flag in inputs[command] for arg in (flag, missing)]
+
+
+LM, TS, HY, DE, EV = (_argv_loading_nothing(c, "missing") for c in cli.COMMANDS[1:])
+
+
+@pytest.fixture
+def loading_nothing(tmp_path, monkeypatch):
+    """An empty working directory, where every loader and training loop fails
+    the test and cli.read_lines reads only the config file e.cfg."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("load_manifest", "load_checkpoint", "load_arpa", "generate_dataset",
+                 "train_source", "hybrid_train"):
+        monkeypatch.setattr(cli, name, _refuse)
+    monkeypatch.setattr(Vocabulary, "load", _refuse)
+    read_lines = cli.read_lines
+    monkeypatch.setattr(cli, "read_lines", lambda p: read_lines(p) if p == "e.cfg" else _refuse())
+
+
+KNOB_RANGE_ERRORS = [  # (flag, bad value, field, range text)
+    ("--epochs", "0", "epochs", ">= 1"),
+    ("--outer-iters", "0", "outer_iters", ">= 1"),
+    ("--prior-pass-batches", "0", "prior_pass_batches", ">= 1"),
+    ("--train-pass-batches", "0", "train_pass_batches", ">= 1"),
+    ("--rho", "1.5", "source_fraction", "in [0, 1]"),
+    ("--lambda", "-0.5", "aux_loss_weight", "in [0, 1]"),
+    ("--batch-size", "0", "batch_size", ">= 1"),
+    ("--lr", "0", "lr", "in (0, inf), got 0.0"),
+    ("--w", "-1", "emission_weight", "finite and >= 0, got -1.0"),
+    ("--alpha", "inf", "prior_scale", "finite and >= 0, got inf"),
+    ("--beam", "0", "beam_width", ">= 1, got 0"),
+    ("--prior-floor", "1", "prior_floor", "in (0, 1), got 1.0"),
+    ("--seed", "-3", "seed", ">= 0, got -3"),
+]
+
+
+def test_knob_range_errors_cover_every_knob_flag():
+    assert sorted(f for f, *_ in KNOB_RANGE_ERRORS) == sorted(
+        cli._flag(dest) for *_, dest, _, _ in cli._KNOBS if dest is not None)
+
+
+_DISJOINT = "extra characters must be disjoint from the shared set and from each other"
+_RANGES = "lambda = 2\nbeam_width = 0"
+
+# Every error a plan reports, as {test id: [(argv less its output flag, exit
+# code, stderr line less "error: ")]}; a --config value here is the text of
+# e.cfg.  The rows keep the ids of the separate tests they replaced.
+ERROR_TABLE = {
+    "test_gen_data_rejects_zero_train": [
+        (["gen-data", "--n-train", "0"], 1, "--n-train must be >= 1, got 0")],
+    "test_gen_data_rejects_bad_text_len": [
+        (["gen-data", "--text-len", "banana"], 1, "--text-len wants 'min,max', got 'banana'")],
+    **{f"test_gen_data_bad_numeric_flag_is_a_usage_error[{flag}-{value}]": [
+        (["gen-data", flag, value], 1, f"{flag} must be {text}")] for flag, value, text in (
+            ("--base-seed", "-1", ">= 0, got -1"), ("--unrelated-lines", "-3", ">= 0, got -3"),
+            ("--input-dim", "0", ">= 1, got 0"), *(
+                (flag, value, f"finite and >= 0, got {float(value)}")
+                for flag, value in (("--style-strength", "nan"), ("--style-strength", "-1"),
+                                    ("--style-strength", "inf"), ("--noise-sigma", "nan"),
+                                    ("--noise-sigma", "-1"))))},
+    **{f"test_gen_data_bad_character_set_is_a_usage_error[flags{i}]": [
+        (["gen-data", *flags], 1, line)] for i, (flags, line) in enumerate((
+            (["--shared-chars", "a\tb"], "--shared-chars must not hold a tab or line break"),
+            (["--source-extra", "x\n"], "--source-extra must not hold a tab or line break"),
+            (["--target-extra", "\r"], "--target-extra must not hold a tab or line break"),
+            (["--shared-chars", ""], "shared character set is empty"),
+            (["--shared-chars", "abc", "--source-extra", "c"], _DISJOINT),
+            (["--source-extra", "q", "--target-extra", "q"], _DISJOINT),
+            (["--shared-chars", "ab\udcff"],
+             "character '\\udcff' is a surrogate, which UTF-8 cannot encode")))},
+    "test_train_lm_rejects_bad_order": [
+        ([*LM, "--order", "0"], 1, "--order must be >= 1"),
+        ([*LM, "--discount", "nan"], 1, "--discount must be in (0, 1), got nan"),
+        ([*LM, "--discount", "1.5"], 1, "--discount must be in (0, 1), got 1.5")],
+    "test_unknown_config_key_is_usage_error": [
+        ([*TS, "--config", "wat = 1"], 1, "e.cfg:1: unknown config key 'wat'")],
+    # train-source reads the input width from its training frames
+    "test_input_dim_is_not_a_config_key": [
+        ([*TS, "--config", "input_dim = 16"], 1, "e.cfg:1: unknown config key 'input_dim'")],
+    # "lm = " would otherwise run the uniform-LM control, "val_data =" skip validation
+    **{f"test_empty_config_value_is_usage_error[{line}]": [
+        ([*HY, "--config", f"outer_iters = 1\n{line}"], 1,
+         f"e.cfg:2: empty value for {line.split('=')[0].strip()}")]
+       for line in ("lm = ", "val_data =", "epochs = # none")},
+    **{f"test_bad_adam_setting_exits_two_before_loading_data[flags{i}-{field}]": [
+        ([*argv, *flags], 2, line) for argv in (TS, HY)] for i, (flags, field, line) in enumerate((
+            (["--lr", "nan"], "lr", "--lr: lr must be in (0, inf), got nan"),
+            (["--lr", "inf"], "lr", "--lr: lr must be in (0, inf), got inf"),
+            (["--lr", "-1"], "lr", "--lr: lr must be in (0, inf), got -1.0"),
+            (["--config", "beta1 = 1.0"], "beta1",
+             "e.cfg: beta1: beta1 must be in [0, 1), got 1.0"),
+            (["--config", "beta2 = 1.0"], "beta2",
+             "e.cfg: beta2: beta2 must be in [0, 1), got 1.0"),
+            (["--config", "eps = 0"], "eps", "e.cfg: eps: eps must be in (0, inf), got 0.0")))},
+    **{f"test_negative_seed_exits_two_before_loading_anything[{via}-{argv[0]}]": [
+        ([*argv, *flags], 2, f"{where}: seed must be >= 0, got -1")]
+       for via, flags, where in (("flag", ["--seed", "-1"], "--seed"),
+                                 ("config", ["--config", "seed = -1"], "e.cfg: seed"))
+       for argv in (TS, HY)},
+    "test_train_source_recognizer_knobs_exit_two_before_loading_anything[knob0---seed: seed "
+    "must fit in an unsigned 64-bit integer]": [
+        ([*TS, "--seed", str(2 ** 64)], 2, "--seed: seed must fit in an unsigned 64-bit integer")],
+    "test_train_source_recognizer_knobs_exit_two_before_loading_anything[feature_dim = 0-CFG: "
+    "feature_dim: feature_dim must be >= 1]": [
+        ([*TS, "--config", "feature_dim = 0"], 2, "e.cfg: feature_dim: feature_dim must be >= 1")],
+    **{f"test_knob_range_error_names_the_flag_before_loading_anything[{flag}-{value}-{field}-"
+       f"{text}]": [([*_argv_loading_nothing(command, "missing"), flag, value], 2,
+                     f"{flag}: {field} must be {text}")
+                    for *_, dest, _, commands in cli._KNOBS if dest and cli._flag(dest) == flag
+                    for command in commands]
+       for flag, value, field, text in KNOB_RANGE_ERRORS},
+    "test_config_range_error_names_the_file_and_key[train-source]": [
+        ([*TS, "--config", _RANGES], 2, "e.cfg: lambda: aux_loss_weight must be in [0, 1]")],
+    # a flag overrides the config file, and so does its name
+    "test_config_range_error_names_the_file_and_key[hybrid]": [
+        ([*HY, "--config", _RANGES], 2, "e.cfg: lambda: aux_loss_weight must be in [0, 1]"),
+        ([*HY, "--config", _RANGES, "--lambda", "0.5"], 2,
+         "e.cfg: beam_width: beam_width must be >= 1, got 0"),
+        ([*HY, "--config", _RANGES, "--lambda", "0.5", "--beam", "-2"], 2,
+         "--beam: beam_width must be >= 1, got -2")],
+    "test_hybrid_requires_target_data": [
+        (["hybrid", *flags], 1, f"{flag} is required (flag or config)") for flags, flag in (
+            (["--source-data", "missing", "--init-checkpoint", "missing"], "--target-data"),
+            (["--init-checkpoint", "missing"], "--source-data"),
+            (["--init-checkpoint", "missing", "--lm", "missing"], "--source-data"))],
+    # "" read as absent would run the uniform-LM control, greedy decoding, a one-point sweep
+    **{f"test_empty_flag_is_not_a_missing_flag[{argv[0]} {flag}]": [
+        ([*argv, flag, ""], 1, f"argument {flag}: must not be empty")]
+       for argv, flag in ((HY, "--lm"), (EV, "--lm"), ([*EV, "--lm", "missing"], "--sweep-w"))},
+    "test_unknown_flag_is_usage_error": [([*LM, "--bogus"], 1, "unrecognized arguments: --bogus")],
+    "test_eval_sweep_requires_lm": [([*EV, "--sweep-w", "0.3,0.5"], 1, "a sweep needs --lm")],
+    "test_eval_sweep_with_report_is_usage_error": [
+        ([*EV, "--lm", "missing", "--sweep-w", "0.3", "--report", "r.tsv"], 1,
+         "--report needs a single (w, alpha) point, not a sweep")],
+    **{f"test_eval_non_finite_decoder_weight_exits_two[flags{i}]": [
+        ([*EV, "--lm", "missing", "--beam", "2", flag, value], 2,
+         f"{flag}: {field} must be finite and >= 0, got {bad}")]
+       for i, (flag, value, field, bad) in enumerate((
+           ("--w", "nan", "emission_weight", "nan"), ("--w", "inf", "emission_weight", "inf"),
+           ("--alpha", "inf", "prior_scale", "inf"),
+           ("--sweep-w", "nan,0.4", "emission_weight", "nan"),
+           ("--sweep-alpha", "0.5,inf", "prior_scale", "inf")))},
+}
+
+
+def _check_rows(rows, capsys):
+    for argv, code, line in rows:
+        argv = list(argv)
+        if "--config" in argv:
+            i = argv.index("--config") + 1
+            Path("e.cfg").write_text(argv[i] + "\n", encoding="utf-8")
+            argv[i] = "e.cfg"
+        argv += ["--out-checkpoint" if argv[0] in ("train-source", "hybrid") else "--out", "out"]
+        assert (cli.main(argv), capsys.readouterr().err) == (code, f"error: {line}\n"), argv
+        assert set(os.listdir()) <= {"e.cfg"}, argv  # nothing written
+
+
+def _table_test(name):
+    """ERROR_TABLE's rows under name: one test, or one per bracketed id."""
+    keys = [key for key in ERROR_TABLE if key.split("[")[0] == name]
+    if keys == [name]:
+        return lambda loading_nothing, capsys: _check_rows(ERROR_TABLE[name], capsys)
+
+    @pytest.mark.parametrize("key", keys, ids=[key[len(name) + 1:-1] for key in keys])
+    def test(loading_nothing, capsys, key):
+        _check_rows(ERROR_TABLE[key], capsys)
+    return test
+
+
+for _name in dict.fromkeys(key.split("[")[0] for key in ERROR_TABLE):
+    globals()[_name] = _table_test(_name)
+
+
+# valid flags, every input path missing; hybrid builds no recognizer, so it takes any seed
+PLANS = [
+    ["gen-data", "--out", "out", "--n-train", "2", "--text-len", "1,3"],
+    [*LM, "--out", "out", "--vocab", "missing", "--perplexity-on", "missing"],
+    [*TS, "--val", "missing", "--config", "e.cfg", "--out-checkpoint", "out", "--metrics", "m"],
+    [*HY, "--lm", "missing", "--val-data", "missing", "--config", "e.cfg", "--seed",
+     str(2 ** 64), "--out-checkpoint", "out", "--priors-log", "p"],
+    [*DE, "--lm", "missing", "--out", "out", "--report", "r"],
+    [*EV, "--lm", "missing", "--sweep-w", "0.3,0.5", "--sweep-alpha", "0,1", "--out", "out"]]
+
+
+@pytest.mark.parametrize("argv", PLANS, ids=cli.COMMANDS)
+def test_plan_of_valid_input_returns_its_run_and_loads_nothing(loading_nothing, argv):
+    Path("e.cfg").write_text("epochs = 1\nfeature_dim = 4\n", encoding="utf-8")
+    args = cli.build_parser(argv[0]).parse_args(argv)
+    assert callable(args.func(args))
+    assert os.listdir() == ["e.cfg"]
 
 
 # every option naming a file, or holding a list, per subcommand
@@ -903,28 +834,6 @@ def test_empty_path_or_list_option_is_usage_error(command, flag):
 def test_character_set_option_accepts_empty(argv, flag):
     args = cli.build_parser(argv[0]).parse_args(argv + [flag, ""])
     assert getattr(args, flag[2:].replace("-", "_")) == ""
-
-
-@pytest.mark.parametrize("case", ["hybrid --lm", "eval --lm", "eval --sweep-w"])
-def test_empty_flag_is_not_a_missing_flag(pipe, tmp_path, capsys, case):
-    # read as a flag left out, "" would run the uniform-LM control, greedy
-    # decoding and a one-point sweep
-    data, out = pipe["data"], tmp_path / "out"
-    command, flag = case.split()
-    if command == "hybrid":
-        argv = ["--source-data", str(data / "source" / "train" / "manifest.tsv"),
-                "--target-data", str(data / "target" / "train" / "manifest.tsv"),
-                "--init-checkpoint", str(pipe["ck"]), "--out-checkpoint", str(out),
-                "--outer-iters", "1", "--prior-pass-batches", "1",
-                "--train-pass-batches", "1", "--batch-size", "2", "--beam", "2"]
-    else:
-        argv = ["--checkpoint", str(pipe["ck"]), "--beam", "2", "--out", str(out),
-                "--data", str(data / "source" / "val" / "manifest.tsv")]
-        if flag != "--lm":
-            argv += ["--lm", str(pipe["lm"])]
-    assert cli.main([command] + argv + [flag, ""]) == 1
-    assert capsys.readouterr().err == f"error: argument {flag}: must not be empty\n"
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", ["manifest", "vocab", "arpa", "corpus", "perplexity-on",

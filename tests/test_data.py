@@ -168,6 +168,13 @@ def test_manifest_rejects_tab_in_transcription(tmp_path, rng):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_manifest_checks_every_frame_matrix_before_writing(tmp_path):
+    ds = [Sample("a", np.ones((2, 2), np.float32), "ab"), Sample("b", np.ones((0, 2), np.float32))]
+    with pytest.raises(ValueError, match=r"nonempty T x D matrix, got shape \(0, 2\)$"):
+        write_manifest(ds, tmp_path / "manifest.tsv")
+    assert not (tmp_path / "frames").exists() and not (tmp_path / "manifest.tsv").exists()
+
+
 def test_missing_frame_file(tmp_path):
     p = tmp_path / "manifest.tsv"
     p.write_text("id0\tframes/id0.frm\thello\n", encoding="utf-8")
