@@ -18,7 +18,7 @@ from .trainer import (AdamConfig, AdamState, HybridResult, MetricsRow,
                       greedy_eval, hybrid_train, make_pseudo_label, prior_pass,
                       train_source, write_metrics)
 from .data import (Sample, labeled, load_manifest, read_frames, read_lines, write_lines,
-                   write_frames, write_manifest)
+                   write_manifest)
 from .synth_data import (LanguageSpec, generate_dataset, make_language_pair, render,
                          sample_corpus, sample_text)
 from .metrics import EvalReport, cer, edit_distance, write_report

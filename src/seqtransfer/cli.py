@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import labeled, load_manifest, read_lines, write_lines
+from .data import Sample, labeled, load_manifest, read_lines, write_lines, write_manifest
 from .decoder import DecoderConfig
 from .errors import FormatError, NumericError
 from .metrics import cer, write_report
@@ -176,14 +176,17 @@ def cmd_gen_data(args):
         vocab.save(out / "vocab.json")
         for li, spec in enumerate((source, target)):
             lang_dir = out / spec.name
-            lang_dir.mkdir(exist_ok=True)
             for si, split in enumerate(("train", "val", "test")):
                 rng = np.random.default_rng(
                     np.random.SeedSequence((args.base_seed, 0xD5, li, si)))
-                generate_dataset(
-                    spec, counts[split], (lo, hi), rng, lang_dir / split,
-                    unlabeled=(spec.name == "target" and split == "train"),
-                    corpus_path=(lang_dir / "corpus.txt") if split == "train" else None)
+                samples = generate_dataset(spec, counts[split], (lo, hi), rng)
+                # the target train split is the adaptation data: its manifest
+                # holds unlabeled copies, and its texts go only to the LM corpus
+                unlabeled = spec is target and split == "train"
+                write_manifest([Sample(s.sample_id, s.frames) for s in samples] if unlabeled
+                               else samples, lang_dir / split / "manifest.tsv")
+                if split == "train":
+                    write_lines(lang_dir / "corpus.txt", [s.transcription for s in samples])
             rng = np.random.default_rng(np.random.SeedSequence((args.base_seed, 0xD5, li, 3)))
             lines = sample_corpus(spec, args.unrelated_lines or args.n_train, (lo, hi), rng)
             write_lines(lang_dir / "unrelated.txt", lines)
@@ -198,6 +201,8 @@ def cmd_train_lm(args):
         raise UsageError("--order must be >= 1")
     if not 0.0 < args.discount < 1.0:  # NaN fails it too
         raise UsageError(f"--discount must be in (0, 1), got {args.discount}")
+    if args.extra_chars:  # a line break or a surrogate; membership in --vocab waits for the file
+        Vocabulary(args.extra_chars)
     def run():
         corpus = read_lines(args.corpus)
         vocab = Vocabulary.load(args.vocab) if args.vocab else None

@@ -72,10 +72,6 @@ def _encode_frames(frames) -> bytes:
     return FRAME_HEADER.pack(FRAME_MAGIC, *arr.shape) + arr.tobytes()
 
 
-def write_frames(path, frames) -> None:
-    Path(path).write_bytes(_encode_frames(frames))
-
-
 def read_frames(path) -> np.ndarray:
     with open(path, "rb") as f:
         blob = f.read()
@@ -97,19 +93,32 @@ def read_frames(path) -> np.ndarray:
 
 def write_manifest(samples: list[Sample], manifest_path) -> Path:
     """Write frame files under <manifest dir>/frames/ and the manifest rows
-    pointing at them.  Every id, transcription and frame matrix is checked
-    first, so a bad one writes nothing."""
+    pointing at them.  Every row is checked first, so a bad one writes
+    nothing: each id is unique and names a file (no "/" or NUL), no id or
+    transcription holds a tab, a line break or a character UTF-8 cannot
+    encode, and each frame matrix is nonempty."""
     manifest_path = Path(manifest_path)
-    if any(c in s.sample_id + (s.transcription or "") for s in samples for c in "\t\n\r"):
-        raise ValueError("tabs and newlines cannot appear in ids or transcriptions")
-    blobs = [_encode_frames(s.frames) for s in samples]
+    blobs: dict[str, bytes] = {}
+    for s in samples:
+        sid, text = s.sample_id, s.transcription or ""
+        try:
+            if sid in blobs:
+                raise ValueError("the id is repeated")
+            if "/" in sid or "\0" in sid:
+                raise ValueError("an id cannot hold '/' or NUL")
+            if any(c in sid + text for c in "\t\n\r"):
+                raise ValueError("tabs and newlines cannot appear in ids or transcriptions")
+            bad = next((c for c in sid + text if "\ud800" <= c <= "\udfff"), None)
+            if bad is not None:
+                raise ValueError(f"character {bad!r} is a surrogate, which UTF-8 cannot encode")
+            blobs[sid] = _encode_frames(s.frames)
+        except ValueError as e:
+            raise ValueError(f"sample {sid!r}: {e}") from None
     (manifest_path.parent / "frames").mkdir(parents=True, exist_ok=True)
-    rows = []
-    for s, blob in zip(samples, blobs):
-        rel = f"frames/{s.sample_id}.frm"
-        (manifest_path.parent / rel).write_bytes(blob)
-        rows.append(f"{s.sample_id}\t{rel}\t{s.transcription or ''}")
-    write_lines(manifest_path, rows)
+    for sid, blob in blobs.items():
+        (manifest_path.parent / f"frames/{sid}.frm").write_bytes(blob)
+    write_lines(manifest_path, [f"{s.sample_id}\tframes/{s.sample_id}.frm\t{s.transcription or ''}"
+                                for s in samples])
     return manifest_path
 
 

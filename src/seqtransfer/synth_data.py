@@ -18,11 +18,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from pathlib import Path
 
 import numpy as np
 
-from .data import Sample, write_lines, write_manifest
+from .data import Sample
 
 _PROTO_TAG = 0x70
 _STYLE_TAG = 0x57
@@ -163,31 +162,17 @@ def sample_corpus(spec: LanguageSpec, n_lines: int, text_len_range: tuple[int, i
 
 
 def generate_dataset(spec: LanguageSpec, n_samples: int,
-                     text_len_range: tuple[int, int], rng: np.random.Generator,
-                     out_dir, unlabeled: bool = False,
-                     corpus_path=None) -> Path:
-    """Render n_samples lines into frame files plus a manifest under
-    out_dir.  The sampled transcriptions always go to corpus_path when
-    given, even when the manifest withholds them (unlabeled=True)."""
+                     text_len_range: tuple[int, int], rng: np.random.Generator) -> list[Sample]:
+    """n_samples labeled samples, each with its own seed drawn from rng, its
+    id the language name and its index."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     lo, hi = text_len_range
     if not (1 <= lo <= hi):
         raise ValueError(f"bad text length range {text_len_range}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = rng.integers(0, 2 ** 63, size=n_samples)
     samples = []
-    texts = []
-    for i in range(n_samples):
-        srng = np.random.default_rng(np.random.SeedSequence((int(seeds[i]), _SAMPLE_TAG)))
+    for i, seed in enumerate(rng.integers(0, 2 ** 63, size=n_samples).tolist()):
+        srng = np.random.default_rng(np.random.SeedSequence((seed, _SAMPLE_TAG)))
         text = sample_text(spec, int(srng.integers(lo, hi + 1)), srng)
-        frames = render(text, spec, srng)
-        texts.append(text)
-        samples.append(Sample(f"{spec.name}{i:06d}", frames,
-                              None if unlabeled else text))
-    manifest = write_manifest(samples, out_dir / "manifest.tsv")
-    if corpus_path is not None:
-        write_lines(corpus_path, texts)
-    return manifest
-
+        samples.append(Sample(f"{spec.name}{i:06d}", render(text, spec, srng), text))
+    return samples

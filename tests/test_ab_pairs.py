@@ -77,11 +77,16 @@ def test_claim_refused_when_the_change_fails_a_larger_share_of_calls():
 
 
 def test_frames_per_s_claim_needs_the_raw_call_seconds_lower_too():
+    """The raw call seconds pass the paired test too: 9/10 pairs and a
+    median gap beyond the parent's raw IQR."""
     parent = [100, 102, 98, 101, 99, 100, 103, 97, 100, 101]
 
-    def claims(change_raw):
-        runs = {"parent": [_run(v, 40.0, raw={"0": [0.01]}) for v in parent],
-                "change": [_run(v + 10, 40.0, raw={"0": [change_raw]}) for v in parent]}
+    def claims(change_raw, parent_raw=(0.01,) * 10):
+        if not isinstance(change_raw, list):
+            change_raw = [change_raw] * 10
+        runs = {"parent": [_run(v, 40.0, raw={"0": [r]}) for v, r in zip(parent, parent_raw)],
+                "change": [_run(v + 10, 40.0, raw={"0": [r]})
+                           for v, r in zip(parent, change_raw)]}
         fps = ab_pairs.summarize(runs, END_TO_END)[0]
         assert (fps["won"], fps["pairs"]) == (10, 10) and fps["beyond_iqr"]
         return fps["claim"]
@@ -90,6 +95,12 @@ def test_frames_per_s_claim_needs_the_raw_call_seconds_lower_too():
     assert not claims(0.01)  # a faster calibrated rate from calibration drift alone
     assert not claims(0.0101)
     assert not claims(float("nan"))  # no raw call timed
+    assert not claims([0.0099] * 8 + [0.0101] * 2)  # raw seconds lower in only 8/10 pairs
+    assert claims([0.0099] * 9 + [0.0101])  # 9/10
+    # raw seconds lower in 10/10 pairs, but 0.0001 apart against a parent raw IQR of 0.000175
+    wide = [r / 1e4 for r in parent]
+    assert not claims([r - 0.0001 for r in wide], wide)
+    assert claims([r - 0.0005 for r in wide], wide)
 
 
 def test_gate_reads_worse_unresolved_or_ok():

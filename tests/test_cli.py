@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 import seqtransfer.ctc as ctc_mod
 import seqtransfer.decoder as decoder_mod
-from seqtransfer import (AdamConfig, DecoderConfig, NumericError, TrainConfig, Vocabulary,
-                         build_lm, cli, forward, greedy_decode, greedy_eval, load_arpa,
-                         load_checkpoint, load_manifest, perplexity, prior_pass, read_lines,
-                         save_arpa, save_checkpoint, write_frames)
+from seqtransfer import (AdamConfig, DecoderConfig, NumericError, Sample, TrainConfig,
+                         Vocabulary, build_lm, cli, forward, greedy_decode, greedy_eval,
+                         load_arpa, load_checkpoint, load_manifest, perplexity, prior_pass,
+                         read_lines, save_arpa, save_checkpoint, write_manifest)
 from conftest import REPEATED_SECTION_ARPA
 
 
@@ -397,8 +397,8 @@ def test_non_finite_frame_value_exits_two_at_load(pipe, tmp_path, monkeypatch, c
     rows = [line.split("\t") for line in given.read_text(encoding="utf-8").splitlines()]
     frames = load_manifest(given)[1].frames
     frames[len(frames) // 2, 3] = value
-    frm = tmp_path / "bad.frm"
-    write_frames(frm, frames)
+    write_manifest([Sample("bad", frames)], tmp_path / "bad" / "manifest.tsv")
+    frm = tmp_path / "bad" / "frames" / "bad.frm"
     rows[1][1] = str(frm)
     bad = tmp_path / "manifest.tsv"
     bad.write_text("".join(f"{sid}\t{given.parent / rel}\t{text}\n" for sid, rel, text in rows),
@@ -626,7 +626,7 @@ def loading_nothing(tmp_path, monkeypatch):
     the test and cli.read_lines reads only the config file e.cfg."""
     monkeypatch.chdir(tmp_path)
     for name in ("load_manifest", "load_checkpoint", "load_arpa", "generate_dataset",
-                 "train_source", "hybrid_train"):
+                 "write_manifest", "train_source", "hybrid_train"):
         monkeypatch.setattr(cli, name, _refuse)
     monkeypatch.setattr(Vocabulary, "load", _refuse)
     read_lines = cli.read_lines
@@ -688,6 +688,13 @@ ERROR_TABLE = {
         ([*LM, "--order", "0"], 1, "--order must be >= 1"),
         ([*LM, "--discount", "nan"], 1, "--discount must be in (0, 1), got nan"),
         ([*LM, "--discount", "1.5"], 1, "--discount must be in (0, 1), got 1.5")],
+    # the vocabulary built from the corpus would reject these; --vocab is read in the run
+    **{f"test_train_lm_bad_extra_chars_exit_two_before_reading_anything[{case}]": [
+        ([*LM, *vocab, "--extra-chars", chars], 2, line) for vocab in ([], ["--vocab", "missing"])]
+       for case, chars, line in (
+           ("newline", "a\n", "newline characters are not allowed in the vocabulary"),
+           ("surrogate", "\udcfe",
+            "character '\\udcfe' is a surrogate, which UTF-8 cannot encode"))},
     "test_unknown_config_key_is_usage_error": [
         ([*TS, "--config", "wat = 1"], 1, "e.cfg:1: unknown config key 'wat'")],
     # train-source reads the input width from its training frames
@@ -790,7 +797,8 @@ for _name in dict.fromkeys(key.split("[")[0] for key in ERROR_TABLE):
 # valid flags, every input path missing; hybrid builds no recognizer, so it takes any seed
 PLANS = [
     ["gen-data", "--out", "out", "--n-train", "2", "--text-len", "1,3"],
-    [*LM, "--out", "out", "--vocab", "missing", "--perplexity-on", "missing"],
+    [*LM, "--out", "out", "--vocab", "missing", "--perplexity-on", "missing", "--extra-chars",
+     "Zé"],
     [*TS, "--val", "missing", "--config", "e.cfg", "--out-checkpoint", "out", "--metrics", "m"],
     [*HY, "--lm", "missing", "--val-data", "missing", "--config", "e.cfg", "--seed",
      str(2 ** 64), "--out-checkpoint", "out", "--priors-log", "p"],

@@ -5,15 +5,19 @@ import numpy as np
 import pytest
 
 from seqtransfer import (FormatError, Sample, Vocabulary, cli, labeled, load_manifest,
-                         read_frames, read_lines, write_frames, write_lines, write_manifest)
-from seqtransfer.data import FRAME_MAGIC
+                         read_frames, read_lines, write_lines, write_manifest)
+from seqtransfer.data import FRAME_HEADER, FRAME_MAGIC
+
+
+def _frame_file(tmp_path, frames):
+    """A lone frame file of frames, written by write_manifest."""
+    write_manifest([Sample("x", frames)], tmp_path / "manifest.tsv")
+    return tmp_path / "frames" / "x.frm"
 
 
 def test_frame_round_trip_is_bit_exact(tmp_path, rng):
     frames = rng.normal(0, 1, (7, 5)).astype(np.float32)
-    p = tmp_path / "x.frm"
-    write_frames(p, frames)
-    back = read_frames(p)
+    back = read_frames(_frame_file(tmp_path, frames))
     assert back.dtype == np.float32
     assert np.array_equal(
         back.view(np.uint32), frames.view(np.uint32))
@@ -21,9 +25,7 @@ def test_frame_round_trip_is_bit_exact(tmp_path, rng):
 
 def test_frame_file_layout(tmp_path):
     frames = np.arange(6, dtype=np.float32).reshape(2, 3)
-    p = tmp_path / "x.frm"
-    write_frames(p, frames)
-    raw = p.read_bytes()
+    raw = _frame_file(tmp_path, frames).read_bytes()
     assert raw[:4] == FRAME_MAGIC
     assert struct.unpack("<II", raw[4:12]) == (2, 3)
     assert len(raw) == 12 + 6 * 4
@@ -37,8 +39,7 @@ def test_frame_bad_magic(tmp_path):
 
 
 def test_frame_truncated_payload(tmp_path):
-    p = tmp_path / "x.frm"
-    write_frames(p, np.ones((3, 4), dtype=np.float32))
+    p = _frame_file(tmp_path, np.ones((3, 4), dtype=np.float32))
     blob = p.read_bytes()
     for n in range(len(blob)):  # every offset, header included
         p.write_bytes(blob[:n])
@@ -57,15 +58,16 @@ def test_frame_degenerate_shape(tmp_path):
 def test_frame_non_finite_value_names_the_file(tmp_path, value):
     frames = np.zeros((3, 4), dtype=np.float32)
     frames[2, 1] = value
-    p = tmp_path / "x.frm"
-    write_frames(p, frames)
+    p = _frame_file(tmp_path, frames)
     with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: frames contain NaN or inf$"):
         read_frames(p)
 
 
-def test_write_frames_rejects_non_matrix(tmp_path):
-    with pytest.raises(ValueError):
-        write_frames(tmp_path / "x.frm", np.zeros(3, dtype=np.float32))
+def test_write_manifest_rejects_non_matrix(tmp_path):
+    with pytest.raises(ValueError, match=re.escape(
+            "sample 'x': frames must be a nonempty T x D matrix, got shape (3,)")):
+        write_manifest([Sample("x", np.zeros(3, dtype=np.float32))], tmp_path / "manifest.tsv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _toy_dataset(rng):
@@ -175,6 +177,30 @@ def test_manifest_checks_every_frame_matrix_before_writing(tmp_path):
     assert not (tmp_path / "frames").exists() and not (tmp_path / "manifest.tsv").exists()
 
 
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("ids, texts, message", [
+    (["a", "b"], ["ok", "x\udcff"],
+     "sample 'b': character '\\udcff' is a surrogate, which UTF-8 cannot encode"),
+    (["a", "sub/b"], ["ok", "ab"], "sample 'sub/b': an id cannot hold '/' or NUL"),
+    (["a", "b\0"], ["ok", "ab"], "sample 'b\\x00': an id cannot hold '/' or NUL"),
+    (["a", "b", "a"], ["ok", "ab", "ba"], "sample 'a': the id is repeated"),
+], ids=["surrogate", "slash", "nul", "repeated"])
+def test_manifest_fault_writes_nothing(tmp_path, ids, texts, message):
+    """A bad row raises one ValueError naming its sample, and leaves the
+    directory as it was, an earlier manifest and its frames included."""
+    frames = np.ones((2, 2), np.float32)
+    write_manifest([Sample("old", frames, "ab")], tmp_path / "manifest.tsv")
+    before = _tree(tmp_path)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_manifest([Sample(i, frames * k, t) for k, (i, t) in enumerate(zip(ids, texts))],
+                       tmp_path / "manifest.tsv")
+    assert _tree(tmp_path) == before
+
+
 def test_missing_frame_file(tmp_path):
     p = tmp_path / "manifest.tsv"
     p.write_text("id0\tframes/id0.frm\thello\n", encoding="utf-8")
@@ -187,7 +213,7 @@ def test_missing_frame_file(tmp_path):
     ("frames/gone.frm", "[Errno 2] No such file or directory"),
 ])
 def test_bad_frame_path_names_the_manifest_row(tmp_path, capsys, path, message):
-    write_frames(tmp_path / "ok.frm", np.zeros((2, 3), dtype=np.float32))
+    (tmp_path / "ok.frm").write_bytes(FRAME_HEADER.pack(FRAME_MAGIC, 2, 3) + bytes(4 * 6))
     p = tmp_path / "manifest.tsv"
     p.write_text(f"id0\tok.frm\tab\nid1\t{path}\tba\n", encoding="utf-8")
     with pytest.raises(FormatError, match=f"^{re.escape(f'{p}:2: {message}')}"):

@@ -94,14 +94,26 @@ def test_forward_is_deterministic(rng):
     assert np.array_equal(a1, a2) and np.array_equal(m1, m2)
 
 
-def test_forward_rejects_bad_frames(rng):
+def _non_finite(value):
+    bad = np.zeros((4, 3))
+    bad[2, 1] = value
+    return bad
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.zeros(3), "frames must be T x 3, got (3,)"),
+    (np.zeros((4, 2)), "frames must be T x 3, got (4, 2)"),
+    (np.zeros((0, 3)), "need at least one frame"),
+    (_non_finite(np.nan), "frames contain non-finite values"),
+    (_non_finite(np.inf), "frames contain non-finite values"),
+], ids=["1-D", "width", "no frame", "nan", "inf"])
+def test_forward_frame_checks_name_the_fault(rng, bad, message):
+    """forward on the bad matrix alone, forward_batch with it second of two."""
     m = tiny_model()
-    with pytest.raises(ValueError):
-        forward(m, rng.normal(0, 1, (4, 2)))  # wrong dim
-    bad = rng.normal(0, 1, (4, 3))
-    bad[1, 1] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         forward(m, bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        forward_batch(m, [rng.normal(0, 1, (5, 3)), bad])
 
 
 def test_last_frame_reaches_main_but_not_aux_at_frame_one(rng):

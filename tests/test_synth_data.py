@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtransfer import (LanguageSpec, generate_dataset, load_manifest, make_language_pair,
-                         read_frames, render, sample_corpus, sample_text)
+from seqtransfer import (LanguageSpec, Sample, generate_dataset, load_manifest,
+                         make_language_pair, read_frames, render, sample_corpus, sample_text,
+                         write_lines, write_manifest)
 from seqtransfer.synth_data import STOCK_SHARED_CHARS, STOCK_TARGET_EXTRA
 from conftest import render_reference, sample_text_reference
 
@@ -249,34 +250,37 @@ def test_default_pair_shape():
 
 # -- dataset generation -----------------------------------------------------------
 
-def test_generate_dataset_layout(tmp_path):
+def test_generate_dataset_layout():
+    """Each sample has its own seed from rng, drawn up front, and is labeled."""
     src, _ = make_language_pair(21, "abc")
-    rng = np.random.default_rng(0)
-    manifest = generate_dataset(src, 5, (3, 6), rng, tmp_path / "train",
-                                corpus_path=tmp_path / "corpus.txt")
-    ds = load_manifest(manifest)
-    assert len(ds) == 5
-    assert all(s.transcription for s in ds)
-    corpus = (tmp_path / "corpus.txt").read_text(encoding="utf-8").splitlines()
-    assert corpus == [s.transcription for s in ds]
+    ds = generate_dataset(src, 5, (3, 6), np.random.default_rng(0))
+    assert [s.sample_id for s in ds] == [f"source{i:06d}" for i in range(5)]
+    seeds = np.random.default_rng(0).integers(0, 2 ** 63, size=5)
+    for s, seed in zip(ds, seeds):
+        srng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x5A)))
+        text = sample_text(src, int(srng.integers(3, 7)), srng)
+        assert s.transcription == text
+        assert s.frames.dtype == np.float32
+        assert np.array_equal(s.frames, render(text, src, srng))
 
 
 def test_generate_dataset_unlabeled(tmp_path):
+    """Unlabeled copies, as gen-data writes the target train split, keep the
+    frames and withhold the texts."""
     src, _ = make_language_pair(21, "abc")
-    manifest = generate_dataset(src, 4, (3, 5), np.random.default_rng(1),
-                                tmp_path / "u", unlabeled=True,
-                                corpus_path=tmp_path / "c.txt")
-    ds = load_manifest(manifest)
-    assert all(s.transcription is None for s in ds)
-    # the corpus still records what was rendered
-    lines = (tmp_path / "c.txt").read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 4 and all(lines)
+    ds = generate_dataset(src, 4, (3, 5), np.random.default_rng(1))
+    manifest = write_manifest([Sample(s.sample_id, s.frames) for s in ds],
+                              tmp_path / "u" / "manifest.tsv")
+    back = load_manifest(manifest)
+    assert all(s.transcription is None for s in back)
+    assert all(np.array_equal(b.frames, s.frames) for b, s in zip(back, ds))
+    assert all(s.transcription for s in ds)  # the texts stay with the caller
 
 
 def test_frame_files_round_trip(tmp_path):
     src, _ = make_language_pair(22, "ab")
-    manifest = generate_dataset(src, 3, (2, 4), np.random.default_rng(2), tmp_path / "d")
-    ds = load_manifest(manifest)
+    ds = generate_dataset(src, 3, (2, 4), np.random.default_rng(2))
+    write_manifest(ds, tmp_path / "d" / "manifest.tsv")
     for s in ds:
         direct = read_frames(tmp_path / "d" / "frames" / f"{s.sample_id}.frm")
         assert np.array_equal(direct, s.frames)
@@ -285,8 +289,9 @@ def test_frame_files_round_trip(tmp_path):
 def test_regeneration_is_byte_identical(tmp_path):
     src, _ = make_language_pair(23, "abc")
     for sub in ("one", "two"):
-        generate_dataset(src, 4, (3, 5), np.random.default_rng(9), tmp_path / sub,
-                         corpus_path=tmp_path / f"{sub}.txt")
+        ds = generate_dataset(src, 4, (3, 5), np.random.default_rng(9))
+        write_manifest(ds, tmp_path / sub / "manifest.tsv")
+        write_lines(tmp_path / f"{sub}.txt", [s.transcription for s in ds])
     one, two = tmp_path / "one", tmp_path / "two"
     assert (one / "manifest.tsv").read_bytes() == (two / "manifest.tsv").read_bytes()
     for f in sorted((one / "frames").iterdir()):
@@ -294,12 +299,12 @@ def test_regeneration_is_byte_identical(tmp_path):
     assert (tmp_path / "one.txt").read_bytes() == (tmp_path / "two.txt").read_bytes()
 
 
-def test_generate_dataset_rejects_bad_counts(tmp_path):
+def test_generate_dataset_rejects_bad_counts():
     src, _ = make_language_pair(24, "ab")
     with pytest.raises(ValueError):
-        generate_dataset(src, 0, (2, 3), np.random.default_rng(0), tmp_path / "x")
+        generate_dataset(src, 0, (2, 3), np.random.default_rng(0))
     with pytest.raises(ValueError):
-        generate_dataset(src, 2, (5, 3), np.random.default_rng(0), tmp_path / "x")
+        generate_dataset(src, 2, (5, 3), np.random.default_rng(0))
 
 
 def test_sample_corpus_lengths():

@@ -21,13 +21,13 @@ working tree won (a tie counts for neither side), the no-regression gate:
   of the parent;
 - `ok`: otherwise;
 
-and whether the runs support a claimed gain (`claim`): `yes` when there
-are at least ten pairs, the working tree won at least 9/10 of them, its
-median is better than the parent's by more than the parent's IQR, its
-share of failed calls (failed / attempted over all its runs) is no larger
-than the parent's, and, for `frames_per_s`, its raw call seconds (below)
-are lower than the parent's, so calibration drift alone cannot claim a
-faster rate.
+and whether the runs support a claimed gain (`claim`): `yes` when the
+values pass the paired test (at least ten pairs, the working tree won at
+least 9/10 of them, and its median is better than the parent's by more
+than the parent's IQR) and its share of failed calls (failed / attempted
+over all its runs) is no larger than the parent's.  For `frames_per_s`
+the raw call seconds (below) must pass the same paired test, lower being
+better, so calibration drift alone cannot claim a faster rate.
 
 A `raw call s` row follows, with no gate and no claim of its own: each
 side's median over its runs of a run's median untraced call seconds as
@@ -131,29 +131,45 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
+def paired(parent: list[float], change: list[float], higher: bool) -> tuple[int, float, float]:
+    """The pairs the change won, its median's gain over the parent's, and
+    the parent's IQR.  A NaN value wins no pair and is left out of the
+    medians and the IQR; with none left on a side the gain is NaN."""
+    won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+    parent, change = ([v for v in vals if v == v] for vals in (parent, change))
+    if not parent or not change:
+        return won, float("nan"), float("nan")
+    gain = statistics.median(change) - statistics.median(parent)
+    return won, gain if higher else -gain, iqr(parent)
+
+
+def passes(pairs: int, won: int, gain: float, spread: float) -> bool:
+    """The paired test of a claimed gain (a NaN gain fails it)."""
+    return pairs >= 10 and 10 * won >= 9 * pairs and gain > spread
+
+
 def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> list[dict]:
     """One row per end-to-end metric over the paired runs (runs[side][i] is
     pair i's run of that side)."""
     failed_share = {side: sum(r["result"]["failed"] for r in runs[side])
                     / max(1, sum(r["result"]["attempted"] for r in runs[side])) for side in SIDES}
-    raw_faster = raw_call_s(runs["change"]) < raw_call_s(runs["parent"])  # NaN reads False
+    raw = [run_raw_s(runs[side]) for side in SIDES]
+    raw_faster = passes(len(raw[0]), *paired(*raw, higher=False))
     rows = []
     for spec in end_to_end:
         name, higher = spec["name"], spec["better"] == "higher"
         vals = {side: [r["result"]["metrics"][name]["value"] for r in runs[side]]
                 for side in SIDES}
         parent_med, change_med = (statistics.median(vals[s]) for s in SIDES)
-        won = sum((c > p) if higher else (c < p) for p, c in zip(vals["parent"], vals["change"]))
+        won, gain, spread = paired(vals["parent"], vals["change"], higher)
         every_run_better = (min(vals["change"]) > max(vals["parent"]) if higher
                             else max(vals["change"]) < min(vals["parent"]))
-        gain = change_med - parent_med if higher else parent_med - change_med
-        bound, spread = spec["bound"] * abs(parent_med), iqr(vals["parent"])
-        pairs = len(vals["parent"])
+        bound, pairs = spec["bound"] * abs(parent_med), len(vals["parent"])
         rows.append({"metric": name, "unit": spec["unit"], "better": spec["better"],
                      "parent": parent_med, "change": change_med, "parent_iqr": spread,
                      "ratio": change_med / parent_med if parent_med else float("nan"),
                      "won": won, "pairs": pairs, "beyond_iqr": gain > spread,
-                     "claim": pairs >= 10 and 10 * won >= 9 * pairs and gain > spread
+                     "claim": passes(pairs, won, gain, spread)
                      and failed_share["change"] <= failed_share["parent"]
                      and (name != "frames_per_s" or raw_faster),
                      "gate": "worse" if -gain > bound else
@@ -161,11 +177,18 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> list[dict]
     return rows
 
 
+def run_raw_s(runs: list[dict]) -> list[float]:
+    """Each run's median untraced raw call seconds; NaN for a run that timed
+    no call."""
+    return [statistics.median(calls) if (calls := [
+        s for part in r["record"]["raw_call_s"]["untraced"].values() for s in part])
+        else float("nan") for r in runs]
+
+
 def raw_call_s(runs: list[dict]) -> float:
-    """The median over runs of each run's median untraced raw call seconds;
-    NaN when no run timed a call."""
-    meds = [statistics.median(calls) for r in runs if (calls := [
-        s for part in r["record"]["raw_call_s"]["untraced"].values() for s in part])]
+    """The median over runs of run_raw_s, NaN left out; NaN when no run
+    timed a call."""
+    meds = [m for m in run_raw_s(runs) if m == m]
     return statistics.median(meds) if meds else float("nan")
 
 
