@@ -142,14 +142,10 @@ def _build(cls, args, cfg: dict, **fixed):
 # -- gen-data --------------------------------------------------------------
 
 def cmd_gen_data(args):
-    for name, low in (("n_train", 1), ("n_val", 1), ("n_test", 1), ("input_dim", 1),
+    for name, low in (("n_train", 1), ("n_val", 1), ("n_test", 1),
                       ("base_seed", 0), ("unrelated_lines", 0)):
         if getattr(args, name) < low:
             raise UsageError(f"--{name.replace('_', '-')} must be >= {low}, "
-                             f"got {getattr(args, name)}")
-    for name in ("style_strength", "noise_sigma"):
-        if not 0.0 <= getattr(args, name) < np.inf:
-            raise UsageError(f"--{name.replace('_', '-')} must be finite and >= 0, "
                              f"got {getattr(args, name)}")
     try:
         lo, hi = (int(x) for x in args.text_len.split(","))
@@ -161,14 +157,15 @@ def cmd_gen_data(args):
         if set(getattr(args, name)) & set("\t\n\r"):  # no manifest or corpus line holds one
             raise UsageError(f"--{name.replace('_', '-')} must not hold a tab or line break")
 
-    try:  # past the checks above, only the character sets can be rejected
+    try:  # a language parameter's range error opens with its name: give its flag
         source, target = make_language_pair(
             args.base_seed, args.shared_chars, args.source_extra, args.target_extra,
             style_strength=args.style_strength, noise_sigma=args.noise_sigma,
             input_dim=args.input_dim)
         vocab = Vocabulary(set(source.chars) | set(target.chars))
     except ValueError as e:
-        raise UsageError(str(e)) from None
+        name, _, rest = str(e).partition(" ")
+        raise UsageError(f"{_flag(name)} {rest}" if name in vars(args) else str(e)) from None
     out = Path(args.out)
     counts = {"train": args.n_train, "val": args.n_val, "test": args.n_test}
     def run():
@@ -286,8 +283,6 @@ def _load_decode_inputs(args):
     model = load_checkpoint(args.checkpoint)
     dataset = load_manifest(args.data, model.cfg.input_dim)
     lm = load_arpa(args.lm) if args.lm else None
-    if lm is not None and lm.vocab != model.vocab:
-        raise ValueError("the LM and the checkpoint use different vocabularies")
     return model, dataset, lm
 
 

@@ -142,6 +142,8 @@ def decode_dataset(model: Recognizer, samples: Sequence[Sample], lm: NgramLM | N
     decoding when an LM is present, greedy otherwise.  One forward_chunks pass,
     and the label priors beam decoding estimates from it, serve every config,
     unchecked; the configs share one prior_floor."""
+    if lm is not None and lm.vocab != model.vocab:
+        raise ValueError("the LM and the model use different vocabularies")
     frames = [s.frames for s in samples]
     if lm is None:
         hyps = forward_chunks(model, frames, each=greedy_kernel)
@@ -167,6 +169,22 @@ class TrainResult:
     skipped: int
 
 
+def _rows(it: int, losses: list[float], train_cer: float, model: Recognizer,
+          val: list[Sample] | None) -> list[MetricsRow]:
+    """An iteration's metrics rows: the train row, then the val row if val is given."""
+    rows = [MetricsRow(it, "train", float(np.mean(losses)) if losses else math.nan, train_cer)]
+    if val is not None:
+        rows.append(MetricsRow(it, "val", math.nan, greedy_eval(model, val)))
+    return rows
+
+
+def _labeled_val(val_set: list[Sample] | None) -> list[Sample] | None:
+    val = None if val_set is None else labeled(val_set)
+    if val == []:
+        raise ValueError("validation set has no labeled samples")
+    return val
+
+
 def train_source(model: Recognizer, train_set: list[Sample], cfg: TrainConfig,
                  val_set: list[Sample] | None = None) -> TrainResult:
     """Supervised training, of model in place: epochs of shuffled minibatch updates.
@@ -176,6 +194,7 @@ def train_source(model: Recognizer, train_set: list[Sample], cfg: TrainConfig,
     train = labeled(train_set)
     if not train:
         raise ValueError("training set has no labeled samples")
+    val = _labeled_val(val_set)
     items = [(s.frames, model.vocab.encode(s.transcription)) for s in train]
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5bc)))
     state = AdamState(model.params)
@@ -186,18 +205,13 @@ def train_source(model: Recognizer, train_set: list[Sample], cfg: TrainConfig,
         order = rng.permutation(len(items))
         epoch_losses = []
         for lo in range(0, len(order), cfg.batch_size):
-            idx = order[lo:lo + cfg.batch_size]
-            batch = [items[i] for i in idx if _usable(*items[i])]
-            skipped += len(idx) - len(batch)
-            if not batch:
-                continue
-            loss, _ = _update(model, batch, cfg, state)
-            epoch_losses.append(loss)
-            step_losses.append(loss)
-        mean_loss = float(np.mean(epoch_losses)) if epoch_losses else math.nan
-        rows.append(MetricsRow(epoch, "train", mean_loss, greedy_eval(model, train)))
-        if val_set is not None:
-            rows.append(MetricsRow(epoch, "val", math.nan, greedy_eval(model, labeled(val_set))))
+            batch = [items[i] for i in order[lo:lo + cfg.batch_size]]
+            loss, labels = _update(model, batch, cfg, state)
+            skipped += labels.count(None)
+            if loss is not None:
+                epoch_losses.append(loss)
+        step_losses += epoch_losses
+        rows += _rows(epoch, epoch_losses, greedy_eval(model, train), model, val)
     return TrainResult(rows, step_losses, skipped)
 
 
@@ -218,26 +232,28 @@ def prior_pass(model: Recognizer, samples: Sequence[Sample], cfg: TrainConfig,
 
 
 def _update(model: Recognizer, batch, cfg: TrainConfig, state: AdamState, pseudo=()):
-    """One training step on (frames, label ids) slots: one forward over all
-    of them, one beam_search(mains, *pseudo) of the slots whose ids are None,
-    each decode judged by make_pseudo_label, and one Adam step on the usable
-    slots.  Returns the mean loss (None if no slot is usable) and the number dropped."""
+    """One training step on (frames, label ids) slots, and the one gate of
+    both loops: one forward over all of them, one beam_search(mains, *pseudo)
+    of the slots whose ids are None, each decode judged by make_pseudo_label
+    and each given label by _usable, and one Adam step on the slots that
+    pass.  Returns the mean loss (None if no slot passes) and each slot's
+    label: the ids it trained on, or None for a dropped slot."""
     aux, main, cache = forward_batch(model, [f for f, _ in batch])
     targets = [m for (_, ids), m in zip(batch, main) if ids is None]
     decodes = iter(beam_search(targets, *pseudo) if targets else ())
-    labels = [make_pseudo_label(next(decodes)[0], m) if ids is None else ids
-              for (_, ids), m in zip(batch, main)]
+    labels = [make_pseudo_label(next(decodes)[0], m) if ids is None
+              else ids if _usable(m, ids) else None for (_, ids), m in zip(batch, main)]
     keep = [i for i, ids in enumerate(labels) if ids is not None]
     if not keep:
-        return None, len(batch)
+        return None, labels
     # rebinding releases the dropped slots' posteriors and activations before backward
-    aux, main, labels = ([x[i] for i in keep] for x in (aux, main, labels))
+    aux, main, kept = ([x[i] for i in keep] for x in (aux, main, labels))
     cache = {k: [v[i] for i in keep] for k, v in cache.items()}
-    loss, grads = composite_loss(model, aux, main, cache, labels, cfg.aux_loss_weight)
+    loss, grads = composite_loss(model, aux, main, cache, kept, cfg.aux_loss_weight)
     if not math.isfinite(loss):
         raise NumericError(f"non-finite training loss {loss}")
     adam_step(model.params, grads, state, cfg.adam)
-    return loss, len(batch) - len(keep)
+    return loss, labels
 
 
 @dataclass
@@ -258,8 +274,8 @@ def hybrid_train(model: Recognizer, source_set: list[Sample], target_set: list[S
     current posteriors on the target data, then runs mixed minibatch
     updates: round(source_fraction * batch_size) ground-truth source
     samples, placed first, and the rest target samples carrying beam
-    decodes as pseudo-labels, read off the step's one forward.  Target
-    samples whose decode is empty or unalignable are dropped; a step whose
+    decodes as pseudo-labels, read off the step's one forward.  _update
+    drops each slot whose label is empty or unalignable; a step whose
     target slots all dropped proceeds source-only and is counted."""
     src = [(s.frames, model.vocab.encode(s.transcription)) for s in labeled(source_set)]
     tgt = list(target_set)
@@ -271,6 +287,7 @@ def hybrid_train(model: Recognizer, source_set: list[Sample], target_set: list[S
     n_tgt_per = cfg.batch_size - n_src_per
     if n_src_per > 0 and not src:
         raise ValueError("source set has no labeled samples")
+    val = _labeled_val(val_set)
 
     # independent streams so source sampling is untouched by how much
     # target work happens
@@ -290,27 +307,15 @@ def hybrid_train(model: Recognizer, source_set: list[Sample], target_set: list[S
 
         iter_losses = []
         for _ in range(cfg.train_pass_batches):
-            batch = []
-            if n_src_per > 0:
-                picks = rng_src.choice(len(src), size=min(n_src_per, len(src)), replace=False)
-                batch = [src[i] for i in picks if _usable(*src[i])]
-            n_from_src = len(batch)
-            if n_tgt_per > 0:
-                picks = rng_tgt.choice(len(tgt), size=min(n_tgt_per, len(tgt)), replace=False)
-                batch += [(tgt[i].frames, None) for i in picks]
-            if not batch:
-                continue
-            loss, dropped = _update(model, batch, cfg, state, (lm, priors, dcfg))
+            src_picks = rng_src.choice(len(src), size=min(n_src_per, len(src)), replace=False)
+            tgt_picks = rng_tgt.choice(len(tgt), size=min(n_tgt_per, len(tgt)), replace=False)
+            batch = [src[i] for i in src_picks] + [(tgt[i].frames, None) for i in tgt_picks]
+            loss, labels = _update(model, batch, cfg, state, (lm, priors, dcfg))
+            dropped = labels[len(src_picks):].count(None)
             skipped_decodes += dropped
-            if n_from_src and dropped and dropped == len(batch) - n_from_src:
-                source_only_steps += 1
-            if loss is None:
-                continue
-            iter_losses.append(loss)
-            step_losses.append(loss)
-
-        mean_loss = float(np.mean(iter_losses)) if iter_losses else math.nan
-        rows.append(MetricsRow(it, "train", mean_loss, math.nan))
-        if val_set is not None:
-            rows.append(MetricsRow(it, "val", math.nan, greedy_eval(model, labeled(val_set))))
+            if loss is not None:
+                iter_losses.append(loss)
+                source_only_steps += 0 < dropped == len(tgt_picks)  # only source slots trained
+        step_losses += iter_losses
+        rows += _rows(it, iter_losses, math.nan, model, val)
     return HybridResult(rows, step_losses, prior_history, source_only_steps, skipped_decodes)

@@ -19,8 +19,8 @@ from seqtransfer import (AdamConfig, AdamState, DecoderConfig, NgramLM, NumericE
 from seqtransfer.synth_data import STOCK_SHARED_CHARS, STOCK_TARGET_EXTRA
 from seqtransfer.recognizer import FORWARD_CHUNK
 from seqtransfer.trainer import MetricsRow, decode_dataset
-from conftest import (hybrid_train_reference, oracle_best, prior_pass_reference,
-                      uniform_priors)
+from conftest import (composite_loss_reference, hybrid_train_reference, oracle_best,
+                      prior_pass_reference, uniform_priors)
 
 VOCAB = Vocabulary("ab")
 
@@ -212,6 +212,16 @@ def test_empty_training_set_rejected():
         train_source(m, unlabeled, TrainConfig(epochs=1))
 
 
+def test_decode_dataset_rejects_an_lm_of_another_vocabulary(rng):
+    cfg = RecognizerConfig(label_count=7, input_dim=3, context_radius=1, feature_dim=4,
+                           recurrent_dim=3, seed=0)
+    model = init_recognizer(cfg, Vocabulary(" abcde"))
+    lm = build_lm(["abcdz"], order=2, discount=0.1, vocab=Vocabulary(" abcdz"))
+    samples = [Sample(f"s{i}", rng.normal(0, 1, (6, 3)), None) for i in range(2)]
+    with pytest.raises(ValueError, match="^the LM and the model use different vocabularies$"):
+        decode_dataset(model, samples, lm)
+
+
 def test_val_rows_logged(rng):
     samples, vocab = source_samples(n=4)
     cfg = RecognizerConfig(label_count=vocab.emit_size, input_dim=16, context_radius=1,
@@ -222,6 +232,58 @@ def test_val_rows_logged(rng):
     assert [(r.iteration, r.split) for r in res.rows] == \
         [(0, "train"), (0, "val"), (1, "train"), (1, "val")]
     assert all(math.isnan(r.loss) for r in res.rows if r.split == "val")
+
+
+@pytest.mark.parametrize("loop", ["train_source", "hybrid_train"])
+def test_unlabeled_val_set_is_rejected_before_the_first_step(monkeypatch, loop):
+    model, src, tgt, lm, tcfg, dcfg = hybrid_fixture(lm_corpus=["ab"])
+    val = [Sample("v", src[0].frames, None)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(trainer_mod, "_update", refuse)
+    with pytest.raises(ValueError, match="^validation set has no labeled samples$"):
+        if loop == "train_source":
+            train_source(model, src, tcfg, val_set=val)
+        else:
+            hybrid_train(model, src, tgt, lm, tcfg, dcfg, val_set=val)
+
+
+def test_update_trains_on_exactly_the_usable_slots(rng, monkeypatch):
+    """_update is the one gate: a labeled slot too short for its ids and a
+    target slot whose decode is empty are dropped, the rest train."""
+    m = tiny_model()
+    frames = [rng.normal(0, 1, (t, 3)) for t in (6, 1, 5, 4)]
+    batch = [(frames[0], (1, 2)), (frames[1], (1, 2)), (frames[2], None), (frames[3], None)]
+    decoded = []
+
+    def fake_beam_search(mats, *pseudo):
+        decoded.append([len(x) for x in mats])
+        return [(() if len(x) == 5 else (2, 1), 0.0) for x in mats]
+
+    trained = []
+    real_loss = trainer_mod.composite_loss
+
+    def spy(model, aux, main, cache, labels, w):
+        trained.append(([len(x) for x in main], list(labels)))
+        return real_loss(model, aux, main, cache, labels, w)
+
+    monkeypatch.setattr(trainer_mod, "beam_search", fake_beam_search)
+    monkeypatch.setattr(trainer_mod, "composite_loss", spy)
+    cfg = TrainConfig(seed=0)
+    want, _ = composite_loss_reference(tiny_model(), [frames[0], frames[3]], [(1, 2), (2, 1)],
+                                       cfg.aux_loss_weight)
+    loss, labels = trainer_mod._update(m, batch, cfg, AdamState(m.params))
+    assert decoded == [[5, 4]]
+    assert trained == [([6, 4], [(1, 2), (2, 1)])]
+    assert labels == [(1, 2), None, None, (2, 1)]
+    assert loss == want
+    # a batch with no usable slot takes no step
+    before = {k: v.copy() for k, v in m.params.items()}
+    assert trainer_mod._update(m, batch[1:3], cfg, AdamState(m.params)) == (None, [None, None])
+    assert len(trained) == 1
+    assert all(np.array_equal(before[k], m.params[k]) for k in before)
 
 
 def test_non_finite_loss_raises(rng, monkeypatch):
@@ -448,7 +510,7 @@ def _long_labels_below_five_frames(mats, lm, priors, dcfg):
 
 
 @pytest.mark.parametrize("case", ["lm", "no_lm", "uniform_lm", "blank_bias", "too_short",
-                                  "rho_zero", "rho_one"])
+                                  "rho_zero", "rho_one", "bad_source"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_one_forward_hybrid_step_matches_two_forward_reference(monkeypatch, case, seed):
     """Pseudo-labels read off each step's one forward, and the kept slots'
@@ -459,11 +521,18 @@ def test_one_forward_hybrid_step_matches_two_forward_reference(monkeypatch, case
     decode = _long_label_below_five_frames if case == "too_short" else lm_beam_decode
     batched = _long_labels_below_five_frames if case == "too_short" else beam_search
     kept = []  # slots per update
-    real_loss = trainer_mod.composite_loss
+    src_dropped = []  # labeled slots _update dropped, per update
+    real_loss, real_update = trainer_mod.composite_loss, trainer_mod._update
 
     def spy(model, aux, main, cache, labels, w):
         kept.append(len(main))
         return real_loss(model, aux, main, cache, labels, w)
+
+    def update_spy(model, batch, cfg, state, pseudo=()):
+        loss, labels = real_update(model, batch, cfg, state, pseudo)
+        src_dropped.append(sum(ids is not None and label is None
+                               for (_, ids), label in zip(batch, labels)))
+        return loss, labels
 
     runs = []
     for side in ("change", "reference"):
@@ -476,10 +545,14 @@ def test_one_forward_hybrid_step_matches_two_forward_reference(monkeypatch, case
             lm = NgramLM(model.vocab, 1, {(c,): -math.log(len(usable)) for c in usable}, {})
         if case == "blank_bias":  # a mix of empty and non-empty decodes, no LM
             model.params["main_b"][0] = 6.0
+        if case == "bad_source":  # a transcription too long for its frames, and an empty one
+            src[1] = Sample(src[1].sample_id, src[1].frames[:2], src[1].transcription)
+            src[5] = Sample(src[5].sample_id, src[5].frames, "")
         if side == "change":
             with monkeypatch.context() as mp:
                 mp.setattr(trainer_mod, "beam_search", batched)
                 mp.setattr(trainer_mod, "composite_loss", spy)
+                mp.setattr(trainer_mod, "_update", update_spy)
                 res = hybrid_train(model, src, tgt, lm, tcfg, dcfg)
             runs.append((res.step_losses, res.prior_history, res.source_only_steps,
                          res.skipped_decodes, param_digest(model)))
@@ -498,6 +571,7 @@ def test_one_forward_hybrid_step_matches_two_forward_reference(monkeypatch, case
         assert skipped > 0  # empty decodes
     if case == "rho_one":
         assert skipped == 0
+    assert (sum(src_dropped) > 0) == (case == "bad_source")
 
 
 def param_digest(model):
