@@ -17,8 +17,8 @@ from .trainer import (AdamConfig, AdamState, HybridResult, MetricsRow,
                       TrainConfig, TrainResult, adam_step, composite_loss,
                       greedy_eval, hybrid_train, make_pseudo_label, prior_pass,
                       train_source, write_metrics)
-from .data import (Sample, labeled, load_manifest, read_frames, read_lines, write_lines,
-                   write_manifest)
+from .data import (Sample, check_frames, labeled, load_manifest, read_frames, read_lines,
+                   write_lines, write_manifest)
 from .synth_data import (LanguageSpec, generate_dataset, make_language_pair, render,
                          sample_corpus, sample_text)
 from .metrics import EvalReport, cer, edit_distance, write_report

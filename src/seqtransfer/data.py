@@ -65,14 +65,18 @@ def write_lines(path, lines) -> None:
     Path(path).write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
 
 
-def _encode_frames(frames) -> bytes:
-    arr = np.ascontiguousarray(frames, dtype="<f4")
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"frames must be a nonempty T x D matrix, got shape {arr.shape}")
-    return FRAME_HEADER.pack(FRAME_MAGIC, *arr.shape) + arr.tobytes()
+def check_frames(frames, width: int | None = None) -> np.ndarray:
+    """np.asarray(frames) if it is a T x D matrix, T, D >= 1 (D == width if given), all finite."""
+    arr = np.asarray(frames)
+    if arr.ndim != 2 or 0 in arr.shape or width not in (None, arr.shape[1]):
+        raise ValueError(f"frames must be a nonempty T x {width or 'D'} matrix, "
+                         f"got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("frames contain NaN or inf")
+    return arr
 
 
-def read_frames(path) -> np.ndarray:
+def read_frames(path, width: int | None = None) -> np.ndarray:
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != FRAME_MAGIC:
@@ -80,15 +84,14 @@ def read_frames(path) -> np.ndarray:
     if len(blob) < FRAME_HEADER.size:
         raise FormatError(f"{path}: truncated frame-file header")
     _, t, d = FRAME_HEADER.unpack_from(blob)
-    if t < 1 or d < 1:
-        raise FormatError(f"{path}: degenerate shape {t} x {d}")
     expect = FRAME_HEADER.size + 4 * t * d
     if len(blob) != expect:
         raise FormatError(f"{path}: payload is {len(blob)} bytes, expected {expect}")
     frames = np.frombuffer(blob, dtype="<f4", offset=FRAME_HEADER.size).reshape(t, d).copy()
-    if not np.isfinite(frames).all():
-        raise FormatError(f"{path}: frames contain NaN or inf")
-    return frames
+    try:
+        return check_frames(frames, width)
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from None
 
 
 def write_manifest(samples: list[Sample], manifest_path) -> Path:
@@ -96,7 +99,7 @@ def write_manifest(samples: list[Sample], manifest_path) -> Path:
     pointing at them.  Every row is checked first, so a bad one writes
     nothing: each id is unique and names a file (no "/" or NUL), no id or
     transcription holds a tab, a line break or a character UTF-8 cannot
-    encode, and each frame matrix is nonempty."""
+    encode, and each frame matrix, cast to float32, passes check_frames."""
     manifest_path = Path(manifest_path)
     blobs: dict[str, bytes] = {}
     for s in samples:
@@ -111,7 +114,9 @@ def write_manifest(samples: list[Sample], manifest_path) -> Path:
             bad = next((c for c in sid + text if "\ud800" <= c <= "\udfff"), None)
             if bad is not None:
                 raise ValueError(f"character {bad!r} is a surrogate, which UTF-8 cannot encode")
-            blobs[sid] = _encode_frames(s.frames)
+            with np.errstate(over="ignore"):  # a value float32 cannot hold casts to inf
+                frames = check_frames(np.ascontiguousarray(s.frames, dtype="<f4"))
+            blobs[sid] = FRAME_HEADER.pack(FRAME_MAGIC, *frames.shape) + frames.tobytes()
         except ValueError as e:
             raise ValueError(f"sample {sid!r}: {e}") from None
     (manifest_path.parent / "frames").mkdir(parents=True, exist_ok=True)
@@ -139,13 +144,10 @@ def load_manifest(manifest_path, width: int | None = None,
         if not rel:
             raise FormatError(f"{manifest_path}:{lineno}: empty frame path")
         try:
-            frames = read_frames(manifest_path.parent / rel)
-        except OSError as e:
+            frames = read_frames(manifest_path.parent / rel, width)
+        except (OSError, FormatError) as e:
             raise FormatError(f"{manifest_path}:{lineno}: {e}") from None
         width = width or frames.shape[1]
-        if frames.shape[1] != width:
-            raise FormatError(f"{manifest_path}:{lineno}: sample {sample_id} has "
-                              f"{frames.shape[1]}-wide frames, expected {width}")
         unknown = [c for c in text if c not in vocab] if vocab is not None else []
         if unknown:
             raise FormatError(f"{manifest_path}:{lineno}: sample {sample_id} has "

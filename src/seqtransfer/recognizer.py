@@ -15,12 +15,14 @@ hand and returns one array per named parameter.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .data import check_frames
 from .errors import FormatError
 from .vocab import Vocabulary
 
@@ -67,21 +69,21 @@ def param_shapes(cfg: RecognizerConfig) -> dict[str, tuple[int, ...]]:
 
 class Recognizer:
     def __init__(self, cfg: RecognizerConfig, vocab: Vocabulary,
-                 params: dict[str, np.ndarray], dtype=np.float32):
+                 params: dict[str, np.ndarray]):
         if cfg.label_count != vocab.emit_size:
             raise ValueError(f"label_count {cfg.label_count} does not match the "
                              f"vocabulary's {vocab.emit_size} emission labels")
         shapes = param_shapes(cfg)
         if set(params) != set(shapes):
             raise ValueError("parameter names do not match the architecture")
+        self.dtype = params["feat_w"].dtype  # forward computes in it
         for name, arr in params.items():
-            if arr.shape != shapes[name]:
-                raise ValueError(f"parameter {name} has shape {arr.shape}, "
-                                 f"expected {shapes[name]}")
+            if arr.shape != shapes[name] or arr.dtype != self.dtype:
+                raise ValueError(f"parameter {name} is {arr.dtype} {arr.shape}, "
+                                 f"expected {self.dtype} {shapes[name]}")
         self.cfg = cfg
         self.vocab = vocab
         self.params = params
-        self.dtype = dtype
 
 
 def init_recognizer(cfg: RecognizerConfig, vocab: Vocabulary,
@@ -97,7 +99,7 @@ def init_recognizer(cfg: RecognizerConfig, vocab: Vocabulary,
             params[name] = rng.uniform(-bound, bound, shape).astype(dtype)
         else:
             params[name] = np.zeros(shape, dtype=dtype)
-    return Recognizer(cfg, vocab, params, dtype)
+    return Recognizer(cfg, vocab, params)
 
 
 def _windows(frames: np.ndarray, radius: int) -> np.ndarray:
@@ -174,14 +176,8 @@ def forward_batch(model: Recognizer, frames: list, aux: bool = True):
     log-posteriors, and the cache of each sample's context windows w, features h
     and recurrent states g; without aux, aux is None and the cache only g."""
     p = model.params
-    xs = [np.asarray(f, dtype=model.dtype) for f in frames]
-    for x in xs:
-        if x.ndim != 2 or x.shape[1] != model.cfg.input_dim:
-            raise ValueError(f"frames must be T x {model.cfg.input_dim}, got {x.shape}")
-        if x.shape[0] < 1:
-            raise ValueError("need at least one frame")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("frames contain non-finite values")
+    with np.errstate(over="ignore"):  # a value the dtype cannot hold casts to inf: refused
+        xs = [check_frames(np.asarray(f, dtype=model.dtype), model.cfg.input_dim) for f in frames]
     ws = (_windows(x, model.cfg.context_radius) for x in xs)
     ws = list(ws) if aux else ws  # kept for backward; without aux each is read once
     hs = [np.tanh(w @ p["feat_w"].T + p["feat_b"]) for w in ws]
@@ -301,10 +297,10 @@ def load_checkpoint(path) -> Recognizer:
     off += nchars
     params = {}
     for name, shape in param_shapes(cfg).items():
-        count = int(np.prod(shape))
-        head = _section_head(name, count)
-        if len(blob) < off + len(head) + 4 * count:
+        count = math.prod(shape)  # exact; a count past u32 fits only a 16 GiB file
+        if count >= 2 ** 32 or len(blob) < off + 8 + len(name) + 4 * count:  # 8: two u32s
             raise FormatError(f"{path}: truncated while reading section {name!r}")
+        head = _section_head(name, count)
         if blob[off:off + len(head)] != head:
             raise FormatError(f"{path}: expected section {name!r} of {count} values at byte {off}")
         off += len(head)
@@ -314,4 +310,4 @@ def load_checkpoint(path) -> Recognizer:
             raise FormatError(f"{path}: section {name!r} holds non-finite values")
     if off != len(blob):
         raise FormatError(f"{path}: {len(blob) - off} bytes after the last section")
-    return Recognizer(cfg, vocab, params, np.float32)
+    return Recognizer(cfg, vocab, params)

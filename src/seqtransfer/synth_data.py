@@ -149,7 +149,8 @@ def render(text: str, spec: LanguageSpec, rng: np.random.Generator) -> np.ndarra
     frames = frames @ spec.style_matrix.T + spec.style_bias
     if spec.noise_sigma > 0:
         frames = frames + rng.normal(0.0, spec.noise_sigma, frames.shape)
-    return frames.astype(np.float32)
+    with np.errstate(over="ignore"):  # overflow casts to inf, which the writer refuses
+        return frames.astype(np.float32)
 
 
 def sample_corpus(spec: LanguageSpec, n_lines: int, text_len_range: tuple[int, int],

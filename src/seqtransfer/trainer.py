@@ -59,17 +59,18 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         raise ValueError("gradient names do not match parameter names")
     state.step += 1
     t = state.step
-    for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        mhat = m / (1.0 - cfg.beta1 ** t)
-        vhat = v / (1.0 - cfg.beta2 ** t)
-        p -= (cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)).astype(p.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):  # _update reports a non-finite step
+        for name, p in params.items():
+            g = np.asarray(grads[name], dtype=np.float64)
+            m = state.m[name]
+            v = state.v[name]
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * g * g
+            mhat = m / (1.0 - cfg.beta1 ** t)
+            vhat = v / (1.0 - cfg.beta2 ** t)
+            p -= (cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)).astype(p.dtype)
 
 
 @dataclass(frozen=True)
@@ -253,6 +254,8 @@ def _update(model: Recognizer, batch, cfg: TrainConfig, state: AdamState, pseudo
     if not math.isfinite(loss):
         raise NumericError(f"non-finite training loss {loss}")
     adam_step(model.params, grads, state, cfg.adam)
+    if bad := [k for k, p in model.params.items() if not np.isfinite(p).all()]:
+        raise NumericError(f"parameter {bad[0]} went non-finite at step {state.step}")
     return loss, labels
 
 

@@ -36,6 +36,33 @@ ngram 2=1
 """
 
 
+def _shape_fault(width, shape) -> str:
+    return f"frames must be a nonempty T x {width} matrix, got shape {shape}"
+
+
+def _one_value(value) -> np.ndarray:
+    frames = np.zeros((4, 3))
+    frames[2, 1] = value
+    return frames
+
+
+NON_FINITE = "frames contain NaN or inf"
+
+# Every way a frame matrix can break the frame rule, on 3-wide frames: the
+# matrix, and what data.check_frames says of its float32 cast without a width
+# (None: it passes) and at width 3.
+FRAME_FAULTS = {
+    "1-D": (np.zeros(3), _shape_fault("D", (3,)), _shape_fault(3, (3,))),
+    "no frame": (np.zeros((0, 3)), _shape_fault("D", (0, 3)), _shape_fault(3, (0, 3))),
+    "no columns": (np.zeros((4, 0)), _shape_fault("D", (4, 0)), _shape_fault(3, (4, 0))),
+    "width": (np.zeros((4, 2)), None, _shape_fault(3, (4, 2))),
+    "nan": (_one_value(np.nan), NON_FINITE, NON_FINITE),
+    "inf": (_one_value(np.inf), NON_FINITE, NON_FINITE),
+    "-inf": (_one_value(-np.inf), NON_FINITE, NON_FINITE),
+    "above float32": (_one_value(1e39), NON_FINITE, NON_FINITE),
+}
+
+
 def collapse(frame_labels) -> tuple[int, ...]:
     """Merge adjacent repeats, then delete blanks, one frame label at a
     time: the oracle for ctc.greedy_kernel's one array pass."""

@@ -11,15 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import seqtransfer.ctc as ctc_mod
 import seqtransfer.decoder as decoder_mod
-from seqtransfer import (AdamConfig, DecoderConfig, NumericError, Sample, TrainConfig,
+from seqtransfer import (AdamConfig, DecoderConfig, NumericError, TrainConfig,
                          Vocabulary, build_lm, cli, forward, greedy_decode, greedy_eval,
                          load_arpa, load_checkpoint, load_manifest, perplexity, prior_pass,
-                         read_lines, save_arpa, save_checkpoint, write_manifest)
+                         read_frames, read_lines, save_arpa, save_checkpoint, write_manifest)
+from seqtransfer.data import FRAME_HEADER, FRAME_MAGIC
 from conftest import REPEATED_SECTION_ARPA
 
 
@@ -115,6 +116,16 @@ def test_gen_data_rerun_is_byte_identical(tmp_path):
     assert rel_a == rel_b
     for rel in rel_a:
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+def test_gen_data_refuses_noise_float32_cannot_hold(tmp_path, capsys):
+    """Noise past float32's range renders to inf, which the writer refuses
+    before it writes a manifest or a frame file."""
+    out = tmp_path / "d"
+    assert cli.main(["gen-data", "--out", str(out), "--n-train", "2", "--n-val", "1",
+                     "--n-test", "1", "--noise-sigma", "1e38"]) == 2
+    assert capsys.readouterr().err == "error: sample 'source000000': frames contain NaN or inf\n"
+    assert [p.name for p in out.rglob("*")] == ["vocab.json"]
 
 
 def tree_sha256(root) -> str:
@@ -312,6 +323,14 @@ def _refuse(*args, **kwargs):
     pytest.fail("a file was loaded or training started")
 
 
+def _narrow_first_row(manifest) -> str:
+    """The one stderr line of a run that wants 16-wide frames and reads
+    manifest, whose first row is narrower."""
+    frm = manifest.parent / manifest.read_text(encoding="utf-8").split("\t")[1]
+    return (f"error: {manifest}:1: {frm}: frames must be a nonempty T x 16 matrix, "
+            f"got shape {read_frames(frm).shape}\n")
+
+
 def test_train_source_checks_val_width_before_training(pipe, narrow, tmp_path, monkeypatch,
                                                        capsys):
     monkeypatch.setattr(cli, "train_source", _refuse)
@@ -321,9 +340,7 @@ def test_train_source_checks_val_width_before_training(pipe, narrow, tmp_path, m
                    "--val", str(val), "--vocab", str(pipe["data"] / "vocab.json"),
                    "--out-checkpoint", str(ck)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert f"{val}:1: sample {load_manifest(val)[0].sample_id} has 8-wide frames" in err
+    assert capsys.readouterr().err == _narrow_first_row(val)
     assert not ck.exists()
 
 
@@ -337,9 +354,7 @@ def test_hybrid_checks_target_width_before_training(pipe, narrow, tmp_path, monk
                    "--target-data", str(target), "--init-checkpoint", str(pipe["ck"]),
                    "--out-checkpoint", str(ck)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert f"{target}:1: sample {load_manifest(target)[0].sample_id} has 8-wide frames" in err
+    assert capsys.readouterr().err == _narrow_first_row(target)
     assert not ck.exists()
 
 
@@ -396,9 +411,9 @@ def test_non_finite_frame_value_exits_two_at_load(pipe, tmp_path, monkeypatch, c
              "--target-data": data / "target" / "train" / "manifest.tsv"}[flag]
     rows = [line.split("\t") for line in given.read_text(encoding="utf-8").splitlines()]
     frames = load_manifest(given)[1].frames
-    frames[len(frames) // 2, 3] = value
-    write_manifest([Sample("bad", frames)], tmp_path / "bad" / "manifest.tsv")
-    frm = tmp_path / "bad" / "frames" / "bad.frm"
+    frames[len(frames) // 2, 3] = value  # a value write_manifest refuses: written by hand
+    frm = tmp_path / "bad.frm"
+    frm.write_bytes(FRAME_HEADER.pack(FRAME_MAGIC, *frames.shape) + frames.tobytes())
     rows[1][1] = str(frm)
     bad = tmp_path / "manifest.tsv"
     bad.write_text("".join(f"{sid}\t{given.parent / rel}\t{text}\n" for sid, rel, text in rows),
@@ -411,7 +426,7 @@ def test_non_finite_frame_value_exits_two_at_load(pipe, tmp_path, monkeypatch, c
             + (["--data", source] if flag == "--val" else []))
     argv += [flag, str(bad), "--out-checkpoint", str(ck), "--metrics", str(metrics)]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == f"error: {frm}: frames contain NaN or inf\n"
+    assert capsys.readouterr().err == f"error: {bad}:2: {frm}: frames contain NaN or inf\n"
     assert not ck.exists() and not metrics.exists()
 
 
@@ -425,6 +440,22 @@ def test_numeric_failure_exits_three(pipe, tmp_path, monkeypatch, capsys):
                    "--out-checkpoint", str(tmp_path / "c.ckpt")])
     assert rc == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train-source", "hybrid"])
+def test_parameter_overflow_exits_three_without_a_checkpoint(pipe, tmp_path, capsys, command):
+    """An update float32 cannot hold stops the run at its first step."""
+    data, ck = pipe["data"], tmp_path / "c.ckpt"
+    argv = (["train-source", "--data", str(data / "source" / "val" / "manifest.tsv"),
+             "--vocab", str(data / "vocab.json"), "--epochs", "1", "--batch-size", "128"]
+            if command == "train-source" else
+            ["hybrid", "--source-data", str(data / "source" / "train" / "manifest.tsv"),
+             "--target-data", str(data / "target" / "train" / "manifest.tsv"),
+             "--init-checkpoint", str(pipe["ck"]), "--lm", str(pipe["lm"]), "--beam", "2",
+             "--outer-iters", "1", "--prior-pass-batches", "1", "--train-pass-batches", "1"])
+    assert cli.main(argv + ["--lr", "1e39", "--out-checkpoint", str(ck)]) == 3
+    assert capsys.readouterr().err == "error: parameter feat_w went non-finite at step 1\n"
+    assert not ck.exists()
 
 
 def test_loops_do_not_check_the_models_own_posteriors(pipe, tmp_path, monkeypatch, capsys):
@@ -1112,6 +1143,12 @@ def _damage(blob: bytes, kind: str, cuts: list[int], bit: int) -> bytes:
 @given(kind=st.sampled_from(["truncate", "flip", "splice"]),
        cuts=st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=4, max_size=4),
        bit=st.integers(min_value=0, max_value=7))
+# the top bit of input_dim, context_radius, feature_dim and recurrent_dim in a
+# checkpoint header: sections of 2**32 values or more
+@example(kind="flip", cuts=[11, 0, 0, 0], bit=7)
+@example(kind="flip", cuts=[15, 0, 0, 0], bit=7)
+@example(kind="flip", cuts=[19, 0, 0, 0], bit=7)
+@example(kind="flip", cuts=[23, 0, 0, 0], bit=7)
 def test_damaged_input_never_raises(pipe, fuzz_dir, capsys, target, kind, cuts, bit):
     root, frame_rel = fuzz_dir
     manifest = root / "manifest.tsv"

@@ -1,12 +1,18 @@
 import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from seqtransfer import (FormatError, Sample, Vocabulary, cli, labeled, load_manifest,
-                         read_frames, read_lines, write_lines, write_manifest)
+from seqtransfer import (FormatError, Sample, Vocabulary, check_frames, cli, labeled,
+                         load_manifest, read_frames, read_lines, write_lines, write_manifest)
 from seqtransfer.data import FRAME_HEADER, FRAME_MAGIC
+from conftest import FRAME_FAULTS
 
 
 def _frame_file(tmp_path, frames):
@@ -47,27 +53,77 @@ def test_frame_truncated_payload(tmp_path):
             read_frames(p)
 
 
-def test_frame_degenerate_shape(tmp_path):
-    p = tmp_path / "x.frm"
-    p.write_bytes(FRAME_MAGIC + struct.pack("<II", 0, 4))
-    with pytest.raises(FormatError):
-        read_frames(p)
+def _write_raw(root, samples) -> Path:
+    """A manifest and the frame files of samples' float32 casts, built by hand
+    as write_manifest would build them if it took any matrix."""
+    (root / "frames").mkdir()
+    for s in samples:
+        with np.errstate(over="ignore"):
+            frames = np.asarray(s.frames, dtype="<f4")
+        (root / f"frames/{s.sample_id}.frm").write_bytes(
+            FRAME_HEADER.pack(FRAME_MAGIC, *frames.shape) + frames.tobytes())
+    (root / "manifest.tsv").write_text("".join(
+        f"{s.sample_id}\tframes/{s.sample_id}.frm\t{s.transcription or ''}\n" for s in samples),
+        encoding="utf-8")
+    return root / "manifest.tsv"
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_frame_non_finite_value_names_the_file(tmp_path, value):
-    frames = np.zeros((3, 4), dtype=np.float32)
-    frames[2, 1] = value
-    p = _frame_file(tmp_path, frames)
-    with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: frames contain NaN or inf$"):
-        read_frames(p)
+@pytest.mark.parametrize("fault", FRAME_FAULTS)
+def test_frame_fault_names_the_sample_or_the_file(tmp_path, rng, fault):
+    """write_manifest refuses each fault it can see (all but a wrong width)
+    and writes nothing; a file holding the fault fails read_frames naming
+    the file, and load_manifest naming the manifest line too."""
+    frames, message, at_width = FRAME_FAULTS[fault]
+    samples = [Sample("ok", rng.normal(0, 1, (5, 3)).astype(np.float32), "ab"),
+               Sample("x", frames)]
+    if message is None:
+        write_manifest(samples, tmp_path / "manifest.tsv")
+    else:
+        with pytest.raises(ValueError, match="^" + re.escape(f"sample 'x': {message}") + "$"):
+            write_manifest(samples, tmp_path / "manifest.tsv")
+        assert list(tmp_path.iterdir()) == []
+    if frames.ndim != 2:
+        return  # the header of a frame file always gives two dims
+    (tmp_path / "raw").mkdir()
+    manifest = _write_raw(tmp_path / "raw", samples)
+    frm = tmp_path / "raw" / "frames" / "x.frm"
+    for width, want in ((None, message), (3, at_width)):
+        if want is None:
+            assert read_frames(frm, width).shape == frames.shape
+            continue
+        with pytest.raises(FormatError, match="^" + re.escape(f"{frm}: {want}") + "$"):
+            read_frames(frm, width)
+    # the width of the first row, "ok", binds the second, as an explicit 3 does
+    want = f"{manifest}:2: {frm}: {at_width}"
+    for width in (None, 3):
+        with pytest.raises(FormatError, match="^" + re.escape(want) + "$"):
+            load_manifest(manifest, width)
 
 
-def test_write_manifest_rejects_non_matrix(tmp_path):
-    with pytest.raises(ValueError, match=re.escape(
-            "sample 'x': frames must be a nonempty T x D matrix, got shape (3,)")):
-        write_manifest([Sample("x", np.zeros(3, dtype=np.float32))], tmp_path / "manifest.tsv")
-    assert list(tmp_path.iterdir()) == []
+@settings(max_examples=200, deadline=None)
+@given(frames=hnp.arrays(st.sampled_from([np.float32, np.float64]),
+                         hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)))
+def test_write_manifest_refuses_exactly_what_check_frames_refuses(frames):
+    """write_manifest raises exactly when check_frames does on the float32
+    cast, and what it writes loads back bit for bit."""
+    with np.errstate(over="ignore"):
+        cast = frames.astype("<f4")
+    try:
+        check_frames(cast)
+    except ValueError as e:
+        refused = str(e)
+    else:
+        refused = None
+    with tempfile.TemporaryDirectory() as root:
+        manifest = Path(root) / "manifest.tsv"
+        if refused is not None:
+            with pytest.raises(ValueError, match=f"^sample 'x': {re.escape(refused)}$"):
+                write_manifest([Sample("x", frames)], manifest)
+            assert not any(Path(root).iterdir())
+            return
+        write_manifest([Sample("x", frames)], manifest)
+        back = read_frames(Path(root) / "frames" / "x.frm")
+        assert back.shape == cast.shape and back.tobytes() == cast.tobytes()
 
 
 def _toy_dataset(rng):

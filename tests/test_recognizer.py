@@ -12,7 +12,7 @@ from seqtransfer import (FormatError, Recognizer, RecognizerConfig, Vocabulary, 
                          ctc_loss, forward, forward_batch, init_recognizer, load_checkpoint,
                          param_shapes, save_checkpoint)
 from seqtransfer.recognizer import CHECKPOINT_MAGIC, _scan, _scan_grad
-from conftest import scan_grad_reference, scan_reference
+from conftest import FRAME_FAULTS, scan_grad_reference, scan_reference
 
 VOCAB = Vocabulary("ab")
 
@@ -68,6 +68,20 @@ def test_label_count_tied_to_vocab():
             RecognizerConfig(label_count=3, input_dim=16), VOCAB).params)
 
 
+def test_model_computes_in_its_parameters_dtype(rng):
+    """The dtype is read off the parameters, which must share one."""
+    ref = tiny_model(dtype=np.float64)
+    m = Recognizer(ref.cfg, VOCAB, ref.params)
+    assert m.dtype == np.float64
+    frames = rng.normal(0, 1, (4, 3))  # float64 values float32 would round
+    for got, want in zip(forward(m, frames)[:2], forward(ref, frames)[:2]):
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+    mixed = dict(ref.params, fwd_b=ref.params["fwd_b"].astype(np.float32))
+    with pytest.raises(ValueError, match=re.escape(
+            "parameter fwd_b is float32 (3,), expected float64 (3,)")):
+        Recognizer(ref.cfg, VOCAB, mixed)
+
+
 # -- forward ---------------------------------------------------------------------
 
 def test_output_rows_are_log_normalized(rng):
@@ -94,26 +108,15 @@ def test_forward_is_deterministic(rng):
     assert np.array_equal(a1, a2) and np.array_equal(m1, m2)
 
 
-def _non_finite(value):
-    bad = np.zeros((4, 3))
-    bad[2, 1] = value
-    return bad
-
-
-@pytest.mark.parametrize("bad, message", [
-    (np.zeros(3), "frames must be T x 3, got (3,)"),
-    (np.zeros((4, 2)), "frames must be T x 3, got (4, 2)"),
-    (np.zeros((0, 3)), "need at least one frame"),
-    (_non_finite(np.nan), "frames contain non-finite values"),
-    (_non_finite(np.inf), "frames contain non-finite values"),
-], ids=["1-D", "width", "no frame", "nan", "inf"])
-def test_forward_frame_checks_name_the_fault(rng, bad, message):
-    """forward on the bad matrix alone, forward_batch with it second of two."""
-    m = tiny_model()
+@pytest.mark.parametrize("fault", FRAME_FAULTS)
+def test_forward_frame_checks_name_the_fault(rng, fault):
+    """forward_batch of a float32 model, the bad matrix second of two, says
+    what check_frames says at the model's width: a float64 value that float32
+    cannot hold reads as inf."""
+    m = tiny_model(dtype=np.float32)
+    frames, _, message = FRAME_FAULTS[fault]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        forward(m, bad)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        forward_batch(m, [rng.normal(0, 1, (5, 3)), bad])
+        forward_batch(m, [rng.normal(0, 1, (5, 3)), frames])
 
 
 def test_last_frame_reaches_main_but_not_aux_at_frame_one(rng):

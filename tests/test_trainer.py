@@ -299,6 +299,27 @@ def test_non_finite_loss_raises(rng, monkeypatch):
         train_source(m, [sample], TrainConfig(epochs=1, batch_size=1, seed=0))
 
 
+@pytest.mark.parametrize("lr, grad, name", [(1e39, 1.0, "feat_w"), (1e-3, math.inf, "fwd_u"),
+                                           (1e-3, math.nan, "fwd_u")],
+                         ids=["overflow", "inf-gradient", "nan-gradient"])
+def test_non_finite_parameter_after_a_step_raises(rng, monkeypatch, lr, grad, name):
+    """A step with a finite loss that leaves a parameter non-finite, by an
+    update float32 cannot hold or a non-finite gradient, raises naming the
+    first such parameter, and warns of nothing on the way."""
+    m = tiny_model(dtype=np.float32)
+    sample = Sample("g", rng.normal(0, 1, (6, 3)).astype(np.float32), "ab")
+
+    def finite_loss(model, aux, main, cache, labels, lam):
+        grads = {k: np.ones(v.shape) for k, v in model.params.items()}
+        grads["fwd_u"][1, 2] = grad
+        return 1.0, grads
+
+    monkeypatch.setattr(trainer_mod, "composite_loss", finite_loss)
+    cfg = TrainConfig(epochs=1, batch_size=1, seed=0, adam=AdamConfig(lr=lr))
+    with pytest.raises(NumericError, match=f"^parameter {name} went non-finite at step 1$"):
+        train_source(m, [sample], cfg)
+
+
 # -- pseudo-labels ---------------------------------------------------------------------
 
 def log_rows(rows):
